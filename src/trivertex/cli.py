@@ -152,12 +152,18 @@ def apply_vars_file(p: LaurentPoly, bindings: Dict[Var, object]) -> object:
 
 # -- convention cache ------------------------------------------------------
 
+# the modules convention resolution runs: the layer sweep, the R0 table, the
+# local operators and the polynomial arithmetic of the anchor values
+_KEY_SOURCES = ("network.py", "lattice.py", "fock.py", "poly.py")
+
+
 def _code_key() -> str:
     here = os.path.dirname(os.path.abspath(__file__))
     h = hashlib.sha256()
     h.update(__version__.encode())
-    with open(os.path.join(here, "network.py"), "rb") as fh:
-        h.update(fh.read())
+    for name in _KEY_SOURCES:
+        with open(os.path.join(here, name), "rb") as fh:
+            h.update(fh.read())
     return h.hexdigest()[:16]
 
 

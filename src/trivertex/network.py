@@ -7,6 +7,14 @@ boundary positions carry color 1), each coloring contributing the tensor
 product of its per-site local operators weighted by z to the number of 1s on
 the designated output boundary.
 
+A layer acts on occupancy states by a pruned depth-first sweep over the
+sites (`apply_layer`, `layer_transitions`): each site's local operator acts
+as soon as the site is reached, so a branch ends at the first site that
+kills the state or disagrees with a fixed output stub, and only the colors
+of free input stubs are branched over.  `enumerate_layer_terms` lists the
+colorings themselves; it is the independent reference route the tests
+compare the sweep against.
+
 The pictures defining the boundary geometry admit several readings; the
 `Convention` type records one reading and `resolve_convention` selects the
 unique reading that reproduces a battery of independently known expectation
@@ -17,9 +25,9 @@ arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .fock import CutoffOverflow, LocalOp
@@ -59,13 +67,6 @@ def sites(n: int) -> List[Site]:
 
 def vacuum_state(n: int) -> SiteState:
     return (0,) * (n * (n - 1) // 2)
-
-
-def _n_from_width(width: int) -> int:
-    n = (1 + isqrt(1 + 8 * width)) // 2
-    if n * (n - 1) // 2 != width:
-        raise ValueError("%d is not a triangular site count" % width)
-    return n
 
 
 @dataclass(frozen=True)
@@ -277,122 +278,206 @@ def enumerate_layer_terms(n: int, i: int, convention: Convention) -> Tuple[Layer
 
 Binding = Union[Var, LaurentPoly, Mapping[Site, Union[Var, LaurentPoly]]]
 
+# One step of a layer's site sweep: a branch over the colors of a free input
+# stub, (-1, slot), or a site, (occupancy index, h_in, v_in, h_out, v_out
+# slots, table).  The site table is indexed by 4 h_in + 2 v_in + (occupancy
+# > 0) and holds (h_out color, v_out color, occupancy change, alpha
+# increment), or None where no R0 entry survives.
+LayerPlan = Tuple[Tuple[int, ...], Tuple[tuple, ...], Tuple[int, ...]]
+
+_OCCUPANCY_CHANGE = {LocalOp.ID_B: 0, LocalOp.ID_R: 0, LocalOp.T_PROJ: 0,
+                     LocalOp.B_PLUS: 1, LocalOp.B_MINUS: -1}
+
+
+def _acts_on(op: LocalOp, occupied: bool) -> bool:
+    """Whether an R0 operator leaves an empty/occupied site alive."""
+    if op is LocalOp.B_MINUS:
+        return occupied
+    if op is LocalOp.T_PROJ:
+        return not occupied
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _site_table(h_fixed: Optional[int], v_fixed: Optional[int], h_weighted: bool,
+                v_weighted: bool) -> Tuple[Optional[Tuple[int, int, int, int]], ...]:
+    """The table of one sweep site whose output edges carry the given fixed
+    colors (None where free) and count toward alpha or not."""
+    table: List[Optional[Tuple[int, int, int, int]]] = []
+    for hv in (0, 1):
+        for j in (0, 1):
+            for occupied in (False, True):
+                hits = [(aa, bb, _OCCUPANCY_CHANGE[op], aa * h_weighted + bb * v_weighted)
+                        for aa, bb, op in _R0_BY_INPUT.get((hv, j), ())
+                        if h_fixed in (None, aa) and v_fixed in (None, bb)
+                        and _acts_on(op, occupied)]
+                # R0 entries sharing an input pair differ in which
+                # occupancies they kill, so a site never branches
+                if len(hits) > 1:
+                    raise AssertionError("R0 entries for input %r overlap" % ((hv, j),))
+                table.append(hits[0] if hits else None)
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=None)
+def _layer_plan(n: int, i: int, convention: Convention) -> LayerPlan:
+    """The site sweep of the layer with label i: the initial edge colors by
+    slot (-1 where not fixed), the steps, and the colors a free input stub
+    is summed over.
+
+    Sites come in the order `enumerate_layer_terms` uses, bottom row first
+    and along the flow, so both inputs of a site are known when it is
+    reached.  Each site table is already filtered against the fixed output
+    stubs.
+    """
+    fixed = fixed_colors(n, i, convention)
+    free_inputs = {e for e in input_stubs(n, convention) if e not in fixed}
+    weighted = set(weighted_stubs(n, convention))
+    west_flow = convention.flow == "we"
+    index = {s: j for j, s in enumerate(sites(n))}
+    slots: Dict[Edge, int] = {}
+
+    def slot(e: Edge) -> int:
+        return slots.setdefault(e, len(slots))
+
+    known = set(fixed)
+    steps: List[tuple] = []
+    for k in range(n - 1, 0, -1):
+        row = range(1, n - k + 1)
+        for l in (row if west_flow else reversed(row)):
+            h_in = ("h", k, l - 1) if west_flow else ("h", k, l)
+            h_out = ("h", k, l) if west_flow else ("h", k, l - 1)
+            v_in, v_out = ("v", k, l), ("v", k - 1, l)
+            if v_in not in known or (h_in not in known and h_in not in free_inputs):
+                raise AssertionError("site %r reached before its inputs" % ((k, l),))
+            if h_in not in known:
+                steps.append((-1, slot(h_in)))
+            table = _site_table(fixed.get(h_out), fixed.get(v_out),
+                                h_out in weighted, v_out in weighted)
+            steps.append((index[(k, l)], slot(h_in), slot(v_in), slot(h_out),
+                          slot(v_out), table))
+            known.update((h_in, h_out, v_out))
+    colors = [-1] * len(slots)
+    for e, c in fixed.items():
+        colors[slots[e]] = c
+    residual = (0, 1) if convention.residual == "sum" else (0,)
+    return tuple(colors), tuple(steps), residual
+
+
+def _sweep(plan: LayerPlan, state: SiteState, cutoff: int
+           ) -> Dict[Tuple[SiteState, int], int]:
+    """(out_state, alpha) -> multiplicity for one layer acting on `state`.
+
+    A depth-first sweep over the sites: each site's operator acts on the
+    occupancy as soon as the site is reached, so a branch ends at the first
+    site that kills the state or disagrees with a fixed output stub, and the
+    only branching is over the colors of free input stubs.  Raises
+    CutoffOverflow if a surviving move raises an occupancy past `cutoff`.
+    """
+    colors0, steps, residual = plan
+    colors = list(colors0)
+    last = len(steps)
+    moves: Dict[Tuple[SiteState, int], int] = {}
+
+    # A branch writes only the slots of its own later steps, and every slot
+    # is written before it is read, so returning from a branch needs no undo.
+    def visit(t: int, occ: List[int], alpha: int, over: bool):
+        while t < last:
+            step = steps[t]
+            t += 1
+            if step[0] < 0:
+                for hv in residual[1:]:
+                    colors[step[1]] = hv
+                    visit(t, occ[:], alpha, over)
+                colors[step[1]] = residual[0]
+                continue
+            idx, h_in, v_in, h_out, v_out, table = step
+            m = occ[idx]
+            hit = table[4 * colors[h_in] + 2 * colors[v_in] + (m > 0)]
+            if hit is None:
+                return
+            colors[h_out], colors[v_out], delta, d_alpha = hit
+            if delta:
+                if delta > 0 and m >= cutoff:
+                    over = True
+                occ[idx] = m + delta
+            alpha += d_alpha
+        if over:
+            raise CutoffOverflow("internal: occupancy exceeded the layer budget")
+        out = tuple(occ)
+        # share the input tuple when nothing moved: memoized moves keep it
+        key = (state if out == state else out, alpha)
+        moves[key] = moves.get(key, 0) + 1
+
+    visit(0, list(state), 0, False)
+    return moves
+
 
 def _as_poly(v: Union[Var, LaurentPoly]) -> LaurentPoly:
     return LaurentPoly.var(v) if isinstance(v, Var) else v
 
 
-def _term_site_weight(term: LayerTerm, binding: Mapping[Site, Union[Var, LaurentPoly]],
-                      canon: Sequence[Site]) -> LaurentPoly:
+def _site_weight(binding: Mapping[Site, Union[Var, LaurentPoly]],
+                 canon: Sequence[Site], change: Sequence[int]) -> LaurentPoly:
     w = LaurentPoly.one()
-    for s, op in zip(canon, term.ops):
-        if op is LocalOp.B_PLUS:
-            w = w * _as_poly(binding[s])
-        elif op is LocalOp.B_MINUS:
-            w = w * _as_poly(binding[s]) ** -1
+    for s, d in zip(canon, change):
+        if d:
+            w = w * _as_poly(binding[s]) ** d
     return w
 
 
-def apply_layer(terms: Sequence[LayerTerm], z_binding: Binding, derivative_order: int,
-                ket: KetCombo, cutoff: int) -> KetCombo:
-    """Act with one layer on a combination of occupancy states.
+def apply_layer(n: int, label: int, convention: Convention, binding: Binding,
+                deriv: int, ket: KetCombo, cutoff: int) -> KetCombo:
+    """Act with the layer X_label on a combination of occupancy states.
 
-    Scalar binding: every term contributes z**alpha.  Site-map binding (the
-    per-site-variable layer): alpha is dropped and each raising operator at
-    site s contributes z^{(s)}, each lowering operator 1/z^{(s)}.  Afterwards
-    the coefficients are differentiated `derivative_order` times in the
-    scalar variable.
+    Each move (out_state, alpha) of the site sweep, with multiplicity c,
+    contributes c z**alpha for a scalar binding z.  For a site-map binding
+    (the per-site-variable layer) alpha is dropped and the move contributes
+    c prod_s z^{(s)} ** (out_s - in_s): raising at s gives z^{(s)}, lowering
+    1/z^{(s)}, and no other operator changes an occupancy.  Afterwards the
+    coefficients are differentiated `deriv` times in the scalar variable.
     """
-    if not terms:
-        return {}
-    width = len(terms[0].ops)
-    per_site = isinstance(z_binding, Mapping)
-    if per_site:
-        if derivative_order:
-            raise ValueError("derivative layers need a scalar variable binding")
-        canon = sites(_n_from_width(width))
-        weights = [_term_site_weight(t, z_binding, canon) for t in terms]
-    else:
-        zp = _as_poly(z_binding)
-        powers: Dict[int, LaurentPoly] = {}
-        weights = []
-        for t in terms:
-            w = powers.get(t.alpha)
-            if w is None:
-                w = powers[t.alpha] = zp ** t.alpha
-            weights.append(w)
-
+    per_site = isinstance(binding, Mapping)
+    if deriv and not isinstance(binding, Var):
+        raise ValueError("derivative layers need a scalar Var binding")
+    plan = _layer_plan(n, label, convention)
+    width = n * (n - 1) // 2
+    canon = sites(n)
+    zp = None if per_site else _as_poly(binding)
+    weights: Dict[tuple, LaurentPoly] = {}
     out: KetCombo = {}
     for state, coeff in ket.items():
         if len(state) != width:
             raise ValueError("state width %d != layer width %d" % (len(state), width))
-        for term, w in zip(terms, weights):
-            occ = list(state)
-            ok = True
-            for idx, op in enumerate(term.ops):
-                if op is LocalOp.B_PLUS:
-                    if occ[idx] >= cutoff:
-                        raise CutoffOverflow(
-                            "internal: occupancy exceeded the layer budget")
-                    occ[idx] += 1
-                elif op is LocalOp.B_MINUS:
-                    if occ[idx] == 0:
-                        ok = False
-                        break
-                    occ[idx] -= 1
-                elif op is LocalOp.T_PROJ:
-                    if occ[idx] != 0:
-                        ok = False
-                        break
-                elif op is not LocalOp.ID_B and op is not LocalOp.ID_R:
-                    raise ValueError("layers are built from undeformed operators")
-            if not ok:
-                continue
-            key = tuple(occ)
+        for (new, alpha), mult in _sweep(plan, state, cutoff).items():
+            if per_site:
+                key = (tuple(b - a for a, b in zip(state, new)), mult)
+            else:
+                key = (alpha, mult)
+            w = weights.get(key)
+            if w is None:
+                w = _site_weight(binding, canon, key[0]) if per_site else zp ** alpha
+                if mult != 1:
+                    w = w * mult
+                weights[key] = w
             add = coeff * w
-            acc = out.get(key)
-            out[key] = add if acc is None else acc + add
+            acc = out.get(new)
+            out[new] = add if acc is None else acc + add
 
-    if derivative_order:
-        if not isinstance(z_binding, Var):
-            raise ValueError("derivative layers need a Var binding")
-        out = {s: c.derivative(z_binding, derivative_order) for s, c in out.items()}
+    if deriv:
+        out = {s: c.derivative(binding, deriv) for s, c in out.items()}
     return {s: c for s, c in out.items() if not c.is_zero()}
 
 
-_TRANSITION_CACHE: Dict[tuple, Tuple[Tuple[SiteState, int], ...]] = {}
-
-
+@functools.lru_cache(maxsize=1 << 14)
 def layer_transitions(n: int, i: int, convention: Convention, state: SiteState,
-                      cutoff: int) -> Tuple[Tuple[SiteState, int], ...]:
-    """(out_state, alpha) for every term of the layer surviving on `state`,
-    with multiplicity.  Integer-only fast path for operator-identity checks."""
-    key = (n, i, convention, state, cutoff)
-    cached = _TRANSITION_CACHE.get(key)
-    if cached is not None:
-        return cached
-    moves: List[Tuple[SiteState, int]] = []
-    for term in enumerate_layer_terms(n, i, convention):
-        occ = list(state)
-        ok = True
-        for idx, op in enumerate(term.ops):
-            if op is LocalOp.B_PLUS:
-                if occ[idx] >= cutoff:
-                    raise CutoffOverflow("internal: occupancy exceeded the layer budget")
-                occ[idx] += 1
-            elif op is LocalOp.B_MINUS:
-                if occ[idx] == 0:
-                    ok = False
-                    break
-                occ[idx] -= 1
-            elif op is LocalOp.T_PROJ and occ[idx] != 0:
-                ok = False
-                break
-        if ok:
-            moves.append((tuple(occ), term.alpha))
-    out = tuple(moves)
-    _TRANSITION_CACHE[key] = out
-    return out
+                      cutoff: int) -> Tuple[Tuple[SiteState, int, int], ...]:
+    """(out_state, alpha, multiplicity) for the layer with label i acting on
+    `state`.  Integer-only and memoized, with a bound, for the
+    operator-identity checks and the configuration listing, which revisit
+    states; flat triples keep the memo small."""
+    moves = _sweep(_layer_plan(n, i, convention), state, cutoff)
+    return tuple((out, alpha, mult) for (out, alpha), mult in moves.items())
 
 
 # -- partition specifications ---------------------------------------------
@@ -458,8 +543,8 @@ def _vev(spec: PartitionSpec, convention: Convention) -> LaurentPoly:
     cutoff = len(spec.layers)
     ket: KetCombo = {vacuum_state(n): LaurentPoly.one()}
     for layer in reversed(spec.layers):
-        terms = enumerate_layer_terms(n, layer.label, convention)
-        ket = apply_layer(terms, layer.binding, layer.deriv, ket, cutoff)
+        ket = apply_layer(n, layer.label, convention, layer.binding, layer.deriv,
+                          ket, cutoff)
         if not ket:
             return LaurentPoly.zero()
     return ket.get(vacuum_state(n), LaurentPoly.zero())
@@ -571,21 +656,22 @@ def enumerate_configurations(spec: PartitionSpec,
     rows: List[Tuple[Tuple[int, ...], LaurentPoly]] = []
     alphas: List[int] = []
 
-    def walk(t: int, state: SiteState):
+    def walk(t: int, state: SiteState, count: int):
         if t < 0:
             if state == vac:
                 weight = LaurentPoly.one()
                 for layer, a in zip(spec.layers, alphas):
                     weight = weight * _as_poly(layer.binding) ** a
-                rows.append((tuple(alphas), weight))
+                rows.extend([(tuple(alphas), weight)] * count)
             return
         layer = spec.layers[t]
-        for out_state, a in layer_transitions(n, layer.label, convention, state, cutoff):
+        for out_state, a, mult in layer_transitions(n, layer.label, convention,
+                                                    state, cutoff):
             alphas.insert(0, a)
-            walk(t - 1, out_state)
+            walk(t - 1, out_state, count * mult)
             alphas.pop(0)
 
-    walk(len(spec.layers) - 1, vac)
+    walk(len(spec.layers) - 1, vac, 1)
     rows.sort(key=lambda row: row[0])
     return rows
 

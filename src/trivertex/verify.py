@@ -23,7 +23,6 @@ from .network import (
     build_Y,
     count_configurations,
     default_convention,
-    enumerate_layer_terms,
     inhomogeneous_spec,
     layer_transitions,
     scalar_spec,
@@ -83,10 +82,10 @@ def _product_map(n: int, conv: Convention, outer: int, inner: int,
     """Integer path map for X_outer(u) X_inner(v) |state>: keys are
     (out_state, exponent of u, exponent of v)."""
     acc: Dict[tuple, int] = {}
-    for mid, a_in in layer_transitions(n, inner, conv, state, cutoff):
-        for out, a_out in layer_transitions(n, outer, conv, mid, cutoff):
+    for mid, a_in, c_in in layer_transitions(n, inner, conv, state, cutoff):
+        for out, a_out, c_out in layer_transitions(n, outer, conv, mid, cutoff):
             key = (out, a_out, a_in)
-            acc[key] = acc.get(key, 0) + 1
+            acc[key] = acc.get(key, 0) + c_in * c_out
     return acc
 
 
@@ -233,8 +232,7 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
     def apply_product(label_seq, var_seq, ket_state, cutoff_):
         combo = {ket_state: LaurentPoly.one()}
         for label, zv in zip(reversed(label_seq), reversed(var_seq)):
-            terms = enumerate_layer_terms(n, label, conv)
-            combo = apply_layer(terms, zv, 0, combo, cutoff_)
+            combo = apply_layer(n, label, conv, zv, 0, combo, cutoff_)
         return combo
 
     passed = True

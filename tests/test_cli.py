@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 
 import pytest
 
@@ -190,3 +192,19 @@ def test_verify_csv(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "name,passed,seconds,params"
     assert lines[1].startswith("tetrahedron,pass,")
+
+
+def test_cache_key_covers_the_resolution_sources(tmp_path, monkeypatch):
+    # the key is read from the sources next to cli.py; point it at a copy
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            shutil.copy(os.path.join(src, name), tmp_path / name)
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
+    base = cli._code_key()
+    for name in ("network.py", "lattice.py", "fock.py", "poly.py"):
+        original = (tmp_path / name).read_text()
+        (tmp_path / name).write_text(original + "\n# edited\n")
+        assert cli._code_key() != base, name
+        (tmp_path / name).write_text(original)
+    assert cli._code_key() == base

@@ -2,15 +2,20 @@
 exact contraction, and the one-column strip operators."""
 
 import itertools
+from collections import Counter
+from collections.abc import Mapping
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trivertex.fock import LocalOp
+from trivertex.fock import CutoffOverflow, LocalOp
 from trivertex.network import (
     AmbiguousConvention,
     Convention,
     InvalidLabels,
+    LayerSpec,
     NoConventionFound,
+    PartitionSpec,
     all_conventions,
     apply_layer,
     build_T,
@@ -24,6 +29,7 @@ from trivertex.network import (
     layer_transitions,
     resolve_convention,
     scalar_spec,
+    site_binding,
     sites,
     strip_vev,
     vacuum_state,
@@ -44,6 +50,58 @@ def col_var(t, p):
 
 def row_vars(t, m):
     return [col_var(t, p) for p in range(1, m + 1)]
+
+
+# -- the term route: every coloring of enumerate_layer_terms, one by one ----
+
+def term_image(term, state, cutoff):
+    """The occupancy state one coloring maps `state` to, or None."""
+    occ = list(state)
+    for idx, op in enumerate(term.ops):
+        if op is LocalOp.B_PLUS:
+            if occ[idx] >= cutoff:
+                raise CutoffOverflow("internal: occupancy exceeded the layer budget")
+            occ[idx] += 1
+        elif op is LocalOp.B_MINUS:
+            if occ[idx] == 0:
+                return None
+            occ[idx] -= 1
+        elif op is LocalOp.T_PROJ:
+            if occ[idx] != 0:
+                return None
+        elif op is not LocalOp.ID_B and op is not LocalOp.ID_R:
+            raise ValueError("layers are built from undeformed operators")
+    return tuple(occ)
+
+
+def as_poly(v):
+    return LaurentPoly.var(v) if isinstance(v, Var) else v
+
+
+def term_apply_layer(n, terms, z_binding, derivative_order, ket, cutoff):
+    """Reference layer action: every term on every ket state."""
+    weights = []
+    for t in terms:
+        if isinstance(z_binding, Mapping):
+            w = LaurentPoly.one()
+            for s, op in zip(sites(n), t.ops):
+                if op is LocalOp.B_PLUS:
+                    w = w * as_poly(z_binding[s])
+                elif op is LocalOp.B_MINUS:
+                    w = w * as_poly(z_binding[s]) ** -1
+        else:
+            w = as_poly(z_binding) ** t.alpha
+        weights.append(w)
+    out = {}
+    for state, coeff in ket.items():
+        for term, w in zip(terms, weights):
+            key = term_image(term, state, cutoff)
+            if key is not None:
+                add = coeff * w
+                out[key] = add if key not in out else out[key] + add
+    if derivative_order:
+        out = {s: c.derivative(z_binding, derivative_order) for s, c in out.items()}
+    return {s: c for s, c in out.items() if not c.is_zero()}
 
 
 def test_sites_order_and_count():
@@ -135,8 +193,7 @@ def test_occupancy_bound_under_application():
     n, labels = 3, (0, 0, 0, 0)
     ket = {vacuum_state(n): LaurentPoly.one()}
     for t, label in enumerate(labels, start=1):
-        terms = enumerate_layer_terms(n, label, conv)
-        ket = apply_layer(terms, Z[t - 1], 0, ket, len(labels))
+        ket = apply_layer(n, label, conv, Z[t - 1], 0, ket, len(labels))
         assert max(max(s) for s in ket) <= t
 
 
@@ -149,10 +206,10 @@ def test_same_label_layers_commute():
             seen = {}
             for first, second in (("x", "y"), ("y", "x")):
                 acc = {}
-                for mid, a1 in layer_transitions(n, i, conv, state, cutoff):
-                    for out, a2 in layer_transitions(n, i, conv, mid, cutoff):
+                for mid, a1, c1 in layer_transitions(n, i, conv, state, cutoff):
+                    for out, a2, c2 in layer_transitions(n, i, conv, mid, cutoff):
                         key = (out, a2, a1) if first == "x" else (out, a1, a2)
-                        acc[key] = acc.get(key, 0) + 1
+                        acc[key] = acc.get(key, 0) + c1 * c2
                 seen[first] = {k: v for k, v in acc.items() if v}
             assert seen["x"] == seen["y"]
 
@@ -164,11 +221,10 @@ def test_per_site_binding_collapses_to_scalar():
     binding = {s: z for s in sites(n)}
     width = n * (n - 1) // 2
     for i in range(n + 1):
-        terms = enumerate_layer_terms(n, i, conv)
         for state in itertools.product(range(2), repeat=width):
             ket = {state: LaurentPoly.one()}
-            bar = apply_layer(terms, binding, 0, ket, 4)
-            hom = apply_layer(terms, z, 0, ket, 4)
+            bar = apply_layer(n, i, conv, binding, 0, ket, 4)
+            hom = apply_layer(n, i, conv, z, 0, ket, 4)
             shift = LaurentPoly.var(z) ** -i
             assert bar == {s: c * shift for s, c in hom.items()}
 
@@ -203,14 +259,13 @@ def test_invalid_labels():
 
 def test_apply_layer_argument_errors():
     conv = default_convention()
-    terms = enumerate_layer_terms(2, 0, conv)
     ket = {vacuum_state(2): LaurentPoly.one()}
     with pytest.raises(ValueError):
-        apply_layer(terms, LaurentPoly.var(Z[0]), 1, ket, 2)
+        apply_layer(2, 0, conv, LaurentPoly.var(Z[0]), 1, ket, 2)
     with pytest.raises(ValueError):
-        apply_layer(terms, {(1, 1): Z[0]}, 1, ket, 2)
+        apply_layer(2, 0, conv, {(1, 1): Z[0]}, 1, ket, 2)
     with pytest.raises(ValueError):
-        apply_layer(terms, Z[0], 0, {(0, 0): LaurentPoly.one()}, 2)
+        apply_layer(2, 0, conv, Z[0], 0, {(0, 0): LaurentPoly.one()}, 2)
 
 
 def test_derivative_layer():
@@ -223,8 +278,7 @@ def test_derivative_layer():
 
 def test_layer_action_on_vacuum_n4():
     conv = default_convention()
-    terms = enumerate_layer_terms(4, 1, conv)
-    ket = apply_layer(terms, Z[0], 0, {vacuum_state(4): LaurentPoly.one()}, 3)
+    ket = apply_layer(4, 1, conv, Z[0], 0, {vacuum_state(4): LaurentPoly.one()}, 3)
     z = LaurentPoly.var(Z[0])
     # site order (1,1),(1,2),(1,3),(2,1),(2,2),(3,1)
     assert ket == {
@@ -294,3 +348,84 @@ def test_reduction_to_one_column():
                   for t in range(1, len(labels) + 1)]
         rhs = strip_vev(layers, (0,) * m, (0,) * m)
         assert lhs == rhs
+
+
+# -- the site sweep against the term route ---------------------------------
+
+def term_moves(n, i, conv, state, cutoff):
+    """(out_state, alpha) multiset of the colorings that survive on `state`."""
+    moves = Counter()
+    for term in enumerate_layer_terms(n, i, conv):
+        out = term_image(term, state, cutoff)
+        if out is not None:
+            moves[(out, term.alpha)] += 1
+    return moves
+
+
+def test_sweep_matches_term_kernel():
+    default = default_convention()
+    cases = [(n, conv, 3) for n in (2, 3) for conv in all_conventions()]
+    cases += [(4, default, 3), (5, default, 2)]
+    for n, conv, levels in cases:
+        for state in itertools.product(range(levels), repeat=n * (n - 1) // 2):
+            for i in range(n + 1):
+                moves = layer_transitions(n, i, conv, state, 3)
+                got = {(out, a): c for out, a, c in moves}
+                assert got == term_moves(n, i, conv, state, 3), (n, conv, i, state)
+
+
+def test_transition_cache_is_bounded():
+    conv = default_convention()
+    limit = layer_transitions.cache_info().maxsize
+    assert limit == 1 << 14
+    for m in range(limit + 10):
+        moves = layer_transitions(2, 0, conv, (m,), limit + 20)
+        assert isinstance(moves, tuple)
+        assert all(isinstance(move, tuple) and isinstance(move[0], tuple)
+                   for move in moves)
+    assert layer_transitions.cache_info().currsize == limit
+
+
+def test_sweep_overflow_at_cutoff():
+    conv = default_convention()
+    # label 0 at n = 2: 1b or b+ on the single site; b+ at the cutoff overflows
+    with pytest.raises(CutoffOverflow):
+        apply_layer(2, 0, conv, Z[0], 0, {(2,): LaurentPoly.one()}, 2)
+    # label 2 only lowers or keeps, so a full site is fine
+    assert apply_layer(2, 2, conv, Z[0], 0, {(2,): LaurentPoly.one()}, 2)
+
+
+@st.composite
+def small_stacks(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    depth = draw(st.integers(min_value=1, max_value=4))
+    layers = []
+    for t in range(1, depth + 1):
+        label = draw(st.integers(min_value=0, max_value=n))
+        if draw(st.booleans()):
+            layers.append(LayerSpec(label, site_binding(n, t)))
+        else:
+            layers.append(LayerSpec(label, Z[t - 1], draw(st.integers(0, 1))))
+    return PartitionSpec(n, layers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_stacks())
+def test_stack_vev_matches_term_route(spec):
+    conv = default_convention()
+    n, cutoff = spec.n, len(spec.layers)
+    ket = {vacuum_state(n): LaurentPoly.one()}
+    for layer in reversed(spec.layers):
+        ket = term_apply_layer(n, enumerate_layer_terms(n, layer.label, conv),
+                               layer.binding, layer.deriv, ket, cutoff)
+    expected = ket.get(vacuum_state(n), LaurentPoly.zero())
+    value = vev(spec, conv)
+    assert value == expected
+    if spec.all_scalar:
+        plain = PartitionSpec(n, [LayerSpec(l.label, l.binding) for l in spec.layers])
+        rows = enumerate_configurations(plain, conv)
+        total = LaurentPoly.zero()
+        for _, w in rows:
+            total = total + w
+        assert total == vev(plain, conv)
+        assert len(rows) == count_configurations(plain, conv)
