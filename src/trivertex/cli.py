@@ -35,34 +35,7 @@ class UsageError(Exception):
     pass
 
 
-# -- rendering -------------------------------------------------------------
-
-def render_poly(p: LaurentPoly) -> str:
-    """Canonical plain rendering: graded-lex term order, space-separated
-    factors (z1^3 z2^2 ...), integer coefficients up front."""
-    if p.is_zero():
-        return "0"
-    chunks: List[str] = []
-    for m, c in p.sorted_terms():
-        factors = [v.name if e == 1 else "%s^%d" % (v.name, e) for v, e in m]
-        body = " ".join(factors)
-        if not factors:
-            body = str(abs(c))
-        elif abs(c) != 1:
-            body = "%d %s" % (abs(c), body)
-        if not chunks:
-            chunks.append(body if c > 0 else "-" + body)
-        else:
-            chunks.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(chunks)
-
-
-def poly_terms_obj(p: LaurentPoly) -> List[dict]:
-    out = []
-    for m, c in p.sorted_terms():
-        out.append({"monomial": {v.name: e for v, e in m}, "coeff": c})
-    return out
-
+# -- output ----------------------------------------------------------------
 
 def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
@@ -246,22 +219,18 @@ def cmd_compute(args) -> int:
         result = result.at_one()
 
     if args.format == "plain":
-        if isinstance(result, LaurentPoly):
-            _emit(render_poly(result))
-        else:
-            _emit(str(result))
+        _emit(str(result))
     elif args.format == "json":
         obj = {"n": args.n,
                "labels": [layer.label for layer in spec.layers],
-               "value": render_poly(result) if isinstance(result, LaurentPoly)
-               else str(result)}
+               "value": str(result)}
         if isinstance(result, LaurentPoly):
-            obj["terms"] = poly_terms_obj(result)
+            obj["terms"] = result.to_obj()
         _emit(json.dumps(obj, sort_keys=True))
     else:  # csv
         if isinstance(result, LaurentPoly):
             _emit("monomial,coeff")
-            for row in poly_terms_obj(result):
+            for row in result.to_obj():
                 mono = " ".join("%s^%d" % (name, e)
                                 for name, e in sorted(row["monomial"].items()))
                 _emit("%s,%d" % (mono or "1", row["coeff"]))
@@ -281,21 +250,21 @@ def cmd_enumerate(args) -> int:
     assert len(rows) == count_configurations(spec)
     if args.format == "plain":
         for alphas, weight in rows:
-            _emit("%s  %s" % (",".join(map(str, alphas)), render_poly(weight)))
+            _emit("%s  %s" % (",".join(map(str, alphas)), weight))
         _emit("total %d" % len(rows))
     elif args.format == "json":
         _emit(json.dumps({
             "n": args.n,
             "labels": [layer.label for layer in spec.layers],
             "count": len(rows),
-            "rows": [{"exponents": list(a), "weight": render_poly(w)}
+            "rows": [{"exponents": list(a), "weight": str(w)}
                      for a, w in rows],
         }, sort_keys=True))
     else:
         width = len(rows[0][0]) if rows else 0
         _emit(",".join("alpha%d" % t for t in range(1, width + 1)) + ",weight")
         for alphas, weight in rows:
-            _emit(",".join(map(str, alphas)) + "," + render_poly(weight))
+            _emit(",".join(map(str, alphas)) + "," + str(weight))
     return 0
 
 

@@ -11,9 +11,10 @@ A layer acts on occupancy states by a pruned depth-first sweep over the
 sites (`apply_layer`, `layer_transitions`): each site's local operator acts
 as soon as the site is reached, so a branch ends at the first site that
 kills the state or disagrees with a fixed output stub, and only the colors
-of free input stubs are branched over.  `enumerate_layer_terms` lists the
-colorings themselves; it is the independent reference route the tests
-compare the sweep against.
+of free input stubs are branched over.  A one-column strip operator
+(`apply_strip`) is the same sweep over the slots of the column.
+`enumerate_layer_terms` lists the colorings themselves; it is the
+independent reference route the tests compare the sweep against.
 
 The pictures defining the boundary geometry admit several readings; the
 `Convention` type records one reading and `resolve_convention` selects the
@@ -26,8 +27,7 @@ arithmetic.
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .fock import CutoffOverflow, LocalOp
@@ -183,9 +183,6 @@ class LayerTerm:
     alpha: int
     ops: Tuple[LocalOp, ...]
 
-    def ops_map(self, n: int) -> Dict[Site, LocalOp]:
-        return dict(zip(sites(n), self.ops))
-
 
 def _r0_by_input() -> Dict[Tuple[int, int], List[Tuple[int, int, LocalOp]]]:
     by_in: Dict[Tuple[int, int], List[Tuple[int, int, LocalOp]]] = {}
@@ -196,9 +193,8 @@ def _r0_by_input() -> Dict[Tuple[int, int], List[Tuple[int, int, LocalOp]]]:
 
 _R0_BY_INPUT = _r0_by_input()
 
-_TERM_CACHE: Dict[Tuple[int, int, Convention], Tuple[LayerTerm, ...]] = {}
 
-
+@functools.lru_cache(maxsize=None)
 def enumerate_layer_terms(n: int, i: int, convention: Convention) -> Tuple[LayerTerm, ...]:
     """All surviving colorings of the layer with label i, as LayerTerms.
 
@@ -207,11 +203,6 @@ def enumerate_layer_terms(n: int, i: int, convention: Convention) -> Tuple[Layer
     when it is reached; colorings hitting a zero tensor entry or violating a
     fixed output stub are pruned immediately.
     """
-    key = (n, i, convention)
-    cached = _TERM_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     canon = sites(n)
     index = {s: j for j, s in enumerate(canon)}
     fixed = fixed_colors(n, i, convention)
@@ -269,20 +260,18 @@ def enumerate_layer_terms(n: int, i: int, convention: Convention) -> Tuple[Layer
         ops[index[(k, l)]] = None
 
     sweep(0)
-    out = tuple(results)
-    _TERM_CACHE[key] = out
-    return out
+    return tuple(results)
 
 
 # -- layer application -----------------------------------------------------
 
 Binding = Union[Var, LaurentPoly, Mapping[Site, Union[Var, LaurentPoly]]]
 
-# One step of a layer's site sweep: a branch over the colors of a free input
-# stub, (-1, slot), or a site, (occupancy index, h_in, v_in, h_out, v_out
-# slots, table).  The site table is indexed by 4 h_in + 2 v_in + (occupancy
-# > 0) and holds (h_out color, v_out color, occupancy change, alpha
-# increment), or None where no R0 entry survives.
+# One step of a site sweep (of a layer or a column strip): a branch over the
+# colors of a free input stub, (-1, slot), or a site, (occupancy index, h_in,
+# v_in, h_out, v_out slots, table).  The site table is indexed by 4 h_in +
+# 2 v_in + (occupancy > 0) and holds (h_out color, v_out color, occupancy
+# change, alpha increment), or None where no R0 entry survives.
 LayerPlan = Tuple[Tuple[int, ...], Tuple[tuple, ...], Tuple[int, ...]]
 
 _OCCUPANCY_CHANGE = {LocalOp.ID_B: 0, LocalOp.ID_R: 0, LocalOp.T_PROJ: 0,
@@ -366,7 +355,7 @@ def _layer_plan(n: int, i: int, convention: Convention) -> LayerPlan:
 
 def _sweep(plan: LayerPlan, state: SiteState, cutoff: int
            ) -> Dict[Tuple[SiteState, int], int]:
-    """(out_state, alpha) -> multiplicity for one layer acting on `state`.
+    """(out_state, alpha) -> multiplicity for one plan acting on `state`.
 
     A depth-first sweep over the sites: each site's operator acts on the
     occupancy as soon as the site is reached, so a branch ends at the first
@@ -417,56 +406,70 @@ def _as_poly(v: Union[Var, LaurentPoly]) -> LaurentPoly:
     return LaurentPoly.var(v) if isinstance(v, Var) else v
 
 
-def _site_weight(binding: Mapping[Site, Union[Var, LaurentPoly]],
-                 canon: Sequence[Site], change: Sequence[int]) -> LaurentPoly:
+def _index_weight(zs: Sequence[Union[Var, LaurentPoly]],
+                  change: Sequence[int]) -> LaurentPoly:
     w = LaurentPoly.one()
-    for s, d in zip(canon, change):
+    for z, d in zip(zs, change):
         if d:
-            w = w * _as_poly(binding[s]) ** d
+            w = w * _as_poly(z) ** d
     return w
 
 
-def apply_layer(n: int, label: int, convention: Convention, binding: Binding,
-                deriv: int, ket: KetCombo, cutoff: int) -> KetCombo:
-    """Act with the layer X_label on a combination of occupancy states.
+def _apply_plan(plan: LayerPlan, ket: KetCombo, cutoff: int,
+                z: Union[LaurentPoly, Sequence[Union[Var, LaurentPoly]]]) -> KetCombo:
+    """Act with a sweep plan on a combination of occupancy states.
 
-    Each move (out_state, alpha) of the site sweep, with multiplicity c,
-    contributes c z**alpha for a scalar binding z.  For a site-map binding
-    (the per-site-variable layer) alpha is dropped and the move contributes
-    c prod_s z^{(s)} ** (out_s - in_s): raising at s gives z^{(s)}, lowering
-    1/z^{(s)}, and no other operator changes an occupancy.  Afterwards the
-    coefficients are differentiated `deriv` times in the scalar variable.
+    Each move (out_state, alpha) of the sweep, with multiplicity c,
+    contributes c z**alpha for a scalar weight z.  For a sequence z, one
+    variable per occupancy index, alpha is dropped and the move contributes
+    c prod_p z[p] ** (out_p - in_p): raising at p gives z[p], lowering
+    1/z[p], and no other operator changes an occupancy.
     """
-    per_site = isinstance(binding, Mapping)
-    if deriv and not isinstance(binding, Var):
-        raise ValueError("derivative layers need a scalar Var binding")
-    plan = _layer_plan(n, label, convention)
-    width = n * (n - 1) // 2
-    canon = sites(n)
-    zp = None if per_site else _as_poly(binding)
+    per_index = not isinstance(z, LaurentPoly)
     weights: Dict[tuple, LaurentPoly] = {}
     out: KetCombo = {}
     for state, coeff in ket.items():
-        if len(state) != width:
-            raise ValueError("state width %d != layer width %d" % (len(state), width))
         for (new, alpha), mult in _sweep(plan, state, cutoff).items():
-            if per_site:
+            if per_index:
                 key = (tuple(b - a for a, b in zip(state, new)), mult)
             else:
                 key = (alpha, mult)
             w = weights.get(key)
             if w is None:
-                w = _site_weight(binding, canon, key[0]) if per_site else zp ** alpha
+                w = _index_weight(z, key[0]) if per_index else z ** alpha
                 if mult != 1:
                     w = w * mult
                 weights[key] = w
             add = coeff * w
             acc = out.get(new)
             out[new] = add if acc is None else acc + add
+    return {s: c for s, c in out.items() if not c.is_zero()}
 
+
+def apply_layer(n: int, label: int, convention: Convention, binding: Binding,
+                deriv: int, ket: KetCombo, cutoff: int) -> KetCombo:
+    """Act with the layer X_label on a combination of occupancy states.
+
+    A scalar binding z weighs each move by z**alpha; a site-map binding (the
+    per-site-variable layer) by prod_s z^{(s)} ** (out_s - in_s), see
+    `_apply_plan`.  Afterwards the coefficients are differentiated `deriv`
+    times in the scalar variable.
+    """
+    if deriv and not isinstance(binding, Var):
+        raise ValueError("derivative layers need a scalar Var binding")
+    width = n * (n - 1) // 2
+    for state in ket:
+        if len(state) != width:
+            raise ValueError("state width %d != layer width %d" % (len(state), width))
+    if isinstance(binding, Mapping):
+        z = [binding[s] for s in sites(n)]
+    else:
+        z = _as_poly(binding)
+    out = _apply_plan(_layer_plan(n, label, convention), ket, cutoff, z)
     if deriv:
         out = {s: c.derivative(binding, deriv) for s, c in out.items()}
-    return {s: c for s, c in out.items() if not c.is_zero()}
+        out = {s: c for s, c in out.items() if not c.is_zero()}
+    return out
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -678,111 +681,51 @@ def enumerate_configurations(spec: PartitionSpec,
 
 # -- column strip operators ------------------------------------------------
 
-# A strip term: coefficient times one local operator per slot, slot 1 at the
-# top of the column.
-StripTerm = Tuple[LaurentPoly, Tuple[LocalOp, ...]]
+@functools.lru_cache(maxsize=None)
+def _column_plan(ell: int, m: int) -> LayerPlan:
+    """The site sweep of the column operator Y_ell on a width-m strip.
 
-
-def build_T(row_vars: Sequence[Union[Var, LaurentPoly]]):
-    """The chained one-column operator family T_{i,j}^{a,b}.
-
-    Slot p of the width-m strip carries the q=0 z-dressed tensor with the
-    p-th row variable.  The vertical color enters at the bottom (j), threads
-    upward through the chain, and leaves at the top (b); entry() returns the
-    surviving (coefficient, per-slot ops) pairs for one boundary index tuple.
-    """
-    tables = [local_tensor(TensorKind.LZ, z) for z in row_vars]
-
-    def entry(i_tuple: Sequence[int], j: int, a_tuple: Sequence[int], b: int
-              ) -> List[StripTerm]:
-        m = len(tables)
-        if len(i_tuple) != m or len(a_tuple) != m:
-            raise ValueError("index tuples must have the strip width")
-        out: List[StripTerm] = []
-        for ks in itertools.product((0, 1), repeat=m - 1):
-            coeff = LaurentPoly.one()
-            ops: List[LocalOp] = []
-            ok = True
-            for p in range(m):
-                vert_out = b if p == 0 else ks[p - 1]
-                vert_in = ks[p] if p < m - 1 else j
-                hit = tables[p].get((i_tuple[p], vert_in, a_tuple[p], vert_out))
-                if hit is None:
-                    ok = False
-                    break
-                pref, op = hit
-                coeff = coeff * pref
-                ops.append(op)
-            if ok:
-                out.append((coeff, tuple(ops)))
-        return out
-
-    return entry
-
-
-def build_Y(ell: int, m: int, row_vars: Sequence[Union[Var, LaurentPoly]]
-            ) -> List[StripTerm]:
-    """The boundary-summed column operators on a width-m strip.
-
-    For ell <= m-1: outputs a = (0^ell, 1^(m-ell)), bottom input j = 1, the
-    first ell+1 horizontal inputs and the top output b are summed, the
-    remaining horizontal inputs are pinned to 1.  For ell = m: outputs all 0,
-    j = 0, every horizontal input and b summed.
+    Slots run bottom (m) to top (1): the vertical color enters at the bottom
+    and leaves, free, at the top.  For ell < m the horizontal outputs are
+    0^ell 1^(m-ell), the bottom input is 1, the first ell+1 horizontal inputs
+    are summed and the rest pinned to 1; for ell = m the outputs are all 0,
+    the bottom input is 0 and every horizontal input is summed.  Slot p acts
+    on occupancy index p-1.  Edge slots: the vertical edge below slot p is p
+    (0 is the top output), the horizontal input of slot p is m+p and its
+    output 2m+p.
     """
     if not 0 <= ell <= m:
         raise ValueError("need 0 <= ell <= m")
-    if len(row_vars) != m:
-        raise ValueError("need one row variable per slot")
-    entry = build_T(row_vars)
-    if ell == m:
-        a = (0,) * m
-        j = 0
-        n_free = m
-    else:
-        a = (0,) * ell + (1,) * (m - ell)
-        j = 1
-        n_free = ell + 1
-    acc: Dict[Tuple[LocalOp, ...], LaurentPoly] = {}
-    for head in itertools.product((0, 1), repeat=n_free):
-        i_tuple = head + (1,) * (m - n_free)
-        for b in (0, 1):
-            for coeff, ops in entry(i_tuple, j, a, b):
-                cur = acc.get(ops)
-                acc[ops] = coeff if cur is None else cur + coeff
-    ordered = sorted(acc.items(), key=lambda kv: [op.value for op in kv[0]])
-    return [(c, ops) for ops, c in ordered if not c.is_zero()]
+    full = ell == m
+    n_free = m if full else ell + 1
+    colors = [-1] * (3 * m + 1)
+    colors[m] = 0 if full else 1
+    steps: List[tuple] = []
+    for p in range(m, 0, -1):
+        if p <= n_free:
+            steps.append((-1, m + p))
+        else:
+            colors[m + p] = 1
+        h_out = 0 if full or p <= ell else 1
+        steps.append((p - 1, m + p, p, 2 * m + p, p - 1,
+                      _site_table(h_out, None, False, False)))
+    return tuple(colors), tuple(steps), (0, 1)
 
 
 StripCombo = Dict[Tuple[int, ...], LaurentPoly]
+StripLayer = Tuple[int, Sequence[Union[Var, LaurentPoly]]]
 
 
-def apply_strip(terms: Sequence[StripTerm], combo: StripCombo, cutoff: int) -> StripCombo:
-    """Act with a sum of strip terms on a combination of slot occupancies."""
-    out: StripCombo = {}
-    for state, coeff in combo.items():
-        for c, ops in terms:
-            occ = list(state)
-            ok = True
-            for idx, op in enumerate(ops):
-                if op is LocalOp.B_PLUS:
-                    if occ[idx] >= cutoff:
-                        raise CutoffOverflow(
-                            "internal: strip occupancy exceeded the budget")
-                    occ[idx] += 1
-                elif op is LocalOp.B_MINUS:
-                    if occ[idx] == 0:
-                        ok = False
-                        break
-                    occ[idx] -= 1
-                elif op is LocalOp.T_PROJ and occ[idx] != 0:
-                    ok = False
-                    break
-            if ok:
-                key = tuple(occ)
-                add = coeff * c
-                acc = out.get(key)
-                out[key] = add if acc is None else acc + add
-    return {s: c for s, c in out.items() if not c.is_zero()}
+def apply_strip(ell: int, row_vars: Sequence[Union[Var, LaurentPoly]],
+                combo: StripCombo, cutoff: int) -> StripCombo:
+    """Act with the column operator Y_ell on a combination of slot
+    occupancies of the width-m strip, m = len(row_vars).
+
+    Slot p carries the q=0 z-dressed tensor with the p-th row variable, so a
+    raise at slot p weighs row_vars[p-1] and a lower its inverse.  Raises
+    CutoffOverflow if a surviving move raises an occupancy past `cutoff`.
+    """
+    return _apply_plan(_column_plan(ell, len(row_vars)), combo, cutoff, row_vars)
 
 
 def project_slot(combo: StripCombo, slot: int, value: int) -> StripCombo:
@@ -790,11 +733,12 @@ def project_slot(combo: StripCombo, slot: int, value: int) -> StripCombo:
     return {s: c for s, c in combo.items() if s[slot] == value}
 
 
-def strip_vev(layers: Sequence[Sequence[StripTerm]], bra: Tuple[int, ...],
+def strip_vev(layers: Sequence[StripLayer], bra: Tuple[int, ...],
               ket: Tuple[int, ...],
               projections: Optional[Mapping[int, Tuple[int, int]]] = None
               ) -> LaurentPoly:
-    """<bra| L_1 L_2 ... L_r |ket> for strip layers written left to right.
+    """<bra| L_1 L_2 ... L_r |ket> for strip layers written left to right,
+    each an (ell, row_vars) pair standing for Y_ell (see `apply_strip`).
 
     `projections` optionally maps a gap index g (between L_g and L_{g+1},
     1-based) to (slot, value): after the layers right of the gap have acted,
@@ -804,7 +748,8 @@ def strip_vev(layers: Sequence[Sequence[StripTerm]], bra: Tuple[int, ...],
     combo: StripCombo = {tuple(ket): LaurentPoly.one()}
     r = len(layers)
     for pos in range(r - 1, -1, -1):
-        combo = apply_strip(layers[pos], combo, cutoff)
+        ell, row_vars = layers[pos]
+        combo = apply_strip(ell, row_vars, combo, cutoff)
         gap = pos  # gap between layer pos (1-based: pos) and pos+1
         if projections and gap in projections and gap >= 1:
             slot, value = projections[gap]

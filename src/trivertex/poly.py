@@ -207,9 +207,6 @@ class LaurentPoly:
             return LaurentPoly({})
         return LaurentPoly({monomial_from_dict(exps): int(coeff)})
 
-    def copy(self) -> "LaurentPoly":
-        return LaurentPoly(dict(self.terms))
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -420,22 +417,6 @@ class LaurentPoly:
                 seen.add(v)
         return tuple(sorted(seen, key=Var.sort_key))
 
-    def degree_range(self, v: Var) -> Tuple[int, int]:
-        """(min, max) exponent of v over the support; (0, 0) if v is absent
-        everywhere (and for the zero polynomial)."""
-        lo = hi = None
-        for m in self.terms:
-            e = 0
-            for vv, ee in m:
-                if vv == v:
-                    e = ee
-                    break
-            lo = e if lo is None else min(lo, e)
-            hi = e if hi is None else max(hi, e)
-        if lo is None:
-            return (0, 0)
-        return (lo, hi)
-
     def sorted_terms(self) -> Iterator[Tuple[Monomial, int]]:
         """Terms in canonical order: graded lex, largest first."""
         universe = self.variables()
@@ -453,18 +434,18 @@ class LaurentPoly:
     # -- formatting --------------------------------------------------------
 
     def __str__(self) -> str:
+        """Graded-lex term order, space-separated factors (z1^3 z2^2 ...),
+        integer coefficients up front."""
         if not self.terms:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
-            factors = []
-            for v, e in m:
-                factors.append(v.name if e == 1 else "%s^%d" % (v.name, e))
+            factors = [v.name if e == 1 else "%s^%d" % (v.name, e) for v, e in m]
+            body = " ".join(factors)
             if not factors:
                 body = str(abs(c))
-            else:
-                mono = "*".join(factors)
-                body = mono if abs(c) == 1 else "%d*%s" % (abs(c), mono)
+            elif abs(c) != 1:
+                body = "%d %s" % (abs(c), body)
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -474,11 +455,9 @@ class LaurentPoly:
     __repr__ = __str__
 
     def to_obj(self) -> list:
-        """JSON-ready list of terms in canonical order."""
-        return [
-            {"coeff": str(c), "monomial": {v.name: e for v, e in m}}
-            for m, c in self.sorted_terms()
-        ]
+        """JSON-ready list of terms in canonical order, integer coefficients."""
+        return [{"monomial": {v.name: e for v, e in m}, "coeff": c}
+                for m, c in self.sorted_terms()]
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj())

@@ -20,7 +20,6 @@ from .lattice import TensorKind, local_tensor, q0_limit, tetrahedron_check
 from .network import (
     Convention,
     apply_layer,
-    build_Y,
     count_configurations,
     default_convention,
     inhomogeneous_spec,
@@ -394,12 +393,10 @@ def check_inhomogeneous(n: int, sizes: Sequence[int],
 # -- one-column identities -------------------------------------------------
 
 def _column_layers(k: int, n_layers: int, start_ell: int = 0):
-    """Y_{start_ell}(z_1) Y_{start_ell+1}(z_2) ... capped at Y_k, width k."""
-    out = []
-    for t in range(1, n_layers + 1):
-        ell = min(start_ell + t - 1, k)
-        out.append(build_Y(ell, k, [_col_var(t, p) for p in range(1, k + 1)]))
-    return out
+    """Y_{start_ell}(z_1) Y_{start_ell+1}(z_2) ... capped at Y_k, width k, as
+    the (ell, row_vars) pairs `strip_vev` takes."""
+    return [(min(start_ell + t - 1, k), [_col_var(t, p) for p in range(1, k + 1)])
+            for t in range(1, n_layers + 1)]
 
 
 def _selection_sum(width: int, n_layers: int, first_row: int = 1,
@@ -440,11 +437,6 @@ def check_one_column(k: int, n_layers: int,
         params["bra_ones"] = bra_ones
     return _report(name, params, passed,
                    None if passed else _mismatch(got, expected), t0)
-
-
-def check_mixed_boundary_column(k_ones: int, ell: int, n_layers: int) -> CheckReport:
-    """Mixed bra <1^k, 0^ell| on a width-(k+ell) column strip."""
-    return check_one_column(k_ones + ell, n_layers, bra_ones=k_ones)
 
 
 def check_column_reduction(n: int, extra_zero_layers: int = 0,
@@ -682,30 +674,45 @@ def inhomogeneous_grid():
 
 
 def column_grid():
-    # width, layers for the all-zero bra
+    """check_one_column arguments: the all-zero bra, then the mixed bra
+    <1^k_ones, 0^ell| on a width-(k_ones + ell) column."""
     for k in (1, 2, 3):
         for n_layers in range(k, 6):
-            yield "one_column", (k, n_layers)
-    # mixed bra: k ones then ell zeros, width k + ell
+            yield k, n_layers
     for k_ones in (1, 2, 3, 4):
         for ell in range(0, 4):
             if not 1 <= k_ones + ell <= 4:
                 continue
             for n_layers in range(ell, 6):
-                yield "mixed", (k_ones, ell, n_layers)
-    for n in (3, 4):
-        for extra in (0, 1):
-            yield "reduction", (n, extra)
-    for k in (2, 3):
-        for n_layers in (3, 4):
-            if n_layers >= k:
-                yield "decomposition", (k, n_layers)
+                yield k_ones + ell, n_layers, k_ones
 
 
 # -- battery ---------------------------------------------------------------
 
-GROUPS = ("convention", "tetrahedron", "zf", "schur", "hat",
-          "inhomogeneous", "columns", "oracles")
+# group -> (checkers, instances) in report order: each instance is a tuple
+# of positional arguments, and every checker runs on it in turn
+BATTERY = {
+    "convention": [((check_convention,), lambda: [()])],
+    "tetrahedron": [((check_tetrahedron,), lambda: [(4,)])],
+    "zf": [((check_zf,), zf_grid)],
+    "schur": [((check_schur_correspondence, check_counting), schur_grid),
+              ((check_increasing_labels,), increasing_grid),
+              ((check_multiple_commutation,),
+               lambda: [(4, ((3, 2), (1, 1))), (3, ((2, 1), (1, 1), (0, 1)))])],
+    "hat": [((check_derivative_value,),
+             lambda: ((4, labels) for labels in itertools.combinations(range(4, -1, -1), 4))),
+            ((check_average_ratio,), lambda: ((4, ell) for ell in (1, 2, 3)))],
+    "inhomogeneous": [((check_inhomogeneous,), inhomogeneous_grid)],
+    "columns": [((check_one_column,), column_grid),
+                ((check_column_reduction,),
+                 lambda: ((n, extra) for n in (3, 4) for extra in (0, 1))),
+                ((check_column_decomposition,),
+                 lambda: [(2, 3), (2, 4), (3, 3), (3, 4)])],
+    "oracles": [((check_schur_oracles, check_loop_recursion, check_deformed_limit),
+                 lambda: [()])],
+}
+
+GROUPS = tuple(BATTERY)
 
 
 def run_battery(selection: str = "all") -> List[CheckReport]:
@@ -716,41 +723,7 @@ def run_battery(selection: str = "all") -> List[CheckReport]:
     default_convention()
     reports: List[CheckReport] = []
     for group in wanted:
-        if group == "convention":
-            reports.append(check_convention())
-        elif group == "tetrahedron":
-            reports.append(check_tetrahedron(4))
-        elif group == "zf":
-            for n, pair in zf_grid():
-                reports.append(check_zf(n, pair, cutoff=4))
-        elif group == "schur":
-            for n, blocks in schur_grid():
-                reports.append(check_schur_correspondence(n, blocks))
-                reports.append(check_counting(n, blocks))
-            for n, labels in increasing_grid():
-                reports.append(check_increasing_labels(n, labels))
-            reports.append(check_multiple_commutation(4, ((3, 2), (1, 1))))
-            reports.append(check_multiple_commutation(3, ((2, 1), (1, 1), (0, 1))))
-        elif group == "hat":
-            for labels in itertools.combinations(range(4, -1, -1), 4):
-                reports.append(check_derivative_value(4, labels))
-            for ell in (1, 2, 3):
-                reports.append(check_average_ratio(4, ell))
-        elif group == "inhomogeneous":
-            for n, sizes in inhomogeneous_grid():
-                reports.append(check_inhomogeneous(n, sizes))
-        elif group == "columns":
-            for kind, args in column_grid():
-                if kind == "one_column":
-                    reports.append(check_one_column(*args))
-                elif kind == "mixed":
-                    reports.append(check_mixed_boundary_column(*args))
-                elif kind == "reduction":
-                    reports.append(check_column_reduction(*args))
-                else:
-                    reports.append(check_column_decomposition(*args))
-        elif group == "oracles":
-            reports.append(check_schur_oracles())
-            reports.append(check_loop_recursion())
-            reports.append(check_deformed_limit())
+        for checkers, instances in BATTERY[group]:
+            for args in instances():
+                reports.extend(check(*args) for check in checkers)
     return reports

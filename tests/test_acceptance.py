@@ -118,7 +118,7 @@ def test_criterion_09_column_identities(capsys):
                 lo = ell if k_ones else k_ones + ell
                 for n in range(lo, 6):
                     reports.append(
-                        V.check_mixed_boundary_column(k_ones, ell, n))
+                        V.check_one_column(k_ones + ell, n, bra_ones=k_ones))
         for n in (3, 4):
             for extra in (0, 1):
                 reports.append(V.check_column_reduction(n, extra))

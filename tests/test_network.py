@@ -9,17 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trivertex.fock import CutoffOverflow, LocalOp
+from trivertex.lattice import TensorKind, local_tensor
 from trivertex.network import (
     AmbiguousConvention,
     Convention,
     InvalidLabels,
     LayerSpec,
+    LayerTerm,
     NoConventionFound,
     PartitionSpec,
     all_conventions,
     apply_layer,
-    build_T,
-    build_Y,
+    apply_strip,
     count_configurations,
     default_convention,
     enumerate_configurations,
@@ -102,6 +103,76 @@ def term_apply_layer(n, terms, z_binding, derivative_order, ket, cutoff):
     if derivative_order:
         out = {s: c.derivative(z_binding, derivative_order) for s, c in out.items()}
     return {s: c for s, c in out.items() if not c.is_zero()}
+
+
+# -- the strip term route: every boundary-summed column term, one by one ----
+
+def term_T(row_vars):
+    """The chained one-column entries T_{i,j}^{a,b}: slot p carries the q=0
+    z-dressed tensor with the p-th row variable, the vertical color enters at
+    the bottom (j) and leaves at the top (b); entry() lists the surviving
+    (coefficient, per-slot ops) pairs over the internal vertical colorings."""
+    tables = [local_tensor(TensorKind.LZ, z) for z in row_vars]
+
+    def entry(i_tuple, j, a_tuple, b):
+        m = len(tables)
+        out = []
+        for ks in itertools.product((0, 1), repeat=m - 1):
+            coeff = LaurentPoly.one()
+            ops = []
+            for p in range(m):
+                vert_out = b if p == 0 else ks[p - 1]
+                vert_in = ks[p] if p < m - 1 else j
+                hit = tables[p].get((i_tuple[p], vert_in, a_tuple[p], vert_out))
+                if hit is None:
+                    break
+                coeff = coeff * hit[0]
+                ops.append(hit[1])
+            else:
+                out.append((coeff, tuple(ops)))
+        return out
+
+    return entry
+
+
+def term_Y(ell, m, row_vars):
+    """Y_ell as a term list: outputs 0^ell 1^(m-ell), bottom input 1, the
+    first ell+1 horizontal inputs and the top output summed, the rest pinned
+    to 1; for ell = m outputs all 0, bottom input 0, every input summed."""
+    entry = term_T(row_vars)
+    if ell == m:
+        a, j, n_free = (0,) * m, 0, m
+    else:
+        a, j, n_free = (0,) * ell + (1,) * (m - ell), 1, ell + 1
+    acc = {}
+    for head in itertools.product((0, 1), repeat=n_free):
+        i_tuple = head + (1,) * (m - n_free)
+        for b in (0, 1):
+            for coeff, ops in entry(i_tuple, j, a, b):
+                acc[ops] = coeff if ops not in acc else acc[ops] + coeff
+    return [(c, ops) for ops, c in sorted(acc.items(),
+                                          key=lambda kv: [op.value for op in kv[0]])]
+
+
+def term_apply_strip(terms, combo, cutoff):
+    """Reference strip action: every term on every state."""
+    out = {}
+    for state, coeff in combo.items():
+        for c, ops in terms:
+            key = term_image(LayerTerm(0, ops), state, cutoff)
+            if key is not None:
+                add = coeff * c
+                out[key] = add if key not in out else out[key] + add
+    return {s: c for s, c in out.items() if not c.is_zero()}
+
+
+def term_strip_vev(layers, bra, ket):
+    """<bra| L_1 ... L_r |ket> over term lists, right to left."""
+    cutoff = len(layers) + max(ket, default=0)
+    combo = {tuple(ket): LaurentPoly.one()}
+    for terms in reversed(layers):
+        combo = term_apply_strip(terms, combo, cutoff)
+    return combo.get(tuple(bra), LaurentPoly.zero())
 
 
 def test_sites_order_and_count():
@@ -233,7 +304,7 @@ def test_configuration_listing():
     rows = enumerate_configurations(scalar_spec(4, (3, 3, 1)))
     assert len(rows) == 3
     weights = sorted(str(w) for _, w in rows)
-    assert weights == sorted(["z1^3*z2^2*z3^2", "z1^3*z2^3*z3", "z1^2*z2^3*z3^2"])
+    assert weights == sorted(["z1^3 z2^2 z3^2", "z1^3 z2^3 z3", "z1^2 z2^3 z3^2"])
     total = LaurentPoly.zero()
     for _, w in rows:
         total = total + w
@@ -291,10 +362,10 @@ def test_layer_action_on_vacuum_n4():
 
 def test_chain_entry_examples():
     one = LaurentPoly.one()
-    T1 = build_T([col_var(1, 1)])
+    T1 = term_T([col_var(1, 1)])
     assert T1((0,), 1, (0,), 1) == [(one, (LocalOp.T_PROJ,))]
     assert T1((1,), 0, (0,), 1) == [(LaurentPoly.var(col_var(1, 1)), (LocalOp.B_PLUS,))]
-    T2 = build_T(row_vars(1, 2))
+    T2 = term_T(row_vars(1, 2))
     assert T2((0, 0), 0, (0, 0), 0) == [(one, (LocalOp.ID_B, LocalOp.ID_B))]
     # chain-inconsistent boundary: nothing survives for either top output
     assert T2((1, 0), 0, (0, 1), 0) == []
@@ -303,27 +374,34 @@ def test_chain_entry_examples():
 
 def test_column_operator_tables_width2():
     z1, z2 = (LaurentPoly.var(v) for v in row_vars(1, 2))
-    got = {ell: {ops: c for c, ops in build_Y(ell, 2, row_vars(1, 2))}
-           for ell in (0, 1, 2)}
-    assert got[0] == {
-        (LocalOp.ID_R, LocalOp.ID_R): LaurentPoly.one(),
-        (LocalOp.B_MINUS, LocalOp.ID_R): z1 ** -1,
+    expected = {
+        0: {
+            (LocalOp.ID_R, LocalOp.ID_R): LaurentPoly.one(),
+            (LocalOp.B_MINUS, LocalOp.ID_R): z1 ** -1,
+        },
+        1: {
+            (LocalOp.ID_B, LocalOp.B_MINUS): z2 ** -1,
+            (LocalOp.B_PLUS, LocalOp.B_MINUS): z1 * z2 ** -1,
+            (LocalOp.T_PROJ, LocalOp.ID_R): LaurentPoly.one(),
+        },
+        2: {
+            (LocalOp.ID_B, LocalOp.ID_B): LaurentPoly.one(),
+            (LocalOp.B_PLUS, LocalOp.ID_B): z1,
+            (LocalOp.T_PROJ, LocalOp.B_PLUS): z2,
+        },
     }
-    assert got[1] == {
-        (LocalOp.ID_B, LocalOp.B_MINUS): z2 ** -1,
-        (LocalOp.B_PLUS, LocalOp.B_MINUS): z1 * z2 ** -1,
-        (LocalOp.T_PROJ, LocalOp.ID_R): LaurentPoly.one(),
-    }
-    assert got[2] == {
-        (LocalOp.ID_B, LocalOp.ID_B): LaurentPoly.one(),
-        (LocalOp.B_PLUS, LocalOp.ID_B): z1,
-        (LocalOp.T_PROJ, LocalOp.B_PLUS): z2,
-    }
+    for ell, table in expected.items():
+        assert {ops: c for c, ops in term_Y(ell, 2, row_vars(1, 2))} == table
+        terms = [(c, ops) for ops, c in table.items()]
+        for state in itertools.product(range(3), repeat=2):
+            ket = {state: LaurentPoly.one()}
+            assert (apply_strip(ell, row_vars(1, 2), ket, 3)
+                    == term_apply_strip(terms, ket, 3)), (ell, state)
 
 
 def test_top_column_operator_fixes_vacuum():
     for m in (1, 2, 3):
-        layer = build_Y(m, m, row_vars(1, m))
+        layer = (m, row_vars(1, m))
         assert strip_vev([layer], (0,) * m, (0,) * m) == LaurentPoly.one()
 
 
@@ -331,7 +409,7 @@ def test_projected_first_column_operator():
     # pairing the top slot: <0^k| Y_0 |0>_1 acts as <0^(k-1)| on the rest,
     # and <0^k| Y_0 |1>_1 as (z^(1))^-1 <0^(k-1)|
     for k in (2, 3):
-        layer = build_Y(0, k, row_vars(1, k))
+        layer = (0, row_vars(1, k))
         zinv = LaurentPoly.var(col_var(1, 1)) ** -1
         for rest in itertools.product(range(2), repeat=k - 1):
             hit = LaurentPoly.one() if not any(rest) else LaurentPoly.zero()
@@ -344,10 +422,43 @@ def test_reduction_to_one_column():
         labels = list(range(n, 1, -1)) + [0] * (extra + 1)
         lhs = vev(inhomogeneous_spec(n, labels))
         m = n - 1
-        layers = [build_Y(min(t - 1, m), m, row_vars(t, m))
-                  for t in range(1, len(labels) + 1)]
+        layers = [(min(t - 1, m), row_vars(t, m)) for t in range(1, len(labels) + 1)]
         rhs = strip_vev(layers, (0,) * m, (0,) * m)
         assert lhs == rhs
+
+
+def test_strip_sweep_matches_term_route():
+    for m in range(1, 5):
+        for ell in range(m + 1):
+            rv = row_vars(1, m)
+            terms = term_Y(ell, m, rv)
+            for state in itertools.product(range(3), repeat=m):
+                ket = {state: LaurentPoly.one()}
+                assert (apply_strip(ell, rv, ket, 3)
+                        == term_apply_strip(terms, ket, 3)), (m, ell, state)
+    # two-layer stacks Y_ell1(z_1) Y_ell2(z_2) between every 0/1 bra and ket
+    for m in range(1, 4):
+        for ell1, ell2 in itertools.product(range(m + 1), repeat=2):
+            layers = [(ell1, row_vars(1, m)), (ell2, row_vars(2, m))]
+            term_layers = [term_Y(ell, m, rv) for ell, rv in layers]
+            for bra in itertools.product(range(2), repeat=m):
+                for ket in itertools.product(range(2), repeat=m):
+                    assert (strip_vev(layers, bra, ket)
+                            == term_strip_vev(term_layers, bra, ket)), (m, ell1, ell2, bra, ket)
+
+
+def test_strip_overflow_at_cutoff():
+    rv = row_vars(1, 2)
+    # Y_2 on width 2: b+ on slot 2 comes with t on slot 1; with slot 1 empty
+    # the raise survives, so slot 2 at the cutoff overflows
+    with pytest.raises(CutoffOverflow):
+        apply_strip(2, rv, {(0, 2): LaurentPoly.one()}, 2)
+    # with slot 1 occupied t kills that branch after the raise: no overflow
+    z1 = LaurentPoly.var(rv[0])
+    assert apply_strip(2, rv, {(1, 2): LaurentPoly.one()}, 2) == {
+        (1, 2): LaurentPoly.one(), (2, 2): z1}
+    with pytest.raises(ValueError):
+        apply_strip(3, rv, {(0, 0): LaurentPoly.one()}, 2)
 
 
 # -- the site sweep against the term route ---------------------------------

@@ -189,6 +189,15 @@ def test_json_roundtrip_and_determinism():
     assert p.to_json() == q.to_json()
 
 
+def test_obj_shape_has_int_coefficients():
+    p = 3 * lp_var(X, 2) - lp_var(Y) + 7
+    assert p.to_obj() == [{"monomial": {"z1": 2}, "coeff": 3},
+                          {"monomial": {"z2": 1}, "coeff": -1},
+                          {"monomial": {}, "coeff": 7}]
+    # string coefficients still parse
+    assert LaurentPoly.from_obj([{"monomial": {"z1": 2}, "coeff": "3"}]) == 3 * lp_var(X, 2)
+
+
 def test_parse_var_name_roundtrip():
     for v in [Q, X, Var.site(3, 1, 2), Var.aux(17)]:
         assert parse_var_name(v.name) == v
@@ -199,7 +208,7 @@ def test_parse_var_name_roundtrip():
 
 def test_str_rendering():
     p = lp_var(X, 2) - 2 * lp_var(Y) + 1
-    assert str(p) == "z1^2 - 2*z2 + 1"
+    assert str(p) == "z1^2 - 2 z2 + 1"
     assert str(LaurentPoly.zero()) == "0"
 
 

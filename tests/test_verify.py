@@ -15,7 +15,6 @@ from trivertex.verify import (
     check_increasing_labels,
     check_inhomogeneous,
     check_loop_recursion,
-    check_mixed_boundary_column,
     check_multiple_commutation,
     check_one_column,
     check_schur_correspondence,
@@ -112,13 +111,13 @@ def test_one_column():
 
 
 def test_mixed_boundary_column():
-    assert_pass(check_mixed_boundary_column(1, 1, 3))
-    assert_pass(check_mixed_boundary_column(2, 1, 3))
-    assert_pass(check_mixed_boundary_column(2, 2, 4))
-    # more occupied bra slots than layers: both sides vanish
-    assert_pass(check_mixed_boundary_column(3, 0, 2))
-    # no layers at all
-    assert_pass(check_mixed_boundary_column(1, 0, 0))
+    # bra <1^k_ones, 0^ell| on a width-(k_ones + ell) column
+    for k_ones, ell, n_layers in ((1, 1, 3), (2, 1, 3), (2, 2, 4),
+                                  # more occupied bra slots than layers: both sides vanish
+                                  (3, 0, 2),
+                                  # no layers at all
+                                  (1, 0, 0)):
+        assert_pass(check_one_column(k_ones + ell, n_layers, bra_ones=k_ones))
 
 
 def test_column_reduction():
