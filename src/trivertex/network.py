@@ -16,12 +16,20 @@ of free input stubs are branched over.  A one-column strip operator
 `enumerate_layer_terms` lists the colorings themselves; it is the
 independent reference route the tests compare the sweep against.
 
+Vacuum expectation values (`vev`, `count_configurations`, convention
+resolution) and strip matrix elements (`strip_vev`) are contracted by one
+engine, `_contract`, on exact integers: each state carries exponent vector
+-> count, one exponent per distinct binding variable, and one
+`LaurentPoly` is built at the end.  The engine drops states that can no
+longer reach the bra and sweeps the last operator only toward it.
+`apply_layer` and `apply_strip` act with one operator on `LaurentPoly`
+coefficients; they serve the operator-identity checks and are the route the
+tests compare the engine against.
+
 The pictures defining the boundary geometry admit several readings; the
 `Convention` type records one reading and `resolve_convention` selects the
 unique reading that reproduces a battery of independently known expectation
-values.  Everything downstream (vacuum expectation values, derivative layers,
-per-site-variable layers, column strip operators) is exact Laurent-polynomial
-arithmetic.
+values.
 """
 
 from __future__ import annotations
@@ -353,15 +361,19 @@ def _layer_plan(n: int, i: int, convention: Convention) -> LayerPlan:
     return tuple(colors), tuple(steps), residual
 
 
-def _sweep(plan: LayerPlan, state: SiteState, cutoff: int
+def _sweep(plan: LayerPlan, state: SiteState, cutoff: int,
+           target: Optional[SiteState] = None, slack: int = 0
            ) -> Dict[Tuple[SiteState, int], int]:
     """(out_state, alpha) -> multiplicity for one plan acting on `state`.
 
     A depth-first sweep over the sites: each site's operator acts on the
     occupancy as soon as the site is reached, so a branch ends at the first
     site that kills the state or disagrees with a fixed output stub, and the
-    only branching is over the colors of free input stubs.  Raises
-    CutoffOverflow if a surviving move raises an occupancy past `cutoff`.
+    only branching is over the colors of free input stubs.  With a `target`
+    only moves onto states within `slack` of it in every index are kept: a
+    branch also ends at the first site whose (final) occupancy is farther
+    from the target than that.  Raises CutoffOverflow if a surviving move
+    raises an occupancy past `cutoff`.
     """
     colors0, steps, residual = plan
     colors = list(colors0)
@@ -389,7 +401,11 @@ def _sweep(plan: LayerPlan, state: SiteState, cutoff: int
             if delta:
                 if delta > 0 and m >= cutoff:
                     over = True
-                occ[idx] = m + delta
+                m += delta
+                occ[idx] = m
+            # each occupancy index belongs to one step, so m is final here
+            if target is not None and not -slack <= m - target[idx] <= slack:
+                return
             alpha += d_alpha
         if over:
             raise CutoffOverflow("internal: occupancy exceeded the layer budget")
@@ -413,6 +429,12 @@ def _index_weight(zs: Sequence[Union[Var, LaurentPoly]],
         if d:
             w = w * _as_poly(z) ** d
     return w
+
+
+def _check_width(states: Iterable[Tuple[int, ...]], width: int):
+    for state in states:
+        if len(state) != width:
+            raise ValueError("state width %d != operator width %d" % (len(state), width))
 
 
 def _apply_plan(plan: LayerPlan, ket: KetCombo, cutoff: int,
@@ -457,10 +479,7 @@ def apply_layer(n: int, label: int, convention: Convention, binding: Binding,
     """
     if deriv and not isinstance(binding, Var):
         raise ValueError("derivative layers need a scalar Var binding")
-    width = n * (n - 1) // 2
-    for state in ket:
-        if len(state) != width:
-            raise ValueError("state width %d != layer width %d" % (len(state), width))
+    _check_width(ket, n * (n - 1) // 2)
     if isinstance(binding, Mapping):
         z = [binding[s] for s in sites(n)]
     else:
@@ -481,6 +500,90 @@ def layer_transitions(n: int, i: int, convention: Convention, state: SiteState,
     states; flat triples keep the memo small."""
     moves = _sweep(_layer_plan(n, i, convention), state, cutoff)
     return tuple((out, alpha, mult) for (out, alpha), mult in moves.items())
+
+
+# -- the contraction engine -------------------------------------------------
+
+# A coefficient of the engine: exponent vector -> integer count, with one
+# exponent slot per distinct binding atom (a Var, or a polynomial raised to
+# its power only when the result is built).
+Counts = Dict[Tuple[int, ...], int]
+# One operator of a product: its sweep plan, its weighing -- the slot of a
+# scalar atom (an int; a move adds alpha there) or one slot per occupancy
+# index (a tuple; a move adds out_p - in_p at slot p) -- and the derivative
+# (slot, order) applied after it, or None.
+ContractStep = Tuple[LayerPlan, Union[int, Tuple[int, ...]], Optional[Tuple[int, int]]]
+
+
+def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: SiteState,
+              cutoff: int, n_slots: int,
+              projections: Optional[Mapping[int, Tuple[int, int]]] = None) -> Counts:
+    """<bra| S_1 S_2 ... S_r |ket> for steps written left to right.
+
+    Each operator changes each occupancy by at most one, so the sweep of
+    each step keeps only states within the number of steps left of `bra` in
+    every index: the last step sweeps only toward `bra`.  A derivative of
+    order k maps exponent e at its slot to e - k with the count times
+    e (e-1) ... (e-k+1).  `projections` maps a gap g (between S_g and
+    S_{g+1}, 1-based) to (index, occupancy): only states with that
+    occupancy pass the gap.
+
+    Inside, an exponent vector is one integer holding e_s + bias in the
+    `width` bits from bit width * s, so a move shifts a vector by one
+    integer addition, and a vector over the r n(n-1)/2 slots of a per-site
+    stack takes a few machine words where a tuple takes one per slot.
+    """
+    # |e_s| is at most the sum of what every step can change at slot s: a
+    # scalar move's alpha is at most 2 per site, an index move is +-1
+    reach = [0] * n_slots
+    for plan, weigh, deriv in steps:
+        if isinstance(weigh, tuple):
+            for s in weigh:
+                reach[s] += 1
+        else:
+            reach[weigh] += 2 * len(plan[1])
+        if deriv:
+            reach[deriv[0]] += deriv[1]
+    width = max(reach, default=0).bit_length() + 1
+    bias, mask = 1 << (width - 1), (1 << width) - 1
+    zero = sum(bias << (width * s) for s in range(n_slots))
+
+    combo: Dict[SiteState, Dict[int, int]] = {ket: {zero: 1}}
+    for left in range(len(steps) - 1, -1, -1):
+        plan, weigh, deriv = steps[left]
+        per_index = isinstance(weigh, tuple)
+        out: Dict[SiteState, Dict[int, int]] = {}
+        for state, coeff in combo.items():
+            for (new, alpha), mult in _sweep(plan, state, cutoff, bra, left).items():
+                if per_index:
+                    shift = sum((b - a) << (width * weigh[p])
+                                for p, (a, b) in enumerate(zip(state, new)) if a != b)
+                else:
+                    shift = alpha << (width * weigh)
+                acc = out.get(new)
+                if acc is None:
+                    acc = out[new] = {}
+                for key, c in coeff.items():
+                    key += shift
+                    acc[key] = acc.get(key, 0) + c * mult
+        if deriv:
+            s, k = deriv
+            for state, coeff in out.items():
+                lowered: Dict[int, int] = {}
+                for key, c in coeff.items():
+                    e = ((key >> (width * s)) & mask) - bias
+                    for j in range(k):
+                        c *= e - j
+                    if c:
+                        lowered[key - (k << (width * s))] = c
+                out[state] = lowered
+        keep = projections.get(left) if projections and left >= 1 else None
+        combo = {state: coeff for state, coeff in out.items()
+                 if coeff and (keep is None or state[keep[0]] == keep[1])}
+        if not combo:
+            return {}
+    return {tuple(((key >> (width * s)) & mask) - bias for s in range(n_slots)): c
+            for key, c in combo.get(bra, {}).items()}
 
 
 # -- partition specifications ---------------------------------------------
@@ -541,16 +644,36 @@ def inhomogeneous_spec(n: int, labels: Sequence[int]) -> PartitionSpec:
 _RESOLVED: Optional[Convention] = None
 
 
-def _vev(spec: PartitionSpec, convention: Convention) -> LaurentPoly:
+def _vev_counts(spec: PartitionSpec, convention: Convention
+                ) -> Tuple[List[Union[Var, LaurentPoly]], Counts]:
+    """The vev as binding atoms and exponent vector -> count (`_contract`)."""
     n = spec.n
-    cutoff = len(spec.layers)
-    ket: KetCombo = {vacuum_state(n): LaurentPoly.one()}
-    for layer in reversed(spec.layers):
-        ket = apply_layer(n, layer.label, convention, layer.binding, layer.deriv,
-                          ket, cutoff)
-        if not ket:
-            return LaurentPoly.zero()
-    return ket.get(vacuum_state(n), LaurentPoly.zero())
+    slots: Dict[Union[Var, LaurentPoly], int] = {}
+    steps: List[ContractStep] = []
+    for layer in spec.layers:
+        binding = layer.binding
+        if layer.deriv and not isinstance(binding, Var):
+            raise ValueError("derivative layers need a scalar Var binding")
+        if isinstance(binding, Mapping):
+            weigh: Union[int, Tuple[int, ...]] = tuple(
+                slots.setdefault(binding[s], len(slots)) for s in sites(n))
+        else:
+            weigh = slots.setdefault(binding, len(slots))
+        steps.append((_layer_plan(n, layer.label, convention), weigh,
+                      (weigh, layer.deriv) if layer.deriv else None))
+    atoms = list(slots)
+    # the derivative acts on exponent slots, so it must not hide inside a
+    # polynomial atom
+    for layer in spec.layers:
+        if layer.deriv and any(isinstance(a, LaurentPoly) and layer.binding in a.variables()
+                               for a in atoms):
+            raise ValueError("a derivative variable also occurs in a polynomial binding")
+    vac = vacuum_state(n)
+    return atoms, _contract(steps, vac, vac, len(spec.layers), len(atoms))
+
+
+def _vev(spec: PartitionSpec, convention: Convention) -> LaurentPoly:
+    return LaurentPoly.from_exponents(*_vev_counts(spec, convention))
 
 
 def _monomial_anchor(n: int, labels: Sequence[int], convention: Convention) -> bool:
@@ -628,13 +751,13 @@ def vev(spec: PartitionSpec, convention: Optional[Convention] = None) -> Laurent
 
 def count_configurations(spec: PartitionSpec,
                          convention: Optional[Convention] = None) -> int:
-    """Number of contributing global configurations = vev at all-ones."""
+    """Number of contributing global configurations: the vev's counts
+    summed, which is the vev at all-ones when every binding is a Var."""
     if not spec.all_scalar:
         raise ValueError("configuration counting needs scalar bindings")
-    value = vev(spec, convention).at_one()
-    if value.denominator != 1:
-        raise AssertionError("vev at 1 must be an integer")
-    return int(value)
+    if convention is None:
+        convention = default_convention()
+    return sum(_vev_counts(spec, convention)[1].values())
 
 
 def enumerate_configurations(spec: PartitionSpec,
@@ -723,14 +846,11 @@ def apply_strip(ell: int, row_vars: Sequence[Union[Var, LaurentPoly]],
 
     Slot p carries the q=0 z-dressed tensor with the p-th row variable, so a
     raise at slot p weighs row_vars[p-1] and a lower its inverse.  Raises
-    CutoffOverflow if a surviving move raises an occupancy past `cutoff`.
+    CutoffOverflow if a surviving move raises an occupancy past `cutoff`,
+    and ValueError on a state of another width.
     """
+    _check_width(combo, len(row_vars))
     return _apply_plan(_column_plan(ell, len(row_vars)), combo, cutoff, row_vars)
-
-
-def project_slot(combo: StripCombo, slot: int, value: int) -> StripCombo:
-    """Keep only the states whose given slot holds `value`."""
-    return {s: c for s, c in combo.items() if s[slot] == value}
 
 
 def strip_vev(layers: Sequence[StripLayer], bra: Tuple[int, ...],
@@ -738,22 +858,22 @@ def strip_vev(layers: Sequence[StripLayer], bra: Tuple[int, ...],
               projections: Optional[Mapping[int, Tuple[int, int]]] = None
               ) -> LaurentPoly:
     """<bra| L_1 L_2 ... L_r |ket> for strip layers written left to right,
-    each an (ell, row_vars) pair standing for Y_ell (see `apply_strip`).
+    each an (ell, row_vars) pair standing for Y_ell (see `apply_strip`),
+    contracted by `_contract`.
 
     `projections` optionally maps a gap index g (between L_g and L_{g+1},
     1-based) to (slot, value): after the layers right of the gap have acted,
-    only states with that slot occupancy are kept.
+    only states with that slot occupancy are kept.  Raises ValueError when
+    the bra, the ket and the layers differ in width.
     """
+    _check_width([bra], len(ket))
+    for _, row_vars in layers:
+        _check_width([ket], len(row_vars))
+    slots: Dict[Union[Var, LaurentPoly], int] = {}
+    steps: List[ContractStep] = [
+        (_column_plan(ell, len(ket)),
+         tuple(slots.setdefault(z, len(slots)) for z in row_vars), None)
+        for ell, row_vars in layers]
     cutoff = len(layers) + max(ket, default=0)
-    combo: StripCombo = {tuple(ket): LaurentPoly.one()}
-    r = len(layers)
-    for pos in range(r - 1, -1, -1):
-        ell, row_vars = layers[pos]
-        combo = apply_strip(ell, row_vars, combo, cutoff)
-        gap = pos  # gap between layer pos (1-based: pos) and pos+1
-        if projections and gap in projections and gap >= 1:
-            slot, value = projections[gap]
-            combo = project_slot(combo, slot, value)
-        if not combo:
-            return LaurentPoly.zero()
-    return combo.get(tuple(bra), LaurentPoly.zero())
+    counts = _contract(steps, tuple(ket), tuple(bra), cutoff, len(slots), projections)
+    return LaurentPoly.from_exponents(list(slots), counts)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 _KIND_Q = 0
 _KIND_LAYER = 1
@@ -206,6 +206,33 @@ class LaurentPoly:
         if coeff == 0:
             return LaurentPoly({})
         return LaurentPoly({monomial_from_dict(exps): int(coeff)})
+
+    @staticmethod
+    def from_exponents(atoms: Sequence[Union[Var, "LaurentPoly"]],
+                       counts: Mapping[Tuple[int, ...], int]) -> "LaurentPoly":
+        """sum over exponent vectors e of counts[e] * prod_s atoms[s] ** e[s].
+
+        The Var atoms must be distinct; a polynomial atom is raised to its
+        power here (a negative power needs a unit single term).
+        """
+        var_slots = sorted(((s, a) for s, a in enumerate(atoms) if isinstance(a, Var)),
+                           key=lambda sa: sa[1].sort_key())
+        poly_slots = [(s, a) for s, a in enumerate(atoms) if not isinstance(a, Var)]
+        terms: Dict[Monomial, int] = {}
+        rest = LaurentPoly.zero()
+        for exps, c in counts.items():
+            if not c:
+                continue
+            m = tuple((v, exps[s]) for s, v in var_slots if exps[s])
+            if any(exps[s] for s, _ in poly_slots):
+                factor = LaurentPoly({m: c})
+                for s, p in poly_slots:
+                    factor = factor * p ** exps[s]
+                rest = rest + factor
+            else:
+                # distinct vectors give distinct monomials over distinct Vars
+                terms[m] = c
+        return LaurentPoly(terms) + rest if rest else LaurentPoly(terms)
 
     # -- predicates --------------------------------------------------------
 

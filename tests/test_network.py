@@ -6,7 +6,7 @@ from collections import Counter
 from collections.abc import Mapping
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trivertex.fock import CutoffOverflow, LocalOp
 from trivertex.lattice import TensorKind, local_tensor
@@ -166,12 +166,16 @@ def term_apply_strip(terms, combo, cutoff):
     return {s: c for s, c in out.items() if not c.is_zero()}
 
 
-def term_strip_vev(layers, bra, ket):
-    """<bra| L_1 ... L_r |ket> over term lists, right to left."""
+def term_strip_vev(layers, bra, ket, projections=None):
+    """<bra| L_1 ... L_r |ket> over term lists, right to left, keeping only
+    the states with occupancy v at slot p after gap g for {g: (p, v)}."""
     cutoff = len(layers) + max(ket, default=0)
     combo = {tuple(ket): LaurentPoly.one()}
-    for terms in reversed(layers):
-        combo = term_apply_strip(terms, combo, cutoff)
+    for gap in range(len(layers) - 1, -1, -1):
+        combo = term_apply_strip(layers[gap], combo, cutoff)
+        if projections and gap in projections:
+            p, v = projections[gap]
+            combo = {s: c for s, c in combo.items() if s[p] == v}
     return combo.get(tuple(bra), LaurentPoly.zero())
 
 
@@ -347,6 +351,23 @@ def test_derivative_layer():
     assert hat == base.derivative(Z[0])
 
 
+def test_polynomial_bindings():
+    # a polynomial binding is one exponent slot, raised to its power at the end
+    conv = default_convention()
+    z1 = LaurentPoly.var(Z[0])
+    spec = PartitionSpec(4, [LayerSpec(3, z1 + 1), LayerSpec(3, Z[1], 1),
+                             LayerSpec(1, 2 * z1)])
+    ket = {vacuum_state(4): LaurentPoly.one()}
+    for layer in reversed(spec.layers):
+        ket = term_apply_layer(4, enumerate_layer_terms(4, layer.label, conv),
+                               layer.binding, layer.deriv, ket, 3)
+    expected = ket[vacuum_state(4)]
+    assert vev(spec, conv) == expected
+    # a derivative in a variable inside a polynomial binding is refused
+    with pytest.raises(ValueError):
+        vev(PartitionSpec(3, [LayerSpec(2, Z[0], 1), LayerSpec(1, z1 + 1)]), conv)
+
+
 def test_layer_action_on_vacuum_n4():
     conv = default_convention()
     ket = apply_layer(4, 1, conv, Z[0], 0, {vacuum_state(4): LaurentPoly.one()}, 3)
@@ -436,15 +457,18 @@ def test_strip_sweep_matches_term_route():
                 ket = {state: LaurentPoly.one()}
                 assert (apply_strip(ell, rv, ket, 3)
                         == term_apply_strip(terms, ket, 3)), (m, ell, state)
-    # two-layer stacks Y_ell1(z_1) Y_ell2(z_2) between every 0/1 bra and ket
+    # two-layer stacks Y_ell1(z_1) Y_ell2(z_2) between bras and kets with
+    # occupancies up to 2, plain and with the gap projected on the top slot
     for m in range(1, 4):
         for ell1, ell2 in itertools.product(range(m + 1), repeat=2):
             layers = [(ell1, row_vars(1, m)), (ell2, row_vars(2, m))]
             term_layers = [term_Y(ell, m, rv) for ell, rv in layers]
-            for bra in itertools.product(range(2), repeat=m):
-                for ket in itertools.product(range(2), repeat=m):
-                    assert (strip_vev(layers, bra, ket)
-                            == term_strip_vev(term_layers, bra, ket)), (m, ell1, ell2, bra, ket)
+            for bra in itertools.product(range(3), repeat=m):
+                for ket in itertools.product(range(3), repeat=m):
+                    for proj in (None, {1: (0, ket[0])}, {1: (0, bra[0])}):
+                        assert (strip_vev(layers, bra, ket, proj)
+                                == term_strip_vev(term_layers, bra, ket, proj)), \
+                            (m, ell1, ell2, bra, ket, proj)
 
 
 def test_strip_overflow_at_cutoff():
@@ -459,6 +483,18 @@ def test_strip_overflow_at_cutoff():
         (1, 2): LaurentPoly.one(), (2, 2): z1}
     with pytest.raises(ValueError):
         apply_strip(3, rv, {(0, 0): LaurentPoly.one()}, 2)
+
+
+def test_strip_width_mismatch():
+    z = col_var(1, 1)
+    with pytest.raises(ValueError):
+        apply_strip(1, [z], {(0, 5): LaurentPoly.one()}, 3)
+    with pytest.raises(ValueError):
+        strip_vev([(1, [z])], (1, 5), (0, 5))
+    with pytest.raises(ValueError):
+        strip_vev([(1, [z])], (1, 5), (0,))
+    with pytest.raises(ValueError):
+        strip_vev([(1, [z]), (1, row_vars(2, 2))], (0,), (0,))
 
 
 # -- the site sweep against the term route ---------------------------------
@@ -508,28 +544,40 @@ def test_sweep_overflow_at_cutoff():
 
 @st.composite
 def small_stacks(draw):
-    n = draw(st.integers(min_value=2, max_value=4))
-    depth = draw(st.integers(min_value=1, max_value=4))
+    """Stacks at n <= 5 (depth <= 3 at n = 5) of per-site layers and scalar
+    layers whose variables come from a pool of three, so layers share them,
+    with derivative orders 0..2."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    depth = draw(st.integers(min_value=1, max_value=3 if n == 5 else 4))
     layers = []
     for t in range(1, depth + 1):
         label = draw(st.integers(min_value=0, max_value=n))
         if draw(st.booleans()):
             layers.append(LayerSpec(label, site_binding(n, t)))
         else:
-            layers.append(LayerSpec(label, Z[t - 1], draw(st.integers(0, 1))))
+            layers.append(LayerSpec(label, draw(st.sampled_from(Z[:3])),
+                                    draw(st.integers(0, 2))))
     return PartitionSpec(n, layers)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_stacks())
+# derivatives in a variable another layer shares, on either side of it
+@example(PartitionSpec(4, [LayerSpec(3, Z[0], 2), LayerSpec(3, Z[0]),
+                           LayerSpec(1, site_binding(4, 3))]))
+@example(PartitionSpec(5, [LayerSpec(4, Z[0], 1), LayerSpec(3, Z[0], 2),
+                           LayerSpec(1, Z[1])]))
 def test_stack_vev_matches_term_route(spec):
     conv = default_convention()
     n, cutoff = spec.n, len(spec.layers)
-    ket = {vacuum_state(n): LaurentPoly.one()}
+    vac = vacuum_state(n)
+    ket = lib = {vac: LaurentPoly.one()}
     for layer in reversed(spec.layers):
         ket = term_apply_layer(n, enumerate_layer_terms(n, layer.label, conv),
                                layer.binding, layer.deriv, ket, cutoff)
-    expected = ket.get(vacuum_state(n), LaurentPoly.zero())
+        lib = apply_layer(n, layer.label, conv, layer.binding, layer.deriv, lib, cutoff)
+    expected = ket.get(vac, LaurentPoly.zero())
+    assert lib.get(vac, LaurentPoly.zero()) == expected
     value = vev(spec, conv)
     assert value == expected
     if spec.all_scalar:
