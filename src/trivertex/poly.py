@@ -15,10 +15,23 @@ term.  No zero coefficient is ever stored, so equality is dict equality.
 Serialization orders terms by graded lexicographic comparison (total degree
 first, then exponents read along increasing variable order), largest term
 first, which makes the output deterministic.
+
+Exact division
+--------------
+`exact_divide` strips each operand's content (the per-variable minimum
+exponent) and packs every monomial into one int: the total degree in the top
+field, then the exponents in variable order, each field with a guard bit on
+top, so integer comparison is the graded-lex order.  The fields are as wide as
+the larger top degree of the two operands; sized by the dividend alone, a
+divisor of higher degree would overflow them.  The remainder is a dict keyed
+by packed int with a lazily pruned max-heap of its keys.  A quotient monomial
+is (lead | guard bits) - divisor lead, and a cleared guard bit there is a
+negative exponent: no exact quotient.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,8 +41,6 @@ _KIND_Q = 0
 _KIND_LAYER = 1
 _KIND_SITE = 2
 _KIND_AUX = 3
-
-_KIND_NAMES = {_KIND_Q: "q", _KIND_LAYER: "layer", _KIND_SITE: "site", _KIND_AUX: "aux"}
 
 
 class PolyError(Exception):
@@ -505,29 +516,6 @@ class LaurentPoly:
 # -- exact division --------------------------------------------------------
 
 
-def _content(p: LaurentPoly) -> Dict[Var, int]:
-    """Per-variable minimum exponent over the support (0 for absent vars)."""
-    mins: Dict[Var, int] = {}
-    seen_in_all: Optional[set] = None
-    for m in p.terms:
-        here = dict(m)
-        for v, e in here.items():
-            if v in mins:
-                mins[v] = min(mins[v], e)
-            else:
-                mins[v] = e
-        if seen_in_all is None:
-            seen_in_all = set(here)
-        else:
-            seen_in_all &= set(here)
-    # A variable absent from some monomial has implicit exponent 0 there.
-    if seen_in_all is not None:
-        for v in list(mins):
-            if v not in seen_in_all and mins[v] > 0:
-                mins[v] = 0
-    return {v: e for v, e in mins.items() if e != 0}
-
-
 def exact_divide(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Quotient a / b, which must be exact (a == q * b for a Laurent q).
 
@@ -538,52 +526,63 @@ def exact_divide(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         raise DivisionByZero("exact_divide by the zero polynomial")
     if a.is_zero():
         return LaurentPoly.zero()
-
-    # Normalize both operands to honest polynomials with per-variable minimum
-    # exponent 0; the monomial quotient of the stripped contents is restored
-    # at the end.  On content-free operands, an exact Laurent quotient is
-    # itself content-free (min degrees add up over an integral domain), so
-    # plain one-divisor polynomial division under graded lex finds it.
-    ca, cb = _content(a), _content(b)
-    shift_a = LaurentPoly.monomial({v: -e for v, e in ca.items()})
-    shift_b = LaurentPoly.monomial({v: -e for v, e in cb.items()})
-    A = a * shift_a
-    B = b * shift_b
-
-    universe = tuple(sorted(set(A.variables()) | set(B.variables()), key=Var.sort_key))
+    universe = tuple(sorted(set(a.variables()) | set(b.variables()), key=Var.sort_key))
     pos = {v: i for i, v in enumerate(universe)}
 
-    def key(m: Monomial):
-        vec = [0] * len(universe)
-        for v, e in m:
-            vec[pos[v]] = e
-        return (monomial_degree(m), tuple(vec))
+    def stripped(p: LaurentPoly):
+        vecs = [[0] * len(universe) for _ in p.terms]
+        for vec, m in zip(vecs, p.terms):
+            for v, e in m:
+                vec[pos[v]] = e
+        content = [min(col) for col in zip(*vecs)]
+        return content, [[e - c for e, c in zip(vec, content)] for vec in vecs]
 
-    b_terms = B.terms
-    lead_b = max(b_terms, key=key)
-    lead_b_coeff = b_terms[lead_b]
-    lead_b_inv = monomial_invert(lead_b)
+    ca, vecs_a = stripped(a)
+    cb, vecs_b = stripped(b)
+    width = max(sum(vec) for vec in vecs_a + vecs_b).bit_length()
+    field = width + 1
+    guard = sum(1 << (width + i * field) for i in range(len(universe) + 1))
 
-    rem = dict(A.terms)
-    quot: Dict[Monomial, int] = {}
-    while rem:
-        lead_r = max(rem, key=key)
-        coeff_r = rem[lead_r]
+    def pack(vec: Sequence[int]) -> int:
+        key = sum(vec)
+        for e in vec:
+            key = key << field | e
+        return key
+
+    rem = {pack(vec): c for vec, c in zip(vecs_a, a.terms.values())}
+    b_terms = sorted(zip(map(pack, vecs_b), b.terms.values()), reverse=True)
+    (lead_b, lead_b_coeff), rest_b = b_terms[0], b_terms[1:]
+    heap = [-key for key in rem]
+    heapq.heapify(heap)
+    quot: Dict[int, int] = {}
+    while heap:
+        lead_r = -heapq.heappop(heap)
+        coeff_r = rem.pop(lead_r, 0)
+        if not coeff_r:
+            continue  # cancelled after it was pushed
         if coeff_r % lead_b_coeff != 0:
             raise InexactDivision("leading coefficient %d not divisible by %d" % (coeff_r, lead_b_coeff))
-        qm = monomial_mul(lead_r, lead_b_inv)
-        if any(e < 0 for _, e in qm):
+        qm = (lead_r | guard) - lead_b
+        if qm & guard != guard:
             raise InexactDivision("no exact Laurent quotient")
+        qm ^= guard
         qc = coeff_r // lead_b_coeff
-        quot[qm] = quot.get(qm, 0) + qc
-        for mb, cb_ in b_terms.items():
-            m = monomial_mul(qm, mb)
+        quot[qm] = qc
+        for mb, cb_ in rest_b:
+            m = qm + mb
             s = rem.get(m, 0) - qc * cb_
-            if s:
-                rem[m] = s
-            else:
+            if not s:
                 rem.pop(m, None)
-    result = LaurentPoly(quot)
-    back = LaurentPoly.monomial({v: e for v, e in ca.items()}) * LaurentPoly.monomial(
-        {v: -e for v, e in cb.items()})
-    return result * back
+                continue
+            if m not in rem:
+                heapq.heappush(heap, -m)
+            rem[m] = s
+    # unpack, restoring the monomial quotient of the two contents
+    mask = (1 << width) - 1
+    fields = [(v, field * (len(universe) - 1 - i), ca[i] - cb[i]) for i, v in enumerate(universe)]
+
+    def unpack(key: int) -> Monomial:
+        exps = ((v, (key >> off & mask) + shift) for v, off, shift in fields)
+        return tuple((v, e) for v, e in exps if e)
+
+    return LaurentPoly({unpack(key): c for key, c in quot.items()})

@@ -3,15 +3,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trivertex.poly import (
     DivisionByZero,
     InexactDivision,
     LaurentPoly,
+    Monomial,
     NegativeExponentSubstitution,
+    PolyError,
     Var,
     exact_divide,
+    monomial_degree,
+    monomial_invert,
+    monomial_mul,
     parse_var_name,
 )
 
@@ -31,19 +36,19 @@ vars_pool = [Q, X, Y, Z, Var.site(1, 1, 1), Var.aux(2)]
 
 
 @st.composite
-def monomials(draw):
+def monomials(draw, pool=tuple(vars_pool), low=-3, high=3):
     exps = {}
-    for v in draw(st.sets(st.sampled_from(vars_pool), max_size=3)):
-        exps[v] = draw(st.integers(min_value=-3, max_value=3).filter(lambda e: e != 0))
+    for v in draw(st.sets(st.sampled_from(pool), max_size=3)):
+        exps[v] = draw(st.integers(min_value=low, max_value=high).filter(lambda e: e != 0))
     return exps
 
 
 @st.composite
-def polys(draw, max_terms=5):
+def polys(draw, max_terms=5, **monomial_ranges):
     p = LaurentPoly.zero()
     for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
         c = draw(st.integers(min_value=-9, max_value=9))
-        p = p + LaurentPoly.monomial(draw(monomials()), c)
+        p = p + LaurentPoly.monomial(draw(monomials(**monomial_ranges)), c)
     return p
 
 
@@ -165,6 +170,108 @@ def test_exact_divide_alternant_case():
     x, y = lp_var(X), lp_var(Y)
     num = lp_var(X, 2) * y - x * lp_var(Y, 2)
     assert exact_divide(num, x - y) == x * y
+
+
+# -- the term route: division on Var-keyed monomials, rescanning the
+# remainder for its leading term at every step ------------------------------
+
+def term_content(p):
+    """Per-variable minimum exponent over the support (0 for absent vars)."""
+    mins = {}
+    seen_in_all = None
+    for m in p.terms:
+        here = dict(m)
+        for v, e in here.items():
+            mins[v] = min(mins[v], e) if v in mins else e
+        seen_in_all = set(here) if seen_in_all is None else seen_in_all & set(here)
+    # A variable absent from some monomial has implicit exponent 0 there.
+    for v in list(mins):
+        if v not in seen_in_all and mins[v] > 0:
+            mins[v] = 0
+    return {v: e for v, e in mins.items() if e != 0}
+
+
+def term_exact_divide(a, b):
+    if b.is_zero():
+        raise DivisionByZero("exact_divide by the zero polynomial")
+    if a.is_zero():
+        return LaurentPoly.zero()
+    ca, cb = term_content(a), term_content(b)
+    A = a * LaurentPoly.monomial({v: -e for v, e in ca.items()})
+    B = b * LaurentPoly.monomial({v: -e for v, e in cb.items()})
+    universe = tuple(sorted(set(A.variables()) | set(B.variables()), key=Var.sort_key))
+    pos = {v: i for i, v in enumerate(universe)}
+
+    def key(m: Monomial):
+        vec = [0] * len(universe)
+        for v, e in m:
+            vec[pos[v]] = e
+        return (monomial_degree(m), tuple(vec))
+
+    lead_b = max(B.terms, key=key)
+    lead_b_coeff = B.terms[lead_b]
+    rem = dict(A.terms)
+    quot = {}
+    while rem:
+        lead_r = max(rem, key=key)
+        coeff_r = rem[lead_r]
+        if coeff_r % lead_b_coeff != 0:
+            raise InexactDivision("leading coefficient %d not divisible by %d" % (coeff_r, lead_b_coeff))
+        qm = monomial_mul(lead_r, monomial_invert(lead_b))
+        if any(e < 0 for _, e in qm):
+            raise InexactDivision("no exact Laurent quotient")
+        qc = coeff_r // lead_b_coeff
+        quot[qm] = quot.get(qm, 0) + qc
+        for mb, cb_ in B.terms.items():
+            m = monomial_mul(qm, mb)
+            s = rem.get(m, 0) - qc * cb_
+            if s:
+                rem[m] = s
+            else:
+                rem.pop(m, None)
+    return LaurentPoly(quot) * LaurentPoly.monomial(ca) * LaurentPoly.monomial({v: -e for v, e in cb.items()})
+
+
+def division_outcome(divide, a, b):
+    """The quotient, or the type and message of the error raised."""
+    try:
+        return divide(a, b)
+    except PolyError as exc:
+        return type(exc), str(exc)
+
+
+division_operands = polys(4, pool=(Q, X, Y, Z), low=-2, high=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_operands, division_operands)
+# the divisor's degree exceeds the dividend's: fields sized by the dividend
+# alone would misorder the divisor's terms
+@example(lp_var(Q), lp_var(Q, 4) * lp_var(X, 3) + 2 * lp_var(Q, 3) * lp_var(Z, 4) + 1)
+@example(lp_var(X) + 2 * lp_var(Y), lp_var(X, 5) + lp_var(Y) * lp_var(Z))
+# exponents of 64 and more need fields wider than a machine word
+@example(lp_var(X, 70) + lp_var(Y), lp_var(X) - lp_var(Y, 65))
+# a constant divisor with a non-unit coefficient
+@example(3 * lp_var(X) + 2 * lp_var(Y), LaurentPoly.const(-2))
+# negative exponents in the quotient come back from the stripped contents
+@example(lp_var(X, -3) * lp_var(Y, -3) * (lp_var(X) + lp_var(Y)),
+         lp_var(X) * lp_var(Y, 2) * (lp_var(X) - 3 * lp_var(Y)))
+def test_exact_divide_matches_term_route(a, b):
+    for num in (a * b, a * b + b * b, a + 1):
+        assert division_outcome(exact_divide, num, b) == division_outcome(term_exact_divide, num, b)
+
+
+def test_exact_divide_known_quotients():
+    x, y, z = lp_var(X), lp_var(Y), lp_var(Z)
+    assert exact_divide((lp_var(X, 70) + y) * (x - lp_var(Y, 65)), x - lp_var(Y, 65)) == lp_var(X, 70) + y
+    assert exact_divide(6 * x + 4 * y, LaurentPoly.const(-2)) == -3 * x - 2 * y
+    with pytest.raises(InexactDivision, match="leading coefficient 3 not divisible by -2"):
+        exact_divide(6 * x + 3, LaurentPoly.const(-2))
+    with pytest.raises(InexactDivision, match="no exact Laurent quotient"):
+        exact_divide(x + 2 * y + 1, lp_var(X, 5) + y * z)
+    num = lp_var(X, -2) * lp_var(Y, -1) * (x + y) * (x - 3 * y)
+    den = x * lp_var(Y, 2) * (x - 3 * y)
+    assert exact_divide(num, den) == lp_var(X, -3) * lp_var(Y, -3) * (x + y)
 
 
 # -- ordering and serialization -------------------------------------------

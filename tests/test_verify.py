@@ -174,3 +174,33 @@ def test_report_failure_shape():
     assert r.seconds >= 0
     obj = r.to_obj()
     assert set(obj) == {"name", "params", "passed", "detail", "seconds"}
+
+
+def test_failing_report_carries_capped_diff(monkeypatch):
+    # an oracle off by ten extra terms: the report keeps both sides and adds
+    # the first eight terms of lhs - rhs in canonical order, and their count
+    extra = LaurentPoly.zero()
+    for k in range(10):
+        extra = extra + LaurentPoly.monomial({Var.aux(k): 1})
+    oracle = verify.schur_jacobi_trudi
+    monkeypatch.setattr(verify, "schur_jacobi_trudi",
+                        lambda parts, zvars: oracle(parts, zvars) + extra)
+    r = check_schur_correspondence(3, ((3, 2), (1, 1)))
+    assert not r.passed
+    prefactor = LaurentPoly.monomial({Var.layer(1): 1, Var.layer(2): 1})
+    diff = (-(prefactor * extra)).to_obj()
+    assert len(diff) == 10
+    assert r.detail["diff"] == diff[:8]
+    assert r.detail["diff_terms"] == 10
+    assert set(r.detail) == {"lhs", "rhs", "diff", "diff_terms"}
+    json.dumps(r.to_obj())
+
+
+def test_failing_zf_report_names_first_differing_key(monkeypatch):
+    sides = ({((1,), 1, 0): 2, ((0,), 0, 0): 1, ((2,), 1, 1): 1},
+             {((1,), 1, 0): 3, ((0,), 0, 0): 1})
+    monkeypatch.setattr(verify, "_zf_sides", lambda *args: sides)
+    r = check_zf(2, (0, 1), cutoff=3)
+    assert not r.passed
+    assert r.detail == {"state": (0,), "vars": ("x", "y"), "key": ((1,), 1, 0),
+                        "lhs": 2, "rhs": 3, "diff_terms": 2}
