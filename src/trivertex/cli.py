@@ -18,8 +18,6 @@ from typing import Dict, List, Optional, Sequence
 from . import __version__
 from .network import (
     Convention,
-    InvalidLabels,
-    count_configurations,
     enumerate_configurations,
     inhomogeneous_spec,
     resolve_convention,
@@ -202,7 +200,7 @@ def _spec_from_args(args) -> object:
                 raise UsageError("--deriv is for scalar layers only")
             return inhomogeneous_spec(args.n, labels)
         return scalar_spec(args.n, labels, derivs=derivs)
-    except InvalidLabels as exc:
+    except ValueError as exc:  # InvalidLabels, or n < 2
         raise UsageError(str(exc))
 
 
@@ -247,7 +245,6 @@ def cmd_enumerate(args) -> int:
         rows = enumerate_configurations(spec)
     except ValueError as exc:
         raise UsageError(str(exc))
-    assert len(rows) == count_configurations(spec)
     if args.format == "plain":
         for alphas, weight in rows:
             _emit("%s  %s" % (",".join(map(str, alphas)), weight))

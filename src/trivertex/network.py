@@ -8,23 +8,28 @@ product of its per-site local operators weighted by z to the number of 1s on
 the designated output boundary.
 
 A layer acts on occupancy states by a pruned depth-first sweep over the
-sites (`apply_layer`, `layer_transitions`): each site's local operator acts
-as soon as the site is reached, so a branch ends at the first site that
-kills the state or disagrees with a fixed output stub, and only the colors
-of free input stubs are branched over.  A one-column strip operator
-(`apply_strip`) is the same sweep over the slots of the column.
-`enumerate_layer_terms` lists the colorings themselves; it is the
-independent reference route the tests compare the sweep against.
+sites (`_sweep`): each site's local operator acts as soon as the site is
+reached, so a branch ends at the first site that kills the state or
+disagrees with a fixed output stub, and only the colors of free input stubs
+are branched over.  A one-column strip operator is the same sweep over the
+slots of the column.
 
-Vacuum expectation values (`vev`, `count_configurations`, convention
-resolution) and strip matrix elements (`strip_vev`) are contracted by one
-engine, `_contract`, on exact integers: each state carries exponent vector
--> count, one exponent per distinct binding variable, and one
-`LaurentPoly` is built at the end.  The engine drops states that can no
-longer reach the bra and sweeps the last operator only toward it.
-`apply_layer` and `apply_strip` act with one operator on `LaurentPoly`
-coefficients; they serve the operator-identity checks and are the route the
-tests compare the engine against.
+Every operator product but one is contracted by one engine, `_contract`, on
+exact integers: each state carries exponent vector -> count, one exponent
+per binding atom, and `LaurentPoly`s are built only from its result.  It
+serves vacuum expectation values (`vev`, `count_configurations`, convention
+resolution), the configuration listing (one exponent slot per layer, so an
+exponent vector is a row), strip matrix elements (`strip_vev`) and the
+operator images `apply_layer`, `apply_strip` and `apply_stack` (one engine
+call per ket state, times its coefficient).  Given a bra, the engine drops
+states that can no longer reach it and sweeps the last operator only toward
+it; without one it returns every reached state.
+
+The exception is the exchange-relation check `verify.check_zf`, which walks
+`layer_transitions`, a bounded memo of single-layer moves.  Its 50 pairs
+revisit the same (label, state) keys: the memo sweeps 12452 times for the
+whole `zf` group, where one engine call per ket sweeps 114292 times and is
+about 4.5x slower.
 
 The pictures defining the boundary geometry admit several readings; the
 `Convention` type records one reading and `resolve_convention` selects the
@@ -183,15 +188,6 @@ def weighted_stubs(n: int, convention: Convention) -> List[Edge]:
     return output_stubs(n, convention)
 
 
-@dataclass(frozen=True)
-class LayerTerm:
-    """One surviving coloring: its z-exponent and per-site local operators
-    (aligned with the canonical site order)."""
-
-    alpha: int
-    ops: Tuple[LocalOp, ...]
-
-
 def _r0_by_input() -> Dict[Tuple[int, int], List[Tuple[int, int, LocalOp]]]:
     by_in: Dict[Tuple[int, int], List[Tuple[int, int, LocalOp]]] = {}
     for (ii, jj, aa, bb), (_, op) in sorted(local_tensor(TensorKind.R0).items()):
@@ -200,75 +196,6 @@ def _r0_by_input() -> Dict[Tuple[int, int], List[Tuple[int, int, LocalOp]]]:
 
 
 _R0_BY_INPUT = _r0_by_input()
-
-
-@functools.lru_cache(maxsize=None)
-def enumerate_layer_terms(n: int, i: int, convention: Convention) -> Tuple[LayerTerm, ...]:
-    """All surviving colorings of the layer with label i, as LayerTerms.
-
-    Depth-first sweep over sites, bottom row first and along the horizontal
-    flow within each row, so both input edges of a site are always known
-    when it is reached; colorings hitting a zero tensor entry or violating a
-    fixed output stub are pruned immediately.
-    """
-    canon = sites(n)
-    index = {s: j for j, s in enumerate(canon)}
-    fixed = fixed_colors(n, i, convention)
-    free_inputs = {e for e in input_stubs(n, convention) if e not in fixed}
-    residual_values = (0, 1) if convention.residual == "sum" else (0,)
-    weighted = weighted_stubs(n, convention)
-    west_flow = convention.flow == "we"
-
-    order: List[Site] = []
-    for k in range(n - 1, 0, -1):
-        row = [(k, l) for l in range(1, n - k + 1)]
-        order.extend(row if west_flow else reversed(row))
-
-    colors: Dict[Edge, int] = dict(fixed)
-    ops: List[Optional[LocalOp]] = [None] * len(canon)
-    results: List[LayerTerm] = []
-
-    def sweep(t: int):
-        if t == len(order):
-            alpha = sum(colors[e] for e in weighted)
-            results.append(LayerTerm(alpha, tuple(ops)))
-            return
-        k, l = order[t]
-        h_in = ("h", k, l - 1) if west_flow else ("h", k, l)
-        h_out = ("h", k, l) if west_flow else ("h", k, l - 1)
-        v_in = ("v", k, l)
-        v_out = ("v", k - 1, l)
-        j = colors[v_in]
-        if h_in in colors:
-            h_choices: Iterable[int] = (colors[h_in],)
-            fresh = False
-        else:
-            if h_in not in free_inputs:
-                raise AssertionError("edge %r reached before assignment" % (h_in,))
-            h_choices = residual_values
-            fresh = True
-        for hv in h_choices:
-            for aa, bb, op in _R0_BY_INPUT.get((hv, j), ()):
-                if h_out in colors and colors[h_out] != aa:
-                    continue
-                if v_out in colors and colors[v_out] != bb:
-                    continue
-                wrote = []
-                if fresh:
-                    colors[h_in] = hv
-                    wrote.append(h_in)
-                for e, c in ((h_out, aa), (v_out, bb)):
-                    if e not in colors:
-                        colors[e] = c
-                        wrote.append(e)
-                ops[index[(k, l)]] = op
-                sweep(t + 1)
-                for e in wrote:
-                    del colors[e]
-        ops[index[(k, l)]] = None
-
-    sweep(0)
-    return tuple(results)
 
 
 # -- layer application -----------------------------------------------------
@@ -322,10 +249,9 @@ def _layer_plan(n: int, i: int, convention: Convention) -> LayerPlan:
     slot (-1 where not fixed), the steps, and the colors a free input stub
     is summed over.
 
-    Sites come in the order `enumerate_layer_terms` uses, bottom row first
-    and along the flow, so both inputs of a site are known when it is
-    reached.  Each site table is already filtered against the fixed output
-    stubs.
+    Sites come bottom row first and along the flow, so both inputs of a
+    site are known when it is reached.  Each site table is already filtered
+    against the fixed output stubs.
     """
     fixed = fixed_colors(n, i, convention)
     free_inputs = {e for e in input_stubs(n, convention) if e not in fixed}
@@ -418,86 +344,23 @@ def _sweep(plan: LayerPlan, state: SiteState, cutoff: int,
     return moves
 
 
-def _as_poly(v: Union[Var, LaurentPoly]) -> LaurentPoly:
-    return LaurentPoly.var(v) if isinstance(v, Var) else v
-
-
-def _index_weight(zs: Sequence[Union[Var, LaurentPoly]],
-                  change: Sequence[int]) -> LaurentPoly:
-    w = LaurentPoly.one()
-    for z, d in zip(zs, change):
-        if d:
-            w = w * _as_poly(z) ** d
-    return w
-
-
 def _check_width(states: Iterable[Tuple[int, ...]], width: int):
     for state in states:
         if len(state) != width:
             raise ValueError("state width %d != operator width %d" % (len(state), width))
 
 
-def _apply_plan(plan: LayerPlan, ket: KetCombo, cutoff: int,
-                z: Union[LaurentPoly, Sequence[Union[Var, LaurentPoly]]]) -> KetCombo:
-    """Act with a sweep plan on a combination of occupancy states.
-
-    Each move (out_state, alpha) of the sweep, with multiplicity c,
-    contributes c z**alpha for a scalar weight z.  For a sequence z, one
-    variable per occupancy index, alpha is dropped and the move contributes
-    c prod_p z[p] ** (out_p - in_p): raising at p gives z[p], lowering
-    1/z[p], and no other operator changes an occupancy.
-    """
-    per_index = not isinstance(z, LaurentPoly)
-    weights: Dict[tuple, LaurentPoly] = {}
-    out: KetCombo = {}
-    for state, coeff in ket.items():
-        for (new, alpha), mult in _sweep(plan, state, cutoff).items():
-            if per_index:
-                key = (tuple(b - a for a, b in zip(state, new)), mult)
-            else:
-                key = (alpha, mult)
-            w = weights.get(key)
-            if w is None:
-                w = _index_weight(z, key[0]) if per_index else z ** alpha
-                if mult != 1:
-                    w = w * mult
-                weights[key] = w
-            add = coeff * w
-            acc = out.get(new)
-            out[new] = add if acc is None else acc + add
-    return {s: c for s, c in out.items() if not c.is_zero()}
-
-
-def apply_layer(n: int, label: int, convention: Convention, binding: Binding,
-                deriv: int, ket: KetCombo, cutoff: int) -> KetCombo:
-    """Act with the layer X_label on a combination of occupancy states.
-
-    A scalar binding z weighs each move by z**alpha; a site-map binding (the
-    per-site-variable layer) by prod_s z^{(s)} ** (out_s - in_s), see
-    `_apply_plan`.  Afterwards the coefficients are differentiated `deriv`
-    times in the scalar variable.
-    """
-    if deriv and not isinstance(binding, Var):
-        raise ValueError("derivative layers need a scalar Var binding")
-    _check_width(ket, n * (n - 1) // 2)
-    if isinstance(binding, Mapping):
-        z = [binding[s] for s in sites(n)]
-    else:
-        z = _as_poly(binding)
-    out = _apply_plan(_layer_plan(n, label, convention), ket, cutoff, z)
-    if deriv:
-        out = {s: c.derivative(binding, deriv) for s, c in out.items()}
-        out = {s: c for s, c in out.items() if not c.is_zero()}
-    return out
-
-
 @functools.lru_cache(maxsize=1 << 14)
 def layer_transitions(n: int, i: int, convention: Convention, state: SiteState,
                       cutoff: int) -> Tuple[Tuple[SiteState, int, int], ...]:
     """(out_state, alpha, multiplicity) for the layer with label i acting on
-    `state`.  Integer-only and memoized, with a bound, for the
-    operator-identity checks and the configuration listing, which revisit
-    states; flat triples keep the memo small."""
+    `state`, memoized with a bound; flat triples keep the memo small.
+
+    It serves `verify.check_zf` alone, whose pairs revisit the same
+    (label, state) keys: on the `zf` group the memo sweeps 12452 times where
+    `_contract` called once per ket sweeps 114292 times (see the module
+    docstring).
+    """
     moves = _sweep(_layer_plan(n, i, convention), state, cutoff)
     return tuple((out, alpha, mult) for (out, alpha), mult in moves.items())
 
@@ -515,18 +378,21 @@ Counts = Dict[Tuple[int, ...], int]
 ContractStep = Tuple[LayerPlan, Union[int, Tuple[int, ...]], Optional[Tuple[int, int]]]
 
 
-def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: SiteState,
+def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteState],
               cutoff: int, n_slots: int,
-              projections: Optional[Mapping[int, Tuple[int, int]]] = None) -> Counts:
-    """<bra| S_1 S_2 ... S_r |ket> for steps written left to right.
+              projections: Optional[Mapping[int, Tuple[int, int]]] = None
+              ) -> Dict[SiteState, Counts]:
+    """S_1 S_2 ... S_r |ket> for steps written left to right, as state ->
+    exponent vector -> count.
 
-    Each operator changes each occupancy by at most one, so the sweep of
-    each step keeps only states within the number of steps left of `bra` in
-    every index: the last step sweeps only toward `bra`.  A derivative of
-    order k maps exponent e at its slot to e - k with the count times
-    e (e-1) ... (e-k+1).  `projections` maps a gap g (between S_g and
-    S_{g+1}, 1-based) to (index, occupancy): only states with that
-    occupancy pass the gap.
+    Without a `bra` every reached state is returned.  With one, only its
+    entry is (if reached): each operator changes each occupancy by at most
+    one, so the sweep of each step keeps only states within the number of
+    steps left of `bra` in every index, and the last step sweeps only toward
+    `bra`.  A derivative of order k maps exponent e at its slot to e - k
+    with the count times e (e-1) ... (e-k+1).  `projections` maps a gap g
+    (between S_g and S_{g+1}, 1-based) to (index, occupancy): only states
+    with that occupancy pass the gap.
 
     Inside, an exponent vector is one integer holding e_s + bias in the
     `width` bits from bit width * s, so a move shifts a vector by one
@@ -582,8 +448,24 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: SiteState,
                  if coeff and (keep is None or state[keep[0]] == keep[1])}
         if not combo:
             return {}
-    return {tuple(((key >> (width * s)) & mask) - bias for s in range(n_slots)): c
-            for key, c in combo.get(bra, {}).items()}
+    if bra is not None:
+        combo = {bra: combo[bra]} if bra in combo else {}
+    return {state: {tuple(((key >> (width * s)) & mask) - bias for s in range(n_slots)): c
+                    for key, c in coeff.items()}
+            for state, coeff in combo.items()}
+
+
+def _image(atoms: Sequence[Union[Var, LaurentPoly]], steps: Sequence[ContractStep],
+           ket: KetCombo, cutoff: int) -> KetCombo:
+    """The product of `steps` acting on a combination of states: one engine
+    call per ket state, whose polynomials multiply its coefficient."""
+    out: KetCombo = {}
+    for state, coeff in ket.items():
+        for new, counts in _contract(steps, state, None, cutoff, len(atoms)).items():
+            add = LaurentPoly.from_exponents(atoms, counts) * coeff
+            acc = out.get(new)
+            out[new] = add if acc is None else acc + add
+    return {s: c for s, c in out.items() if not c.is_zero()}
 
 
 # -- partition specifications ---------------------------------------------
@@ -601,6 +483,8 @@ class PartitionSpec:
     layers: Tuple[LayerSpec, ...]
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("need n >= 2 for a nonempty triangle, got %d" % self.n)
         self.layers = tuple(self.layers)
         for spec in self.layers:
             if not 0 <= spec.label <= self.n:
@@ -644,9 +528,10 @@ def inhomogeneous_spec(n: int, labels: Sequence[int]) -> PartitionSpec:
 _RESOLVED: Optional[Convention] = None
 
 
-def _vev_counts(spec: PartitionSpec, convention: Convention
-                ) -> Tuple[List[Union[Var, LaurentPoly]], Counts]:
-    """The vev as binding atoms and exponent vector -> count (`_contract`)."""
+def _layer_steps(spec: PartitionSpec, convention: Convention
+                 ) -> Tuple[List[Union[Var, LaurentPoly]], List[ContractStep]]:
+    """The binding atoms of a stack, one exponent slot each, and its engine
+    steps."""
     n = spec.n
     slots: Dict[Union[Var, LaurentPoly], int] = {}
     steps: List[ContractStep] = []
@@ -668,8 +553,16 @@ def _vev_counts(spec: PartitionSpec, convention: Convention
         if layer.deriv and any(isinstance(a, LaurentPoly) and layer.binding in a.variables()
                                for a in atoms):
             raise ValueError("a derivative variable also occurs in a polynomial binding")
-    vac = vacuum_state(n)
-    return atoms, _contract(steps, vac, vac, len(spec.layers), len(atoms))
+    return atoms, steps
+
+
+def _vev_counts(spec: PartitionSpec, convention: Convention
+                ) -> Tuple[List[Union[Var, LaurentPoly]], Counts]:
+    """The vev as binding atoms and exponent vector -> count (`_contract`)."""
+    atoms, steps = _layer_steps(spec, convention)
+    vac = vacuum_state(spec.n)
+    counts = _contract(steps, vac, vac, len(spec.layers), len(atoms))
+    return atoms, counts.get(vac, {})
 
 
 def _vev(spec: PartitionSpec, convention: Convention) -> LaurentPoly:
@@ -765,9 +658,9 @@ def enumerate_configurations(spec: PartitionSpec,
                              ) -> List[Tuple[Tuple[int, ...], LaurentPoly]]:
     """Contributing global configurations of a scalar spec.
 
-    Each row is (per-layer z-exponents, monomial weight); the weights sum to
-    the vev.  A configuration is one choice of surviving term per layer that
-    returns the vacuum to the vacuum.
+    Each row is (per-layer z-exponents, monomial weight), sorted by the
+    exponents; the weights sum to the vev.  A configuration is one choice of
+    surviving coloring per layer that returns the vacuum to the vacuum.
     """
     if convention is None:
         convention = default_convention()
@@ -776,30 +669,54 @@ def enumerate_configurations(spec: PartitionSpec,
     for layer in spec.layers:
         if layer.deriv:
             raise ValueError("configuration listing needs plain layers")
-    n = spec.n
-    cutoff = len(spec.layers)
-    vac = vacuum_state(n)
+    # one exponent slot per layer, so an exponent vector is a row
+    steps: List[ContractStep] = [(_layer_plan(spec.n, layer.label, convention), t, None)
+                                 for t, layer in enumerate(spec.layers)]
+    vac = vacuum_state(spec.n)
+    counts = _contract(steps, vac, vac, len(steps), len(steps)).get(vac, {})
+    slots: Dict[Union[Var, LaurentPoly], int] = {}
+    layer_slot = [slots.setdefault(layer.binding, len(slots)) for layer in spec.layers]
     rows: List[Tuple[Tuple[int, ...], LaurentPoly]] = []
-    alphas: List[int] = []
-
-    def walk(t: int, state: SiteState, count: int):
-        if t < 0:
-            if state == vac:
-                weight = LaurentPoly.one()
-                for layer, a in zip(spec.layers, alphas):
-                    weight = weight * _as_poly(layer.binding) ** a
-                rows.extend([(tuple(alphas), weight)] * count)
-            return
-        layer = spec.layers[t]
-        for out_state, a, mult in layer_transitions(n, layer.label, convention,
-                                                    state, cutoff):
-            alphas.insert(0, a)
-            walk(t - 1, out_state, count * mult)
-            alphas.pop(0)
-
-    walk(len(spec.layers) - 1, vac, 1)
-    rows.sort(key=lambda row: row[0])
+    for alphas, count in sorted(counts.items()):
+        exps = [0] * len(slots)
+        for s, a in zip(layer_slot, alphas):
+            exps[s] += a
+        weight = LaurentPoly.from_exponents(list(slots), {tuple(exps): 1})
+        rows.extend([(alphas, weight)] * count)
     return rows
+
+
+# -- operator images -------------------------------------------------------
+
+def apply_layer(n: int, label: int, convention: Convention, binding: Binding,
+                deriv: int, ket: KetCombo, cutoff: int) -> KetCombo:
+    """Act with the layer X_label on a combination of occupancy states.
+
+    A scalar binding z weighs each move by z**alpha; a site-map binding (the
+    per-site-variable layer) by prod_s z^{(s)} ** (out_s - in_s).
+    Afterwards the whole coefficients are differentiated `deriv` times in
+    the scalar variable.  Raises CutoffOverflow if a surviving move raises
+    an occupancy past `cutoff`, and ValueError on a state of another width.
+    """
+    if deriv and not isinstance(binding, Var):
+        raise ValueError("derivative layers need a scalar Var binding")
+    _check_width(ket, n * (n - 1) // 2)
+    spec = PartitionSpec(n, (LayerSpec(label, binding),))
+    out = _image(*_layer_steps(spec, convention), ket, cutoff)
+    if deriv:
+        out = {s: c.derivative(binding, deriv) for s, c in out.items()}
+        out = {s: c for s, c in out.items() if not c.is_zero()}
+    return out
+
+
+def apply_stack(spec: PartitionSpec, convention: Convention, ket: SiteState,
+                cutoff: int) -> KetCombo:
+    """The whole layer product of `spec` acting on the basis state `ket`,
+    every reached state with its coefficient, in one engine call.  A
+    derivative layer differentiates the coefficient of the layers right of
+    it and itself, as in `vev`."""
+    _check_width([ket], spec.n * (spec.n - 1) // 2)
+    return _image(*_layer_steps(spec, convention), {tuple(ket): LaurentPoly.one()}, cutoff)
 
 
 # -- column strip operators ------------------------------------------------
@@ -850,7 +767,19 @@ def apply_strip(ell: int, row_vars: Sequence[Union[Var, LaurentPoly]],
     and ValueError on a state of another width.
     """
     _check_width(combo, len(row_vars))
-    return _apply_plan(_column_plan(ell, len(row_vars)), combo, cutoff, row_vars)
+    return _image(*_strip_steps([(ell, row_vars)], len(row_vars)), combo, cutoff)
+
+
+def _strip_steps(layers: Sequence[StripLayer], m: int
+                 ) -> Tuple[List[Union[Var, LaurentPoly]], List[ContractStep]]:
+    """The row variables of width-m strip layers, one exponent slot each,
+    and their engine steps."""
+    slots: Dict[Union[Var, LaurentPoly], int] = {}
+    steps: List[ContractStep] = []
+    for ell, row_vars in layers:
+        weigh = tuple(slots.setdefault(z, len(slots)) for z in row_vars)
+        steps.append((_column_plan(ell, m), weigh, None))
+    return list(slots), steps
 
 
 def strip_vev(layers: Sequence[StripLayer], bra: Tuple[int, ...],
@@ -869,11 +798,8 @@ def strip_vev(layers: Sequence[StripLayer], bra: Tuple[int, ...],
     _check_width([bra], len(ket))
     for _, row_vars in layers:
         _check_width([ket], len(row_vars))
-    slots: Dict[Union[Var, LaurentPoly], int] = {}
-    steps: List[ContractStep] = [
-        (_column_plan(ell, len(ket)),
-         tuple(slots.setdefault(z, len(slots)) for z in row_vars), None)
-        for ell, row_vars in layers]
+    atoms, steps = _strip_steps(layers, len(ket))
     cutoff = len(layers) + max(ket, default=0)
-    counts = _contract(steps, tuple(ket), tuple(bra), cutoff, len(slots), projections)
-    return LaurentPoly.from_exponents(list(slots), counts)
+    bra = tuple(bra)
+    counts = _contract(steps, tuple(ket), bra, cutoff, len(atoms), projections)
+    return LaurentPoly.from_exponents(atoms, counts.get(bra, {}))

@@ -19,7 +19,7 @@ from .fock import check_q0_relations, check_qosc_relations
 from .lattice import TensorKind, local_tensor, q0_limit, tetrahedron_check
 from .network import (
     Convention,
-    apply_layer,
+    apply_stack,
     count_configurations,
     default_convention,
     inhomogeneous_spec,
@@ -227,18 +227,12 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
     for va, vb in itertools.combinations(all_vars, 2):
         full_pair = full_pair * (LaurentPoly.var(va) - LaurentPoly.var(vb))
 
-    def apply_product(label_seq, var_seq, ket_state, cutoff_):
-        combo = {ket_state: LaurentPoly.one()}
-        for label, zv in zip(reversed(label_seq), reversed(var_seq)):
-            combo = apply_layer(n, label, conv, zv, 0, combo, cutoff_)
-        return combo
-
     passed = True
     detail = None
     for ket_state in kets:
         cutoff_ = (cutoff if cutoff is not None
                    else max(ket_state, default=0) + total_layers)
-        lhs = apply_product(labels, all_vars, ket_state, cutoff_)
+        lhs = apply_stack(scalar_spec(n, labels, all_vars), conv, ket_state, cutoff_)
         inv_pref = prefactor ** -1
         lhs = {s: c * inv_pref * full_pair for s, c in lhs.items()}
         rhs: Dict[Tuple[int, ...], LaurentPoly] = {}
@@ -248,7 +242,8 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
             for k in range(len(blocks) - 1, -1, -1):
                 rev_labels.extend([blocks[k][0]] * sizes[k])
                 rev_vars.extend(groups[k])
-            contrib = apply_product(rev_labels, rev_vars, ket_state, cutoff_)
+            contrib = apply_stack(scalar_spec(n, rev_labels, rev_vars), conv,
+                                  ket_state, cutoff_)
             for s, c in contrib.items():
                 add = c * multiplier
                 acc = rhs.get(s)

@@ -80,11 +80,16 @@ def test_usage_errors(capsys, tmp_path):
         ("compute", "--n", "2", "--labels", "1", "--blocks", "1:1"),
         ("compute", "--n", "3", "--labels", "2,1", "--deriv", "1"),
         ("enumerate", "--n", "3", "--labels", "1", "--blocks", "0:0"),
+        ("compute", "--n", "1", "--labels", "1"),          # n < 2
+        ("compute", "--n", "0", "--labels", "0"),
+        ("compute", "--n", "-3", "--labels", "0"),
     ]
     for argv in cases:
         code, _, err = run(capsys, tmp_path, *argv)
         assert code == 1, argv
-        assert err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    _, _, err = run(capsys, tmp_path, "compute", "--n", "-3", "--labels", "0")
+    assert "n >= 2" in err
 
 
 def test_argparse_remap_exit_codes(capsys, tmp_path):
@@ -208,3 +213,18 @@ def test_cache_key_covers_the_resolution_sources(tmp_path, monkeypatch):
         assert cli._code_key() != base, name
         (tmp_path / name).write_text(original)
     assert cli._code_key() == base
+
+
+def test_verify_all_json_matches_fixture(capsys, tmp_path):
+    """`verify all --format json` equals tests/data/verify_all.json apart
+    from each report's `seconds`: the battery's output is a regression gate.
+    A change meant to alter that output rewrites the file as this test
+    renders it (indent 2, sorted keys, `seconds` removed)."""
+    code, out, _ = run(capsys, tmp_path, "verify", "all", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    for report in reports:
+        del report["seconds"]
+    path = os.path.join(os.path.dirname(__file__), "data", "verify_all.json")
+    with open(path) as fh:
+        assert json.dumps(reports, indent=2, sort_keys=True) + "\n" == fh.read()

@@ -1,9 +1,11 @@
 """Slice-network layer operators: convention resolution, enumeration,
 exact contraction, and the one-column strip operators."""
 
+import functools
 import itertools
 from collections import Counter
 from collections.abc import Mapping
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,17 +17,17 @@ from trivertex.network import (
     Convention,
     InvalidLabels,
     LayerSpec,
-    LayerTerm,
     NoConventionFound,
     PartitionSpec,
     all_conventions,
     apply_layer,
+    apply_stack,
     apply_strip,
     count_configurations,
     default_convention,
     enumerate_configurations,
-    enumerate_layer_terms,
     fixed_colors,
+    input_stubs,
     inhomogeneous_spec,
     layer_transitions,
     resolve_convention,
@@ -35,6 +37,7 @@ from trivertex.network import (
     strip_vev,
     vacuum_state,
     vev,
+    weighted_stubs,
 )
 from trivertex.poly import LaurentPoly, Var
 
@@ -54,6 +57,94 @@ def row_vars(t, m):
 
 
 # -- the term route: every coloring of enumerate_layer_terms, one by one ----
+
+@dataclass(frozen=True)
+class LayerTerm:
+    """One surviving coloring: its z-exponent and per-site local operators
+    (aligned with the canonical site order)."""
+
+    alpha: int
+    ops: tuple
+
+
+def r0_by_input():
+    """(h_in, v_in) -> [(h_out, v_out, local operator)] of the R0 tensor."""
+    by_in = {}
+    for (ii, jj, aa, bb), (_, op) in sorted(local_tensor(TensorKind.R0).items()):
+        by_in.setdefault((ii, jj), []).append((aa, bb, op))
+    return by_in
+
+
+R0_BY_INPUT = r0_by_input()
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_layer_terms(n, i, convention):
+    """All surviving colorings of the layer with label i, as LayerTerms.
+
+    Depth-first sweep over sites, bottom row first and along the horizontal
+    flow within each row, so both input edges of a site are always known
+    when it is reached; colorings hitting a zero tensor entry or violating a
+    fixed output stub are pruned immediately.
+    """
+    canon = sites(n)
+    index = {s: j for j, s in enumerate(canon)}
+    fixed = fixed_colors(n, i, convention)
+    free_inputs = {e for e in input_stubs(n, convention) if e not in fixed}
+    residual_values = (0, 1) if convention.residual == "sum" else (0,)
+    weighted = weighted_stubs(n, convention)
+    west_flow = convention.flow == "we"
+
+    order = []
+    for k in range(n - 1, 0, -1):
+        row = [(k, l) for l in range(1, n - k + 1)]
+        order.extend(row if west_flow else reversed(row))
+
+    colors = dict(fixed)
+    ops = [None] * len(canon)
+    results = []
+
+    def sweep(t):
+        if t == len(order):
+            alpha = sum(colors[e] for e in weighted)
+            results.append(LayerTerm(alpha, tuple(ops)))
+            return
+        k, l = order[t]
+        h_in = ("h", k, l - 1) if west_flow else ("h", k, l)
+        h_out = ("h", k, l) if west_flow else ("h", k, l - 1)
+        v_in = ("v", k, l)
+        v_out = ("v", k - 1, l)
+        j = colors[v_in]
+        if h_in in colors:
+            h_choices = (colors[h_in],)
+            fresh = False
+        else:
+            assert h_in in free_inputs, "edge %r reached before assignment" % (h_in,)
+            h_choices = residual_values
+            fresh = True
+        for hv in h_choices:
+            for aa, bb, op in R0_BY_INPUT.get((hv, j), ()):
+                if h_out in colors and colors[h_out] != aa:
+                    continue
+                if v_out in colors and colors[v_out] != bb:
+                    continue
+                wrote = []
+                if fresh:
+                    colors[h_in] = hv
+                    wrote.append(h_in)
+                for e, c in ((h_out, aa), (v_out, bb)):
+                    if e not in colors:
+                        colors[e] = c
+                        wrote.append(e)
+                ops[index[(k, l)]] = op
+                sweep(t + 1)
+                for e in wrote:
+                    del colors[e]
+        ops[index[(k, l)]] = None
+
+    sweep(0)
+    return tuple(results)
+
 
 def term_image(term, state, cutoff):
     """The occupancy state one coloring maps `state` to, or None."""
@@ -306,6 +397,7 @@ def test_per_site_binding_collapses_to_scalar():
 
 def test_configuration_listing():
     rows = enumerate_configurations(scalar_spec(4, (3, 3, 1)))
+    assert rows == term_configurations(scalar_spec(4, (3, 3, 1)), default_convention())
     assert len(rows) == 3
     weights = sorted(str(w) for _, w in rows)
     assert weights == sorted(["z1^3 z2^2 z3^2", "z1^3 z2^3 z3", "z1^2 z2^3 z3^2"])
@@ -509,6 +601,30 @@ def term_moves(n, i, conv, state, cutoff):
     return moves
 
 
+def term_configurations(spec, conv):
+    """The configuration rows of a scalar spec by the term route: every
+    coloring of each layer, right to left from the vacuum, one row per path
+    back to the vacuum, weighted by prod_t binding_t ** alpha_t; sorted."""
+    n, cutoff = spec.n, len(spec.layers)
+    vac = vacuum_state(n)
+    paths = {vac: Counter({(): 1})}  # state -> Counter(alphas of the layers so far)
+    for layer in reversed(spec.layers):
+        reached = {}
+        for state, tails in paths.items():
+            for (out, alpha), mult in term_moves(n, layer.label, conv, state, cutoff).items():
+                acc = reached.setdefault(out, Counter())
+                for tail, c in tails.items():
+                    acc[(alpha,) + tail] += c * mult
+        paths = reached
+    rows = []
+    for alphas, count in sorted(paths.get(vac, Counter()).items()):
+        weight = LaurentPoly.one()
+        for layer, a in zip(spec.layers, alphas):
+            weight = weight * as_poly(layer.binding) ** a
+        rows.extend([(alphas, weight)] * count)
+    return rows
+
+
 def test_sweep_matches_term_kernel():
     default = default_convention()
     cases = [(n, conv, 3) for n in (2, 3) for conv in all_conventions()]
@@ -567,6 +683,8 @@ def small_stacks(draw):
                            LayerSpec(1, site_binding(4, 3))]))
 @example(PartitionSpec(5, [LayerSpec(4, Z[0], 1), LayerSpec(3, Z[0], 2),
                            LayerSpec(1, Z[1])]))
+# s_(2,1)(z1, z2, z3) has z1 z2 z3 twice: a configuration row that repeats
+@example(scalar_spec(4, (4, 2, 0)))
 def test_stack_vev_matches_term_route(spec):
     conv = default_convention()
     n, cutoff = spec.n, len(spec.layers)
@@ -578,11 +696,13 @@ def test_stack_vev_matches_term_route(spec):
         lib = apply_layer(n, layer.label, conv, layer.binding, layer.deriv, lib, cutoff)
     expected = ket.get(vac, LaurentPoly.zero())
     assert lib.get(vac, LaurentPoly.zero()) == expected
+    assert apply_stack(spec, conv, vac, cutoff) == ket
     value = vev(spec, conv)
     assert value == expected
     if spec.all_scalar:
         plain = PartitionSpec(n, [LayerSpec(l.label, l.binding) for l in spec.layers])
         rows = enumerate_configurations(plain, conv)
+        assert rows == term_configurations(plain, conv)
         total = LaurentPoly.zero()
         for _, w in rows:
             total = total + w
