@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
+from .lattice import CutoffTooSmall
 from .network import (
     Convention,
     enumerate_configurations,
@@ -26,7 +27,7 @@ from .network import (
     vev,
 )
 from .poly import LaurentPoly, Var, parse_var_name
-from .verify import GROUPS, reports_to_json, run_battery
+from .verify import GROUPS, check_tetrahedron, reports_to_json, run_battery
 
 
 class UsageError(Exception):
@@ -266,10 +267,14 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.cutoff is not None and args.group != "tetrahedron":
+        raise UsageError("--cutoff applies to the tetrahedron group only")
     load_or_resolve_convention(args.cache_path, not args.no_cache)
-    if args.group == "tetrahedron" and args.cutoff:
-        from .verify import check_tetrahedron
-        reports = [check_tetrahedron(args.cutoff)]
+    if args.cutoff is not None:
+        try:
+            reports = [check_tetrahedron(args.cutoff)]
+        except CutoffTooSmall as exc:
+            raise UsageError(str(exc))
     else:
         reports = run_battery(args.group)
     failures = [r for r in reports if not r.passed]
@@ -327,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("group", nargs="?", default="all",
                           choices=("all",) + GROUPS)
     p_verify.add_argument("--cutoff", type=int, default=None,
-                          help="occupancy cutoff for the tetrahedron group "
-                               "(other groups pick exact cutoffs themselves)")
+                          help="occupancy cutoff (at least 3) for the tetrahedron "
+                               "group only; other groups pick exact cutoffs "
+                               "themselves")
     add_common(p_verify, with_spec=False)
     p_verify.set_defaults(func=cmd_verify)
 

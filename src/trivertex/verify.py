@@ -19,11 +19,16 @@ from .fock import check_q0_relations, check_qosc_relations
 from .lattice import TensorKind, local_tensor, q0_limit, tetrahedron_check
 from .network import (
     Convention,
+    LayerPlan,
+    PatternMove,
+    _layer_plan,
+    _occupancy_masks,
+    _pattern_moves,
+    _unpack_delta,
     apply_stack,
     count_configurations,
     default_convention,
     inhomogeneous_spec,
-    layer_transitions,
     scalar_spec,
     strip_vev,
     vev,
@@ -78,62 +83,104 @@ def _mismatch(lhs: LaurentPoly, rhs: LaurentPoly) -> dict:
 
 # -- exchange relations ----------------------------------------------------
 
-def _product_map(n: int, conv: Convention, outer: int, inner: int,
-                 state: Tuple[int, ...], cutoff: int) -> Dict[tuple, int]:
-    """Integer path map for X_outer(u) X_inner(v) |state>: keys are
-    (out_state, exponent of u, exponent of v)."""
+# A move table per layer label: its sweep plan and occupied set -> moves,
+# filled on demand by `_pattern_moves` and shared by the kets of one check.
+ZfTables = Dict[int, Tuple[LayerPlan, Dict[int, List[PatternMove]]]]
+
+
+def _zf_tables(n: int, conv: Convention, labels: Iterable[int]) -> ZfTables:
+    return {label: (_layer_plan(n, label, conv), {}) for label in labels}
+
+
+def _product_map(tables: ZfTables, width: int, outer: int, inner: int, mask: int,
+                 ones: int) -> Dict[tuple, int]:
+    """Integer path map for X_outer(u) X_inner(v) on a ket whose occupied
+    indices and indices holding exactly one are the sets `mask` and `ones`
+    (`_occupancy_masks`): keys are (packed occupancy change, exponent of u,
+    exponent of v)."""
+    plan_in, table_in = tables[inner]
+    plan_out, table_out = tables[outer]
+    moves_in = table_in.get(mask)
+    if moves_in is None:
+        moves_in = table_in[mask] = _pattern_moves(plan_in, mask, width)
     acc: Dict[tuple, int] = {}
-    for mid, a_in, c_in in layer_transitions(n, inner, conv, state, cutoff):
-        for out, a_out, c_out in layer_transitions(n, outer, conv, mid, cutoff):
-            key = (out, a_out, a_in)
+    for up, down, d_in, a_in, c_in in moves_in:
+        mid = (mask | up) & ~(down & ones)
+        moves_out = table_out.get(mid)
+        if moves_out is None:
+            moves_out = table_out[mid] = _pattern_moves(plan_out, mid, width)
+        for _, _, d_out, a_out, c_out in moves_out:
+            key = (d_in + d_out, a_out, a_in)
             acc[key] = acc.get(key, 0) + c_in * c_out
     return acc
 
 
 def _zf_sides(n: int, conv: Convention, i: int, j: int, state: Tuple[int, ...],
-              cutoff: int) -> Tuple[Dict[tuple, int], Dict[tuple, int]]:
-    # left side X_i(x) X_j(y); keys (out, e_x, e_y)
-    lhs = _product_map(n, conv, i, j, state, cutoff)
-    rhs: Dict[tuple, int] = {}
+              cutoff: int, tables: Optional[ZfTables] = None
+              ) -> Tuple[Dict[tuple, int], Dict[tuple, int]]:
+    """Both sides of the exchange relation for the pair (i, j) on `state`:
+    X_i(x) X_j(y) on the left; X_i(y) X_j(x) for i = j, (x/y) X_i(y) X_j(x)
+    for i > j and X_i(y) X_j(x) + (1 - x/y) X_j(y) X_i(x) for i < j on the
+    right.  Keys are (packed occupancy change, e_x, e_y): every term of one
+    ket reaches the ket plus its change (`_zf_key` decodes a key).
 
-    def add(key, c):
-        v = rhs.get(key, 0) + c
-        if v:
-            rhs[key] = v
-        else:
-            rhs.pop(key, None)
-
-    # X_i(y) X_j(x) for i <= j, (x/y) X_i(y) X_j(x) for i > j
+    `tables` (`_zf_tables` for i and j) may be shared across kets.  The
+    state must lie in `check_zf`'s box, occupancies at most cutoff-2, where
+    no move can reach the cutoff.
+    """
+    if max(state) > cutoff - 2:
+        raise ValueError("state %r outside the ket box of cutoff %d" % (state, cutoff))
+    if tables is None:
+        tables = _zf_tables(n, conv, (i, j))
+    width = len(state)
+    mask, ones = _occupancy_masks(state)
+    lhs = _product_map(tables, width, i, j, mask, ones)
     shift = 1 if i > j else 0
-    for (out, a_out, a_in), c in lhs.items():
-        add((out, a_in + shift, a_out - shift), c)
+    rhs = {(d, a_in + shift, a_out - shift): c for (d, a_out, a_in), c in lhs.items()}
     if i < j:
-        # + (1 - x/y) X_j(y) X_i(x)
-        for (out, a_out, a_in), c in _product_map(n, conv, j, i, state, cutoff).items():
-            add((out, a_in, a_out), c)
-            add((out, a_in + 1, a_out - 1), -c)
-    lhs = {k: c for k, c in lhs.items() if c}
+        for (d, a_out, a_in), c in _product_map(tables, width, j, i, mask, ones).items():
+            key = (d, a_in, a_out)
+            rhs[key] = rhs.get(key, 0) + c
+            key = (d, a_in + 1, a_out - 1)
+            rhs[key] = rhs.get(key, 0) - c
+        rhs = {key: c for key, c in rhs.items() if c}
     return lhs, rhs
+
+
+def _zf_key(state: Tuple[int, ...], key: tuple) -> tuple:
+    """A `_zf_sides` key of the ket `state` as (out_state, e_x, e_y)."""
+    delta, e_x, e_y = key
+    out = tuple(m + d for m, d in zip(state, _unpack_delta(delta, len(state))))
+    return out, e_x, e_y
 
 
 def check_zf(n: int, pair: Tuple[int, int], cutoff: int = 4,
              varpair: Tuple[str, str] = ("x", "y"),
              convention: Optional[Convention] = None) -> CheckReport:
     """Exchange relation for the pair (i, j) on every basis ket with
-    occupancy at most cutoff-2."""
+    occupancy at most cutoff-2; ValueError for cutoff < 2, whose box is
+    empty.
+
+    Each layer is swept once per occupied set a ket or a middle state
+    shows (`_pattern_moves`), in tables local to the call."""
     t0 = time.perf_counter()
+    if cutoff < 2:
+        raise ValueError("the ket box of cutoff %d is empty; need cutoff >= 2" % cutoff)
     conv = convention or default_convention()
     i, j = pair
     width = n * (n - 1) // 2
+    tables = _zf_tables(n, conv, (i, j))
     detail = None
     passed = True
     for state in itertools.product(range(cutoff - 1), repeat=width):
-        lhs, rhs = _zf_sides(n, conv, i, j, state, cutoff)
+        lhs, rhs = _zf_sides(n, conv, i, j, state, cutoff, tables)
         if lhs != rhs:
             passed = False
-            diff = sorted(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
-            detail = {"state": state, "vars": varpair, "key": diff[0],
-                      "lhs": lhs.get(diff[0], 0), "rhs": rhs.get(diff[0], 0),
+            diff = sorted((_zf_key(state, k), k) for k in lhs.keys() | rhs.keys()
+                          if lhs.get(k) != rhs.get(k))
+            key, raw = diff[0]
+            detail = {"state": state, "vars": varpair, "key": key,
+                      "lhs": lhs.get(raw, 0), "rhs": rhs.get(raw, 0),
                       "diff_terms": len(diff)}
             break
     return _report("zf", {"n": n, "i": i, "j": j, "cutoff": cutoff}, passed,

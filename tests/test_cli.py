@@ -92,6 +92,23 @@ def test_usage_errors(capsys, tmp_path):
     assert "n >= 2" in err
 
 
+def test_verify_cutoff_handling(capsys, tmp_path):
+    # a cutoff below 3 is an error, 0 included, never a silent default
+    for value in ("0", "1", "-3"):
+        code, out, err = run(capsys, tmp_path, "verify", "tetrahedron", "--cutoff", value)
+        assert (code, out) == (1, ""), value
+        assert err == "error: tetrahedron check needs cutoff >= 3\n", value
+    # only the tetrahedron group takes a cutoff
+    for group in ("hat", "zf", "all"):
+        code, out, err = run(capsys, tmp_path, "verify", group, "--cutoff", "9")
+        assert (code, out) == (1, ""), group
+        assert err == "error: --cutoff applies to the tetrahedron group only\n", group
+    code, out, _ = run(capsys, tmp_path, "verify", "tetrahedron", "--cutoff", "3")
+    assert code == 0
+    assert out.splitlines() == ['PASS tetrahedron              {"cutoff": 3}',
+                                "1 checks, 0 failed"]
+
+
 def test_argparse_remap_exit_codes(capsys, tmp_path):
     code, _, _ = run(capsys, tmp_path, "compute", "--n", "2",
                      "--labels", "1", "--format", "bogus")

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from trivertex import verify
 from trivertex.fock import CutoffOverflow, LocalOp
 from trivertex.lattice import TensorKind, local_tensor
 from trivertex.network import (
@@ -19,6 +20,12 @@ from trivertex.network import (
     LayerSpec,
     NoConventionFound,
     PartitionSpec,
+    _layer_plan,
+    _occupancy_masks,
+    _pack_delta,
+    _pattern_moves,
+    _sweep,
+    _unpack_delta,
     all_conventions,
     apply_layer,
     apply_stack,
@@ -647,6 +654,100 @@ def test_transition_cache_is_bounded():
         assert all(isinstance(move, tuple) and isinstance(move[0], tuple)
                    for move in moves)
     assert layer_transitions.cache_info().currsize == limit
+
+
+def index_set(flags):
+    """The set of indices whose flag holds, in the layout of `_pattern_moves`:
+    bit 3 p for index p."""
+    return sum(1 << (3 * p) for p, f in enumerate(flags) if f)
+
+
+def test_pattern_moves_shift_the_sweep():
+    # the moves on a 0/1 pattern, shifted onto any state with that occupied
+    # set, are the sweep's moves there, and overflow where the sweep does
+    default = default_convention()
+    cases = [(n, conv, 4) for n in (2, 3) for conv in all_conventions()] + [(4, default, 3)]
+    for n, conv, levels in cases:
+        width = n * (n - 1) // 2
+        for i in range(n + 1):
+            plan = _layer_plan(n, i, conv)
+            for state in itertools.product(range(levels), repeat=width):
+                mask, ones = _occupancy_masks(state)
+                assert ones == index_set(m == 1 for m in state)
+                for cutoff in (2, 3):
+                    full = index_set(m >= cutoff for m in state)
+                    try:
+                        want = _sweep(plan, state, cutoff)
+                    except CutoffOverflow:
+                        want = None
+                    try:
+                        moves = _pattern_moves(plan, mask, width, full)
+                    except CutoffOverflow:
+                        assert want is None, (n, conv, i, state, cutoff)
+                        continue
+                    got = Counter()
+                    for up, down, delta, alpha, mult in moves:
+                        change = _unpack_delta(delta, width)
+                        assert up == index_set(d > 0 for d in change)
+                        assert down == index_set(d < 0 for d in change)
+                        got[(tuple(m + d for m, d in zip(state, change)), alpha)] += mult
+                    assert got == want, (n, conv, i, state, cutoff)
+
+
+def test_delta_packing_roundtrip():
+    for change in itertools.product(range(-4, 4), repeat=3):
+        assert _unpack_delta(_pack_delta(change), 3) == change
+    # a sum of two moves is the packing of the summed changes
+    assert _pack_delta((1, -1, 0)) + _pack_delta((1, 0, -1)) == _pack_delta((2, -1, -1))
+
+
+@functools.lru_cache(maxsize=None)
+def cached_term_moves(n, i, conv, state, cutoff):
+    return term_moves(n, i, conv, state, cutoff)
+
+
+def term_product_map(n, conv, outer, inner, state, cutoff):
+    """X_outer(u) X_inner(v) |state> by the coloring list: (out_state, e_u,
+    e_v) -> count."""
+    acc = Counter()
+    for (mid, a_in), c_in in cached_term_moves(n, inner, conv, state, cutoff).items():
+        for (out, a_out), c_out in cached_term_moves(n, outer, conv, mid, cutoff).items():
+            acc[(out, a_out, a_in)] += c_in * c_out
+    return acc
+
+
+def term_zf_sides(n, conv, i, j, state, cutoff):
+    """Both sides of the exchange relation for (i, j) on `state` by the
+    coloring list, keyed (out_state, e_x, e_y)."""
+    lhs = term_product_map(n, conv, i, j, state, cutoff)
+    rhs = Counter()
+    # X_i(y) X_j(x), times x/y when i > j
+    shift = 1 if i > j else 0
+    for (out, a_out, a_in), c in lhs.items():
+        rhs[(out, a_in + shift, a_out - shift)] += c
+    if i < j:
+        # + (1 - x/y) X_j(y) X_i(x)
+        for (out, a_out, a_in), c in term_product_map(n, conv, j, i, state, cutoff).items():
+            rhs[(out, a_in, a_out)] += c
+            rhs[(out, a_in + 1, a_out - 1)] -= c
+    return dict(lhs), {k: c for k, c in rhs.items() if c}
+
+
+def test_zf_sides_match_term_route():
+    conv = default_convention()
+    cases = [(n, (i, j)) for n in (2, 3) for i in range(n + 1) for j in range(n + 1)]
+    cases.append((4, (1, 3)))
+    for n, (i, j) in cases:
+        tables = verify._zf_tables(n, conv, (i, j))
+        for state in itertools.product(range(3), repeat=n * (n - 1) // 2):
+            sides = verify._zf_sides(n, conv, i, j, state, 4, tables)
+            got = tuple({verify._zf_key(state, k): c for k, c in side.items()}
+                        for side in sides)
+            assert got == term_zf_sides(n, conv, i, j, state, 4), (n, (i, j), state)
+    # without shared tables the sides are the same
+    state = (1, 0, 2)
+    assert verify._zf_sides(3, conv, 2, 1, state, 4) == verify._zf_sides(
+        3, conv, 2, 1, state, 4, verify._zf_tables(3, conv, (2, 1)))
 
 
 def test_sweep_overflow_at_cutoff():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from trivertex import verify
+from trivertex.network import _pack_delta
 from trivertex.poly import LaurentPoly, Var
 from trivertex.verify import (
     check_average_ratio,
@@ -196,9 +197,19 @@ def test_failing_report_carries_capped_diff(monkeypatch):
     json.dumps(r.to_obj())
 
 
+def test_zf_rejects_an_empty_ket_box():
+    # cutoff c checks the kets with occupancies below c - 1: none for c < 2
+    for cutoff in (1, 0, -2):
+        with pytest.raises(ValueError, match="empty"):
+            check_zf(2, (0, 1), cutoff=cutoff)
+    assert_pass(check_zf(2, (0, 1), cutoff=2))
+
+
 def test_failing_zf_report_names_first_differing_key(monkeypatch):
-    sides = ({((1,), 1, 0): 2, ((0,), 0, 0): 1, ((2,), 1, 1): 1},
-             {((1,), 1, 0): 3, ((0,), 0, 0): 1})
+    # keys of the ket (0,): the change to out_state, packed, then e_x, e_y
+    sides = ({(_pack_delta((1,)), 1, 0): 2, (_pack_delta((0,)), 0, 0): 1,
+              (_pack_delta((2,)), 1, 1): 1},
+             {(_pack_delta((1,)), 1, 0): 3, (_pack_delta((0,)), 0, 0): 1})
     monkeypatch.setattr(verify, "_zf_sides", lambda *args: sides)
     r = check_zf(2, (0, 1), cutoff=3)
     assert not r.passed
