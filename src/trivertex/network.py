@@ -27,12 +27,11 @@ it; without one it returns every reached state.
 
 The exception is the exchange-relation check `verify.check_zf`, which needs
 every state a two-layer product reaches from every ket of a box.  Without a
-target a sweep reads an occupancy only through whether it is positive, so
-`_pattern_moves` sweeps a layer once per occupied set and returns its moves
-as packed occupancy changes, valid for every state with that set.  The check
-keeps one table of such moves per label for the length of a call: the `zf`
-group sweeps 2875 times, where one engine call per ket swept 114292 times
-and a memo of moves per (label, state) 12452 times.
+target `_sweep` reads an occupancy only through whether it is positive, so
+the check sweeps a layer once per occupied set (`verify._pattern_moves`) and
+keeps the moves, as packed occupancy changes, for the length of a call: the
+`zf` group sweeps 2875 times, where one engine call per ket swept 114292
+times and a memo of moves per (label, state) 12452 times.
 
 The pictures defining the boundary geometry admit several readings; the
 `Convention` type records one reading and `resolve_convention` selects the
@@ -43,7 +42,6 @@ values.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -361,78 +359,11 @@ def layer_transitions(n: int, i: int, convention: Convention, state: SiteState,
     `state`, memoized with a bound; flat triples keep the memo small.
 
     A public single-layer view of `_sweep`; no library route calls it.
-    `verify.check_zf` sweeps once per occupied set instead (`_pattern_moves`).
+    `verify.check_zf` sweeps once per occupied set instead
+    (`verify._pattern_moves`).
     """
     moves = _sweep(_layer_plan(n, i, convention), state, cutoff)
     return tuple((out, alpha, mult) for (out, alpha), mult in moves.items())
-
-
-# Packed occupancies and index sets.  An occupancy change d_p at index p
-# adds d_p << (3 p); digits stay within -4..3 for a sum of up to three moves,
-# where the packing is unique and `_unpack_delta` reads it back.  A set of
-# indices is the bitmask with bit 3 p for index p, the low bit of p's field,
-# so a change and the indices it raises or lowers share one layout.
-_DELTA_BITS = 3
-
-
-def _pack_delta(delta: Sequence[int]) -> int:
-    return sum(d << (_DELTA_BITS * p) for p, d in enumerate(delta))
-
-
-def _unpack_delta(packed: int, width: int) -> Tuple[int, ...]:
-    digits = []
-    half, mask = 1 << (_DELTA_BITS - 1), (1 << _DELTA_BITS) - 1
-    for _ in range(width):
-        d = ((packed + half) & mask) - half
-        digits.append(d)
-        packed = (packed - d) >> _DELTA_BITS
-    return tuple(digits)
-
-
-def _occupancy_masks(state: SiteState) -> Tuple[int, int]:
-    """The indices of `state` that are occupied, and those holding exactly
-    one, as index sets."""
-    mask = ones = 0
-    bit = 1
-    for m in state:
-        if m:
-            mask |= bit
-            if m == 1:
-                ones |= bit
-        bit <<= _DELTA_BITS
-    return mask, ones
-
-
-# One move on an occupied set: (raised indices, lowered indices, packed
-# occupancy change, alpha, multiplicity).
-PatternMove = Tuple[int, int, int, int, int]
-
-
-def _pattern_moves(plan: LayerPlan, mask: int, width: int, full: int = 0
-                   ) -> List[PatternMove]:
-    """The moves of `plan` on every state of `width` indices whose occupied
-    indices are the set `mask`, by one sweep of its 0/1 pattern.
-
-    Without a target `_sweep` reads an occupancy only through m > 0, and a
-    move changes each occupancy by -1, 0 or +1, so the moves on any such
-    state are the moves on its pattern, shifted by the same changes.  `full`
-    is the set of indices at or past the cutoff: a move raising one of them
-    raises CutoffOverflow, as `_sweep` would on the state itself.
-    """
-    weights = [1 << (_DELTA_BITS * p) for p in range(width)]
-    pattern = tuple((mask >> (_DELTA_BITS * p)) & 1 for p in range(width))
-    units = sum(weights)
-    moves: List[PatternMove] = []
-    # a 0/1 pattern never reaches cutoff 2; `full` is the real guard
-    for (out, alpha), mult in _sweep(plan, pattern, 2).items():
-        # the pattern packs to `mask`, so each field holds its change plus
-        # one: 0 where lowered, 1 where kept, 2 where raised
-        fields = sum(map(operator.mul, out, weights)) - mask + units
-        raised = (fields >> 1) & units
-        if raised & full:
-            raise CutoffOverflow("internal: occupancy exceeded the layer budget")
-        moves.append((raised, units & ~(fields | raised), fields - units, alpha, mult))
-    return moves
 
 
 # -- the contraction engine -------------------------------------------------

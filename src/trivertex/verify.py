@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -20,11 +21,8 @@ from .lattice import TensorKind, local_tensor, q0_limit, tetrahedron_check
 from .network import (
     Convention,
     LayerPlan,
-    PatternMove,
     _layer_plan,
-    _occupancy_masks,
-    _pattern_moves,
-    _unpack_delta,
+    _sweep,
     apply_stack,
     count_configurations,
     default_convention,
@@ -83,6 +81,68 @@ def _mismatch(lhs: LaurentPoly, rhs: LaurentPoly) -> dict:
 
 # -- exchange relations ----------------------------------------------------
 
+# Packed occupancies and index sets.  An occupancy change d_p at index p
+# adds d_p << (3 p); digits stay within -4..3 for a sum of up to three moves,
+# where the packing is unique and `_unpack_delta` reads it back.  A set of
+# indices is the bitmask with bit 3 p for index p, the low bit of p's field,
+# so a change and the indices it raises or lowers share one layout.
+_DELTA_BITS = 3
+
+
+def _unpack_delta(packed: int, width: int) -> Tuple[int, ...]:
+    digits = []
+    half, mask = 1 << (_DELTA_BITS - 1), (1 << _DELTA_BITS) - 1
+    for _ in range(width):
+        d = ((packed + half) & mask) - half
+        digits.append(d)
+        packed = (packed - d) >> _DELTA_BITS
+    return tuple(digits)
+
+
+def _occupancy_masks(state: Tuple[int, ...]) -> Tuple[int, int]:
+    """The indices of `state` that are occupied, and those holding exactly
+    one, as index sets."""
+    mask = ones = 0
+    bit = 1
+    for m in state:
+        if m:
+            mask |= bit
+            if m == 1:
+                ones |= bit
+        bit <<= _DELTA_BITS
+    return mask, ones
+
+
+# One move on an occupied set: (raised indices, lowered indices, packed
+# occupancy change, alpha, multiplicity).
+PatternMove = Tuple[int, int, int, int, int]
+
+
+def _pattern_moves(plan: LayerPlan, mask: int, width: int) -> List[PatternMove]:
+    """The moves of `plan` on every state of `width` indices whose occupied
+    indices are the set `mask`, by one sweep of its 0/1 pattern.
+
+    Without a target `_sweep` reads an occupancy only through m > 0, and a
+    move changes each occupancy by -1, 0 or +1, so the moves on any such
+    state are the moves on its pattern, shifted by the same changes.  They
+    are `_sweep`'s moves wherever it would not overflow; the cutoff is the
+    caller's to keep (`_zf_sides` takes kets at most cutoff-2, from which
+    two layers never pass the cutoff).
+    """
+    weights = [1 << (_DELTA_BITS * p) for p in range(width)]
+    pattern = tuple((mask >> (_DELTA_BITS * p)) & 1 for p in range(width))
+    units = sum(weights)
+    moves: List[PatternMove] = []
+    # a 0/1 pattern never passes cutoff 2
+    for (out, alpha), mult in _sweep(plan, pattern, 2).items():
+        # the pattern packs to `mask`, so each field holds its change plus
+        # one: 0 where lowered, 1 where kept, 2 where raised
+        fields = sum(map(operator.mul, out, weights)) - mask + units
+        raised = (fields >> 1) & units
+        moves.append((raised, units & ~(fields | raised), fields - units, alpha, mult))
+    return moves
+
+
 # A move table per layer label: its sweep plan and occupied set -> moves,
 # filled on demand by `_pattern_moves` and shared by the kets of one check.
 ZfTables = Dict[int, Tuple[LayerPlan, Dict[int, List[PatternMove]]]]
@@ -115,23 +175,20 @@ def _product_map(tables: ZfTables, width: int, outer: int, inner: int, mask: int
     return acc
 
 
-def _zf_sides(n: int, conv: Convention, i: int, j: int, state: Tuple[int, ...],
-              cutoff: int, tables: Optional[ZfTables] = None
-              ) -> Tuple[Dict[tuple, int], Dict[tuple, int]]:
+def _zf_sides(tables: ZfTables, i: int, j: int, state: Tuple[int, ...],
+              cutoff: int) -> Tuple[Dict[tuple, int], Dict[tuple, int]]:
     """Both sides of the exchange relation for the pair (i, j) on `state`:
     X_i(x) X_j(y) on the left; X_i(y) X_j(x) for i = j, (x/y) X_i(y) X_j(x)
     for i > j and X_i(y) X_j(x) + (1 - x/y) X_j(y) X_i(x) for i < j on the
     right.  Keys are (packed occupancy change, e_x, e_y): every term of one
     ket reaches the ket plus its change (`_zf_key` decodes a key).
 
-    `tables` (`_zf_tables` for i and j) may be shared across kets.  The
-    state must lie in `check_zf`'s box, occupancies at most cutoff-2, where
-    no move can reach the cutoff.
+    `tables` (`_zf_tables` for i and j) is shared across the kets of a
+    check.  The state must lie in `check_zf`'s box, occupancies at most
+    cutoff-2, where no move can pass the cutoff.
     """
     if max(state) > cutoff - 2:
         raise ValueError("state %r outside the ket box of cutoff %d" % (state, cutoff))
-    if tables is None:
-        tables = _zf_tables(n, conv, (i, j))
     width = len(state)
     mask, ones = _occupancy_masks(state)
     lhs = _product_map(tables, width, i, j, mask, ones)
@@ -173,7 +230,7 @@ def check_zf(n: int, pair: Tuple[int, int], cutoff: int = 4,
     detail = None
     passed = True
     for state in itertools.product(range(cutoff - 1), repeat=width):
-        lhs, rhs = _zf_sides(n, conv, i, j, state, cutoff, tables)
+        lhs, rhs = _zf_sides(tables, i, j, state, cutoff)
         if lhs != rhs:
             passed = False
             diff = sorted((_zf_key(state, k), k) for k in lhs.keys() | rhs.keys()

@@ -1,9 +1,11 @@
+import itertools
 import json
+from collections import Counter
 
 import pytest
 
 from trivertex import verify
-from trivertex.network import _pack_delta
+from trivertex.network import _layer_plan, _sweep, all_conventions, default_convention
 from trivertex.poly import LaurentPoly, Var
 from trivertex.verify import (
     check_average_ratio,
@@ -205,11 +207,51 @@ def test_zf_rejects_an_empty_ket_box():
     assert_pass(check_zf(2, (0, 1), cutoff=2))
 
 
+def pack_delta(change):
+    """An occupancy change packed as `verify._zf_sides` keys it: d_p << 3 p."""
+    return sum(d << (3 * p) for p, d in enumerate(change))
+
+
+def index_set(flags):
+    """The set of indices whose flag holds, in the layout of
+    `verify._pattern_moves`: bit 3 p for index p."""
+    return sum(1 << (3 * p) for p, f in enumerate(flags) if f)
+
+
+def test_pattern_moves_shift_the_sweep():
+    # the moves on a 0/1 pattern, shifted onto any state with that occupied
+    # set, are the sweep's moves there (at a cutoff it does not overflow)
+    default = default_convention()
+    cases = [(n, conv, 4) for n in (2, 3) for conv in all_conventions()] + [(4, default, 3)]
+    for n, conv, levels in cases:
+        width = n * (n - 1) // 2
+        for i in range(n + 1):
+            plan = _layer_plan(n, i, conv)
+            for state in itertools.product(range(levels), repeat=width):
+                mask, ones = verify._occupancy_masks(state)
+                assert mask == index_set(m > 0 for m in state)
+                assert ones == index_set(m == 1 for m in state)
+                got = Counter()
+                for up, down, delta, alpha, mult in verify._pattern_moves(plan, mask, width):
+                    change = verify._unpack_delta(delta, width)
+                    assert up == index_set(d > 0 for d in change)
+                    assert down == index_set(d < 0 for d in change)
+                    got[(tuple(m + d for m, d in zip(state, change)), alpha)] += mult
+                assert got == _sweep(plan, state, levels), (n, conv, i, state)
+
+
+def test_delta_packing_roundtrip():
+    for change in itertools.product(range(-4, 4), repeat=3):
+        assert verify._unpack_delta(pack_delta(change), 3) == change
+    # a sum of two moves is the packing of the summed changes
+    assert pack_delta((1, -1, 0)) + pack_delta((1, 0, -1)) == pack_delta((2, -1, -1))
+
+
 def test_failing_zf_report_names_first_differing_key(monkeypatch):
     # keys of the ket (0,): the change to out_state, packed, then e_x, e_y
-    sides = ({(_pack_delta((1,)), 1, 0): 2, (_pack_delta((0,)), 0, 0): 1,
-              (_pack_delta((2,)), 1, 1): 1},
-             {(_pack_delta((1,)), 1, 0): 3, (_pack_delta((0,)), 0, 0): 1})
+    sides = ({(pack_delta((1,)), 1, 0): 2, (pack_delta((0,)), 0, 0): 1,
+              (pack_delta((2,)), 1, 1): 1},
+             {(pack_delta((1,)), 1, 0): 3, (pack_delta((0,)), 0, 0): 1})
     monkeypatch.setattr(verify, "_zf_sides", lambda *args: sides)
     r = check_zf(2, (0, 1), cutoff=3)
     assert not r.passed
