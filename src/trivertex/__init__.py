@@ -5,6 +5,10 @@ three-dimensional vertex model as exact multivariate Laurent polynomials and
 verifies the algebraic identities they satisfy (exchange relations, the
 tetrahedron equation, and a correspondence with Schur polynomials) against
 independent symmetric-function oracles.
+
+The identity battery (`trivertex.verify`, with the oracles of
+`trivertex.symfunc`) loads on first use: `import trivertex` does not compile
+it, and `CheckReport` and `run_battery` import it when first looked up.
 """
 
 from .network import (
@@ -26,7 +30,6 @@ from .poly import (
     exact_divide,
     parse_var_name,
 )
-from .verify import CheckReport, run_battery
 
 __all__ = [
     "CheckReport",
@@ -49,3 +52,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in ("CheckReport", "run_battery"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

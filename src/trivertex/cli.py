@@ -27,7 +27,6 @@ from .network import (
     vev,
 )
 from .poly import LaurentPoly, Var, parse_var_name
-from .verify import GROUPS, check_tetrahedron, reports_to_json, run_battery
 
 
 class UsageError(Exception):
@@ -183,6 +182,8 @@ def _spec_from_args(args) -> object:
         raise UsageError("--labels and --blocks are mutually exclusive")
     if args.labels is not None:
         labels = _parse_int_list(args.labels, "--labels")
+        if not labels:
+            raise UsageError("no labels given")
     elif args.blocks is not None:
         labels = _parse_blocks(args.blocks)
     else:
@@ -267,19 +268,25 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the battery is imported here, so that compute and enumerate never load it
+    from . import verify
+
+    if args.group not in ("all",) + verify.GROUPS:
+        raise UsageError("unknown group %r (choose from all, %s)"
+                         % (args.group, ", ".join(verify.GROUPS)))
     if args.cutoff is not None and args.group != "tetrahedron":
         raise UsageError("--cutoff applies to the tetrahedron group only")
     load_or_resolve_convention(args.cache_path, not args.no_cache)
     if args.cutoff is not None:
         try:
-            reports = [check_tetrahedron(args.cutoff)]
+            reports = [verify.check_tetrahedron(args.cutoff)]
         except CutoffTooSmall as exc:
             raise UsageError(str(exc))
     else:
-        reports = run_battery(args.group)
+        reports = verify.run_battery(args.group)
     failures = [r for r in reports if not r.passed]
     if args.format == "json":
-        _emit(reports_to_json(reports))
+        _emit(verify.reports_to_json(reports))
     elif args.format == "csv":
         _emit("name,passed,seconds,params")
         for r in reports:
@@ -330,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity battery")
     p_verify.add_argument("group", nargs="?", default="all",
-                          choices=("all",) + GROUPS)
+                          help="a group of the battery, or all (the default)")
     p_verify.add_argument("--cutoff", type=int, default=None,
                           help="occupancy cutoff (at least 3) for the tetrahedron "
                                "group only; other groups pick exact cutoffs "

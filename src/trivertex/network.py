@@ -42,7 +42,6 @@ values.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .fock import CutoffOverflow, LocalOp
@@ -84,7 +83,6 @@ def vacuum_state(n: int) -> SiteState:
     return (0,) * (n * (n - 1) // 2)
 
 
-@dataclass(frozen=True)
 class Convention:
     """One reading of the boundary pictures.
 
@@ -98,22 +96,42 @@ class Convention:
     weighted: which output stubs count toward the z-exponent -- the north
         stubs ("north"), north plus the top lateral stub ("north_lateral"),
         or every output stub ("all").
+
+    Immutable, and equal and hashed by its four fields.
     """
 
-    flow: str
-    boundary: str
-    residual: str
-    weighted: str
-
-    def __post_init__(self):
-        if self.flow not in ("we", "ew"):
+    def __init__(self, flow: str, boundary: str, residual: str, weighted: str):
+        if flow not in ("we", "ew"):
             raise ValueError("flow must be 'we' or 'ew'")
-        if self.boundary not in ("staircase", "columns"):
+        if boundary not in ("staircase", "columns"):
             raise ValueError("boundary must be 'staircase' or 'columns'")
-        if self.residual not in ("sum", "zero"):
+        if residual not in ("sum", "zero"):
             raise ValueError("residual must be 'sum' or 'zero'")
-        if self.weighted not in ("north", "north_lateral", "all"):
+        if weighted not in ("north", "north_lateral", "all"):
             raise ValueError("weighted must be 'north', 'north_lateral' or 'all'")
+        self.__dict__.update(flow=flow, boundary=boundary, residual=residual,
+                             weighted=weighted)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to Convention.%s" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete Convention.%s" % name)
+
+    def _fields(self) -> Tuple[str, str, str, str]:
+        return (self.flow, self.boundary, self.residual, self.weighted)
+
+    def __eq__(self, other):
+        if other.__class__ is Convention:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return ("Convention(flow=%r, boundary=%r, residual=%r, weighted=%r)"
+                % self._fields())
 
 
 def all_conventions() -> List[Convention]:
@@ -471,28 +489,47 @@ def _image(atoms: Sequence[Union[Var, LaurentPoly]], steps: Sequence[ContractSte
 
 # -- partition specifications ---------------------------------------------
 
-@dataclass
 class LayerSpec:
-    label: int
-    binding: Binding
-    deriv: int = 0
+    """One layer X_label(binding), differentiated `deriv` times in its
+    variable."""
+
+    def __init__(self, label: int, binding: Binding, deriv: int = 0):
+        self.label = label
+        self.binding = binding
+        self.deriv = deriv
+
+    def __eq__(self, other):
+        if other.__class__ is LayerSpec:
+            return ((self.label, self.binding, self.deriv)
+                    == (other.label, other.binding, other.deriv))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return "LayerSpec(label=%r, binding=%r, deriv=%r)" % (
+            self.label, self.binding, self.deriv)
 
 
-@dataclass
 class PartitionSpec:
-    n: int
-    layers: Tuple[LayerSpec, ...]
+    """A stack of layers on the triangle of size n, first layer first."""
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2 for a nonempty triangle, got %d" % self.n)
-        self.layers = tuple(self.layers)
+    def __init__(self, n: int, layers: Iterable[LayerSpec]):
+        if n < 2:
+            raise ValueError("need n >= 2 for a nonempty triangle, got %d" % n)
+        self.n = n
+        self.layers: Tuple[LayerSpec, ...] = tuple(layers)
         for spec in self.layers:
-            if not 0 <= spec.label <= self.n:
-                raise InvalidLabels(
-                    "label %d outside 0..%d" % (spec.label, self.n))
+            if not 0 <= spec.label <= n:
+                raise InvalidLabels("label %d outside 0..%d" % (spec.label, n))
             if spec.deriv < 0:
                 raise ValueError("negative derivative order")
+
+    def __eq__(self, other):
+        if other.__class__ is PartitionSpec:
+            return (self.n, self.layers) == (other.n, other.layers)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return "PartitionSpec(n=%r, layers=%r)" % (self.n, self.layers)
 
     @property
     def all_scalar(self) -> bool:

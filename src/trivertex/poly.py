@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
@@ -61,12 +60,35 @@ class InexactDivision(PolyError):
     polynomial with integer coefficients."""
 
 
-@dataclass(frozen=True)
 class Var:
-    """A formal variable, identified by kind and integer indices."""
+    """A formal variable, identified by kind and integer indices.
 
-    kind: int
-    index: Tuple[int, ...]
+    Immutable.  Its hash is that of (kind, index), computed once: variables
+    key every monomial, so they are hashed far more often than built."""
+
+    __slots__ = ("kind", "index", "_hash")
+
+    def __init__(self, kind: int, index: Tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_hash", hash((kind, index)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to Var.%s" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete Var.%s" % name)
+
+    def __reduce__(self):
+        return Var, (self.kind, self.index)
+
+    def __eq__(self, other):
+        if other.__class__ is Var:
+            return self.kind == other.kind and self.index == other.index
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def q() -> "Var":

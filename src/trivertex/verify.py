@@ -12,7 +12,6 @@ import json
 import operator
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -45,13 +44,29 @@ from .symfunc import (
 )
 
 
-@dataclass
 class CheckReport:
-    name: str
-    params: dict
-    passed: bool
-    detail: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    """The outcome of one check: its name and parameters, whether it passed,
+    what it found (`detail`) and how long it took."""
+
+    def __init__(self, name: str, params: dict, passed: bool,
+                 detail: Optional[dict] = None, seconds: float = 0.0):
+        self.name = name
+        self.params = params
+        self.passed = passed
+        self.detail = {} if detail is None else detail
+        self.seconds = seconds
+
+    def _fields(self) -> tuple:
+        return (self.name, self.params, self.passed, self.detail, self.seconds)
+
+    def __eq__(self, other):
+        if other.__class__ is CheckReport:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return ("CheckReport(name=%r, params=%r, passed=%r, detail=%r, seconds=%r)"
+                % self._fields())
 
     def to_obj(self) -> dict:
         return {

@@ -1,10 +1,12 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
-from trivertex import cli
+from trivertex import cli, verify
 from trivertex.network import set_default_convention
 from trivertex.verify import CheckReport
 
@@ -83,6 +85,8 @@ def test_usage_errors(capsys, tmp_path):
         ("compute", "--n", "1", "--labels", "1"),          # n < 2
         ("compute", "--n", "0", "--labels", "0"),
         ("compute", "--n", "-3", "--labels", "0"),
+        ("compute", "--n", "4", "--labels", ","),
+        ("enumerate", "--n", "4", "--labels=", "--format", "csv"),
     ]
     for argv in cases:
         code, _, err = run(capsys, tmp_path, *argv)
@@ -90,6 +94,9 @@ def test_usage_errors(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     _, _, err = run(capsys, tmp_path, "compute", "--n", "-3", "--labels", "0")
     assert "n >= 2" in err
+    for sub in ("compute", "enumerate"):
+        _, out, err = run(capsys, tmp_path, sub, "--n", "4", "--labels=")
+        assert (out, err) == ("", "error: no labels given\n"), sub
 
 
 def test_verify_cutoff_handling(capsys, tmp_path):
@@ -107,6 +114,14 @@ def test_verify_cutoff_handling(capsys, tmp_path):
     assert code == 0
     assert out.splitlines() == ['PASS tetrahedron              {"cutoff": 3}',
                                 "1 checks, 0 failed"]
+
+
+def test_verify_unknown_group(capsys, tmp_path):
+    code, out, err = run(capsys, tmp_path, "verify", "nosuch")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unknown group 'nosuch'") and err.count("\n") == 1
+    assert not (tmp_path / "conv.txt").exists()
+    assert cli.main(["verify", "--help"]) == 0
 
 
 def test_argparse_remap_exit_codes(capsys, tmp_path):
@@ -198,7 +213,7 @@ def test_verify_exit_codes(capsys, tmp_path, monkeypatch):
     assert out.splitlines()[-1] == "1 checks, 0 failed"
 
     bad = CheckReport("fake", {}, False, {"why": "forced"}, 0.0)
-    monkeypatch.setattr(cli, "run_battery", lambda sel: [bad])
+    monkeypatch.setattr(verify, "run_battery", lambda sel: [bad])
     code, out, _ = run(capsys, tmp_path, "verify", "zf")
     assert code == 2
     assert out.splitlines()[0].startswith("FAIL fake")
@@ -245,3 +260,31 @@ def test_verify_all_json_matches_fixture(capsys, tmp_path):
     path = os.path.join(os.path.dirname(__file__), "data", "verify_all.json")
     with open(path) as fh:
         assert json.dumps(reports, indent=2, sort_keys=True) + "\n" == fh.read()
+
+
+COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from trivertex import cli
+cache = sys.argv[2]
+assert cli.main(["compute", "--n", "4", "--labels", "3,3,1", "--cache-path", cache]) == 0
+assert cli.main(["enumerate", "--n", "4", "--labels", "3,3,1", "--cache-path", cache]) == 0
+print("cold:", sorted(m for m in ("dataclasses", "trivertex.symfunc", "trivertex.verify")
+                     if m in sys.modules))
+assert cli.main(["verify", "hat", "--cache-path", cache]) == 0
+print("after verify:", "trivertex.verify" in sys.modules)
+"""
+
+
+def test_compute_and_enumerate_load_no_battery(tmp_path):
+    """A cold `compute` or `enumerate` loads neither the identity battery nor
+    `dataclasses` (which pulls in `inspect`); `verify` loads the battery.
+    `-S` keeps site-packages start-up hooks out of the module set."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_START, src, str(tmp_path / "conv.txt")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    lines = done.stdout.decode().splitlines()
+    assert "cold: []" in lines, lines
+    assert lines[-1] == "after verify: True"

@@ -295,6 +295,32 @@ def test_resolution_error_modes():
         resolve_convention(3)
 
 
+def test_convention_and_spec_value_semantics():
+    conv = Convention("we", "staircase", "sum", "north_lateral")
+    # tests/data/verify_all.json and bench/cli_expected.json record this repr
+    assert repr(conv) == ("Convention(flow='we', boundary='staircase', "
+                          "residual='sum', weighted='north_lateral')")
+    same = Convention("we", "staircase", "sum", "north_lateral")
+    assert conv == same and hash(conv) == hash(same)
+    assert len(set(all_conventions())) == 24
+    assert conv != ("we", "staircase", "sum", "north_lateral")
+    for name in ("flow", "other"):
+        with pytest.raises(AttributeError):
+            setattr(conv, name, "ew")
+    with pytest.raises(ValueError):
+        Convention("we", "staircase", "sum", "south")
+
+    spec = scalar_spec(3, (2, 1))
+    assert spec == PartitionSpec(3, [LayerSpec(2, Z[0]), LayerSpec(label=1, binding=Z[1])])
+    assert spec != scalar_spec(3, (2, 2)) and spec.layers[0] != LayerSpec(2, Z[0], 1)
+    assert repr(spec) == ("PartitionSpec(n=3, layers=("
+                          "LayerSpec(label=2, binding=Var(z1), deriv=0), "
+                          "LayerSpec(label=1, binding=Var(z2), deriv=0)))")
+    for value in (spec, spec.layers[0]):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 def test_anchor_expectation_values():
     assert vev(scalar_spec(4, (1, 2, 3, 3, 4))) == zmono(1, 2, 3, 3, 4)
     assert count_configurations(scalar_spec(4, (1, 2, 3, 3, 4))) == 1

@@ -1,5 +1,7 @@
 """Laurent polynomial core: ring axioms, calculus, substitution, division."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -279,6 +281,24 @@ def test_exact_divide_known_quotients():
 def test_var_order():
     assert Q < X < Y < Var.site(1, 1, 1) < Var.aux(0)
     assert Var.site(1, 1, 2) < Var.site(1, 2, 1) < Var.site(2, 1, 1)
+
+
+def test_var_value_semantics():
+    # Vars built by different routes are one dict key; the hash is that of
+    # (kind, index), which fixes the iteration order of sets of Vars
+    built = [Var.layer(3), parse_var_name("z3"), Var(Z.kind, (3,))]
+    table = {Z: "z3"}
+    for v in built:
+        assert hash(v) == hash((v.kind, v.index))
+        assert table[v] == "z3"
+    assert Var(1, (3,)) != (1, (3,))
+    assert not hasattr(Z, "__dict__")
+    for name in ("kind", "index", "other"):
+        with pytest.raises(AttributeError):
+            setattr(Z, name, 0)
+    with pytest.raises(AttributeError):
+        del Z.kind
+    assert pickle.loads(pickle.dumps(Z)) == Z == copy.copy(Z)
 
 
 def test_canonical_term_order_graded_lex():

@@ -8,6 +8,7 @@ from trivertex import verify
 from trivertex.network import _layer_plan, _sweep, all_conventions, default_convention
 from trivertex.poly import LaurentPoly, Var
 from trivertex.verify import (
+    CheckReport,
     check_average_ratio,
     check_column_decomposition,
     check_column_reduction,
@@ -177,6 +178,18 @@ def test_report_failure_shape():
     assert r.seconds >= 0
     obj = r.to_obj()
     assert set(obj) == {"name", "params", "passed", "detail", "seconds"}
+
+
+def test_check_report_value_semantics():
+    r = CheckReport("x", {"n": 2}, True)
+    assert (r.detail, r.seconds) == ({}, 0.0)
+    assert r.detail is not CheckReport("x", {}, True).detail
+    assert r == CheckReport(name="x", params={"n": 2}, passed=True, detail={}, seconds=0.0)
+    assert r != CheckReport("x", {"n": 2}, True, seconds=1.0)
+    assert repr(r) == ("CheckReport(name='x', params={'n': 2}, passed=True, "
+                       "detail={}, seconds=0.0)")
+    with pytest.raises(TypeError):
+        hash(r)
 
 
 def test_failing_report_carries_capped_diff(monkeypatch):
