@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
@@ -96,6 +94,8 @@ def load_vars_file(path: str) -> Dict[Var, object]:
             continue
         except ValueError:
             pass
+        from fractions import Fraction
+
         try:
             bindings[var] = Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -109,7 +109,7 @@ def apply_vars_file(p: LaurentPoly, bindings: Dict[Var, object]) -> object:
     every remaining variable and the result is an exact Fraction."""
     renames = {v: LaurentPoly.var(b) for v, b in bindings.items()
                if isinstance(b, Var)}
-    numbers = {v: b for v, b in bindings.items() if isinstance(b, Fraction)}
+    numbers = {v: b for v, b in bindings.items() if not isinstance(b, Var)}
     if renames:
         p = p.substitute(renames)
     if not numbers:
@@ -214,13 +214,15 @@ def cmd_compute(args) -> int:
     if args.vars_file:
         result = apply_vars_file(value, load_vars_file(args.vars_file))
     if args.at_one:
-        if isinstance(result, Fraction):
+        if not isinstance(result, LaurentPoly):
             raise UsageError("--at-one cannot follow numeric evaluation")
         result = result.at_one()
 
     if args.format == "plain":
         _emit(str(result))
     elif args.format == "json":
+        import json
+
         obj = {"n": args.n,
                "labels": [layer.label for layer in spec.layers],
                "value": str(result)}
@@ -252,6 +254,8 @@ def cmd_enumerate(args) -> int:
             _emit("%s  %s" % (",".join(map(str, alphas)), weight))
         _emit("total %d" % len(rows))
     elif args.format == "json":
+        import json
+
         _emit(json.dumps({
             "n": args.n,
             "labels": [layer.label for layer in spec.layers],
@@ -269,6 +273,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     # the battery is imported here, so that compute and enumerate never load it
+    import json
+
     from . import verify
 
     if args.group not in ("all",) + verify.GROUPS:

@@ -25,6 +25,13 @@ call per ket state, times its coefficient).  Given a bra, the engine drops
 states that can no longer reach it and sweeps the last operator only toward
 it; without one it returns every reached state.
 
+A move leaves the sweep with its exponent shift.  A scalar layer's move
+carries alpha, which the engine shifts into the layer's slot.  A per-index
+step (a per-site layer or a strip) is swept on a plan whose site tables
+hold each occupancy change times the packed unit of its index
+(`_with_units`), so its moves carry their packed shifts, summed at the
+sites where they happen.
+
 The exception is the exchange-relation check `verify.check_zf`, which needs
 every state a two-layer product reaches from every ket of a box.  Without a
 target `_sweep` reads an occupancy only through whether it is positive, so
@@ -226,7 +233,8 @@ Binding = Union[Var, LaurentPoly, Mapping[Site, Union[Var, LaurentPoly]]]
 # colors of a free input stub, (-1, slot), or a site, (occupancy index, h_in,
 # v_in, h_out, v_out slots, table).  The site table is indexed by 4 h_in +
 # 2 v_in + (occupancy > 0) and holds (h_out color, v_out color, occupancy
-# change, alpha increment), or None where no R0 entry survives.
+# change, alpha increment), or None where no R0 entry survives; `_with_units`
+# turns the increment into a packed exponent shift.
 LayerPlan = Tuple[Tuple[int, ...], Tuple[tuple, ...], Tuple[int, ...]]
 
 _OCCUPANCY_CHANGE = {LocalOp.ID_B: 0, LocalOp.ID_R: 0, LocalOp.T_PROJ: 0,
@@ -310,7 +318,10 @@ def _layer_plan(n: int, i: int, convention: Convention) -> LayerPlan:
 def _sweep(plan: LayerPlan, state: SiteState, cutoff: int,
            target: Optional[SiteState] = None, slack: int = 0
            ) -> Dict[Tuple[SiteState, int], int]:
-    """(out_state, alpha) -> multiplicity for one plan acting on `state`.
+    """(out_state, alpha) -> multiplicity for one plan acting on `state`,
+    alpha the sum of the site increments along the move: its weighted output
+    colors for a layer plan, its packed exponent shift for a plan from
+    `_with_units`.
 
     A depth-first sweep over the sites: each site's operator acts on the
     occupancy as soon as the site is reached, so a branch ends at the first
@@ -356,7 +367,8 @@ def _sweep(plan: LayerPlan, state: SiteState, cutoff: int,
         if over:
             raise CutoffOverflow("internal: occupancy exceeded the layer budget")
         out = tuple(occ)
-        # share the input tuple when nothing moved: memoized moves keep it
+        # share the input tuple when nothing moved, so a state the engine
+        # keeps is held by one tuple, not two
         key = (state if out == state else out, alpha)
         moves[key] = moves.get(key, 0) + 1
 
@@ -364,24 +376,24 @@ def _sweep(plan: LayerPlan, state: SiteState, cutoff: int,
     return moves
 
 
+@functools.lru_cache(maxsize=256)
+def _with_units(plan: LayerPlan, units: Tuple[int, ...]) -> LayerPlan:
+    """`plan` with each site's alpha increment replaced by its occupancy
+    change times units[p], p its occupancy index: a move's swept sum is then
+    sum_p (out_p - in_p) units[p], which `_contract` adds to a packed
+    exponent vector as it is.  Memoized with a bound: hashing a plan costs
+    about a tenth of rebuilding it, which matters for small contractions."""
+    colors, steps, residual = plan
+    return colors, tuple(
+        step if step[0] < 0 else step[:5] + (tuple(
+            hit and hit[:3] + (hit[2] * units[step[0]],) for hit in step[5]),)
+        for step in steps), residual
+
+
 def _check_width(states: Iterable[Tuple[int, ...]], width: int):
     for state in states:
         if len(state) != width:
             raise ValueError("state width %d != operator width %d" % (len(state), width))
-
-
-@functools.lru_cache(maxsize=1 << 14)
-def layer_transitions(n: int, i: int, convention: Convention, state: SiteState,
-                      cutoff: int) -> Tuple[Tuple[SiteState, int, int], ...]:
-    """(out_state, alpha, multiplicity) for the layer with label i acting on
-    `state`, memoized with a bound; flat triples keep the memo small.
-
-    A public single-layer view of `_sweep`; no library route calls it.
-    `verify.check_zf` sweeps once per occupied set instead
-    (`verify._pattern_moves`).
-    """
-    moves = _sweep(_layer_plan(n, i, convention), state, cutoff)
-    return tuple((out, alpha, mult) for (out, alpha), mult in moves.items())
 
 
 # -- the contraction engine -------------------------------------------------
@@ -432,19 +444,20 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
     width = max(reach, default=0).bit_length() + 1
     bias, mask = 1 << (width - 1), (1 << width) - 1
     zero = sum(bias << (width * s) for s in range(n_slots))
+    # a scalar move's alpha is shifted into its slot; a per-index plan sweeps
+    # its moves' packed shifts already (`_with_units`)
+    sweeps = [(_with_units(plan, tuple(1 << (width * s) for s in weigh)), 0)
+              if isinstance(weigh, tuple) else (plan, width * weigh)
+              for plan, weigh, _ in steps]
 
     combo: Dict[SiteState, Dict[int, int]] = {ket: {zero: 1}}
     for left in range(len(steps) - 1, -1, -1):
-        plan, weigh, deriv = steps[left]
-        per_index = isinstance(weigh, tuple)
+        plan, offset = sweeps[left]
+        deriv = steps[left][2]
         out: Dict[SiteState, Dict[int, int]] = {}
         for state, coeff in combo.items():
             for (new, alpha), mult in _sweep(plan, state, cutoff, bra, left).items():
-                if per_index:
-                    shift = sum((b - a) << (width * weigh[p])
-                                for p, (a, b) in enumerate(zip(state, new)) if a != b)
-                else:
-                    shift = alpha << (width * weigh)
+                shift = alpha << offset
                 acc = out.get(new)
                 if acc is None:
                     acc = out[new] = {}

@@ -31,10 +31,11 @@ negative exponent: no exact quotient.
 
 from __future__ import annotations
 
-import heapq
-import json
-from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, Mapping, Optional, Sequence,
+                    Tuple, Union)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _KIND_Q = 0
 _KIND_LAYER = 1
@@ -451,6 +452,8 @@ class LaurentPoly:
 
         Zero raised to a negative exponent raises DivisionByZero.
         """
+        from fractions import Fraction
+
         total = Fraction(0)
         for m, c in self.terms.items():
             acc = Fraction(c)
@@ -520,6 +523,8 @@ class LaurentPoly:
                 for m, c in self.sorted_terms()]
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_obj())
 
     @staticmethod
@@ -532,6 +537,8 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(text: str) -> "LaurentPoly":
+        import json
+
         return LaurentPoly.from_obj(json.loads(text))
 
 
@@ -544,6 +551,8 @@ def exact_divide(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     Raises DivisionByZero if b is zero and InexactDivision if no Laurent
     polynomial quotient with integer coefficients exists.
     """
+    import heapq
+
     if b.is_zero():
         raise DivisionByZero("exact_divide by the zero polynomial")
     if a.is_zero():

@@ -269,7 +269,8 @@ from trivertex import cli
 cache = sys.argv[2]
 assert cli.main(["compute", "--n", "4", "--labels", "3,3,1", "--cache-path", cache]) == 0
 assert cli.main(["enumerate", "--n", "4", "--labels", "3,3,1", "--cache-path", cache]) == 0
-print("cold:", sorted(m for m in ("dataclasses", "trivertex.symfunc", "trivertex.verify")
+print("cold:", sorted(m for m in ("dataclasses", "fractions", "heapq", "json",
+                                  "trivertex.symfunc", "trivertex.verify")
                      if m in sys.modules))
 assert cli.main(["verify", "hat", "--cache-path", cache]) == 0
 print("after verify:", "trivertex.verify" in sys.modules)
@@ -278,7 +279,9 @@ print("after verify:", "trivertex.verify" in sys.modules)
 
 def test_compute_and_enumerate_load_no_battery(tmp_path):
     """A cold `compute` or `enumerate` loads neither the identity battery nor
-    `dataclasses` (which pulls in `inspect`); `verify` loads the battery.
+    `dataclasses` (which pulls in `inspect`), nor `json`, `fractions` or
+    `heapq`, which only JSON output, numeric evaluation and exact division
+    use; `verify` loads the battery.
     `-S` keeps site-packages start-up hooks out of the module set."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     done = subprocess.run(

@@ -20,6 +20,8 @@ from trivertex.network import (
     LayerSpec,
     NoConventionFound,
     PartitionSpec,
+    _layer_plan,
+    _sweep,
     all_conventions,
     apply_layer,
     apply_stack,
@@ -30,7 +32,6 @@ from trivertex.network import (
     fixed_colors,
     input_stubs,
     inhomogeneous_spec,
-    layer_transitions,
     resolve_convention,
     scalar_spec,
     site_binding,
@@ -395,12 +396,13 @@ def test_same_label_layers_commute():
     n, cutoff = 3, 4
     width = n * (n - 1) // 2
     for i in range(n + 1):
+        plan = _layer_plan(n, i, conv)
         for state in itertools.product(range(cutoff - 1), repeat=width):
             seen = {}
             for first, second in (("x", "y"), ("y", "x")):
                 acc = {}
-                for mid, a1, c1 in layer_transitions(n, i, conv, state, cutoff):
-                    for out, a2, c2 in layer_transitions(n, i, conv, mid, cutoff):
+                for (mid, a1), c1 in _sweep(plan, state, cutoff).items():
+                    for (out, a2), c2 in _sweep(plan, mid, cutoff).items():
                         key = (out, a2, a1) if first == "x" else (out, a1, a2)
                         acc[key] = acc.get(key, 0) + c1 * c2
                 seen[first] = {k: v for k, v in acc.items() if v}
@@ -659,21 +661,8 @@ def test_sweep_matches_term_kernel():
     for n, conv, levels in cases:
         for state in itertools.product(range(levels), repeat=n * (n - 1) // 2):
             for i in range(n + 1):
-                moves = layer_transitions(n, i, conv, state, 3)
-                got = {(out, a): c for out, a, c in moves}
+                got = _sweep(_layer_plan(n, i, conv), state, 3)
                 assert got == term_moves(n, i, conv, state, 3), (n, conv, i, state)
-
-
-def test_transition_cache_is_bounded():
-    conv = default_convention()
-    limit = layer_transitions.cache_info().maxsize
-    assert limit == 1 << 14
-    for m in range(limit + 10):
-        moves = layer_transitions(2, 0, conv, (m,), limit + 20)
-        assert isinstance(moves, tuple)
-        assert all(isinstance(move, tuple) and isinstance(move[0], tuple)
-                   for move in moves)
-    assert layer_transitions.cache_info().currsize == limit
 
 
 @functools.lru_cache(maxsize=None)
@@ -737,14 +726,22 @@ def test_sweep_overflow_at_cutoff():
 def small_stacks(draw):
     """Stacks at n <= 5 (depth <= 3 at n = 5) of per-site layers and scalar
     layers whose variables come from a pool of three, so layers share them,
-    with derivative orders 0..2."""
+    with derivative orders 0..2.  A per-site layer sometimes reuses an
+    earlier layer's site map, so two per-index steps add into the same
+    exponent slots."""
     n = draw(st.integers(min_value=2, max_value=5))
     depth = draw(st.integers(min_value=1, max_value=3 if n == 5 else 4))
     layers = []
+    site_maps = []
     for t in range(1, depth + 1):
         label = draw(st.integers(min_value=0, max_value=n))
         if draw(st.booleans()):
-            layers.append(LayerSpec(label, site_binding(n, t)))
+            if site_maps and draw(st.booleans()):
+                binding = draw(st.sampled_from(site_maps))
+            else:
+                binding = site_binding(n, t)
+                site_maps.append(binding)
+            layers.append(LayerSpec(label, binding))
         else:
             layers.append(LayerSpec(label, draw(st.sampled_from(Z[:3])),
                                     draw(st.integers(0, 2))))
@@ -758,6 +755,12 @@ def small_stacks(draw):
                            LayerSpec(1, site_binding(4, 3))]))
 @example(PartitionSpec(5, [LayerSpec(4, Z[0], 1), LayerSpec(3, Z[0], 2),
                            LayerSpec(1, Z[1])]))
+# one site map on both sides of a scalar layer, and a site map onto the
+# scalar layer's own variable: per-index shifts and alpha in shared slots
+@example(PartitionSpec(3, [LayerSpec(3, site_binding(3, 1)), LayerSpec(0, Z[0]),
+                           LayerSpec(1, site_binding(3, 1))]))
+@example(PartitionSpec(3, [LayerSpec(1, {s: Z[0] for s in sites(3)}),
+                           LayerSpec(2, Z[0], 1), LayerSpec(0, site_binding(3, 2))]))
 # s_(2,1)(z1, z2, z3) has z1 z2 z3 twice: a configuration row that repeats
 @example(scalar_spec(4, (4, 2, 0)))
 def test_stack_vev_matches_term_route(spec):

@@ -220,6 +220,36 @@ def test_zf_rejects_an_empty_ket_box():
     assert_pass(check_zf(2, (0, 1), cutoff=2))
 
 
+def test_zf_sides_depend_only_on_the_ket_class():
+    # a ket and its representative min(m, 2) occupy the same indices and
+    # hold one at the same indices, so their sides are equal
+    conv = default_convention()
+    for n in (2, 3):
+        for i, j in itertools.product(range(n + 1), repeat=2):
+            tables = verify._zf_tables(n, conv, (i, j))
+            for state in itertools.product(range(5), repeat=n * (n - 1) // 2):
+                rep = tuple(min(m, 2) for m in state)
+                assert (verify._zf_sides(tables, i, j, state, 6)
+                        == verify._zf_sides(tables, i, j, rep, 6)), (n, (i, j), state)
+
+
+def test_zf_above_cutoff_4_walks_only_class_representatives(monkeypatch):
+    calls = []
+    sides = verify._zf_sides
+
+    def counted(tables, i, j, state, cutoff):
+        calls.append(state)
+        return sides(tables, i, j, state, cutoff)
+
+    monkeypatch.setattr(verify, "_zf_sides", counted)
+    assert_pass(check_zf(3, (1, 2), cutoff=6))
+    # {0, 1, 2}^3, not the 5^3 kets of the box
+    assert len(calls) == 27 and set(calls) == set(itertools.product(range(3), repeat=3))
+    calls.clear()
+    assert_pass(check_zf(3, (1, 2), cutoff=3))
+    assert len(calls) == 8
+
+
 def pack_delta(change):
     """An occupancy change packed as `verify._zf_sides` keys it: d_p << 3 p."""
     return sum(d << (3 * p) for p, d in enumerate(change))
