@@ -7,6 +7,7 @@ only on exact Laurent-polynomial (or exact rational) equality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -100,7 +101,9 @@ def _mismatch(lhs: LaurentPoly, rhs: LaurentPoly) -> dict:
 # adds d_p << (3 p); digits stay within -4..3 for a sum of up to three moves,
 # where the packing is unique and `_unpack_delta` reads it back.  A set of
 # indices is the bitmask with bit 3 p for index p, the low bit of p's field,
-# so a change and the indices it raises or lowers share one layout.
+# so a change and the indices it raises or lowers share one layout.  A ket
+# is read through two sets: `mask`, the indices it occupies, and `ones`,
+# those holding exactly one.
 _DELTA_BITS = 3
 
 
@@ -114,26 +117,13 @@ def _unpack_delta(packed: int, width: int) -> Tuple[int, ...]:
     return tuple(digits)
 
 
-def _occupancy_masks(state: Tuple[int, ...]) -> Tuple[int, int]:
-    """The indices of `state` that are occupied, and those holding exactly
-    one, as index sets."""
-    mask = ones = 0
-    bit = 1
-    for m in state:
-        if m:
-            mask |= bit
-            if m == 1:
-                ones |= bit
-        bit <<= _DELTA_BITS
-    return mask, ones
-
-
 # One move on an occupied set: (raised indices, lowered indices, packed
 # occupancy change, alpha, multiplicity).
 PatternMove = Tuple[int, int, int, int, int]
 
 
-def _pattern_moves(plan: LayerPlan, mask: int, width: int) -> List[PatternMove]:
+@functools.lru_cache(maxsize=8192)
+def _pattern_moves(plan: LayerPlan, mask: int, width: int) -> Tuple[PatternMove, ...]:
     """The moves of `plan` on every state of `width` indices whose occupied
     indices are the set `mask`, by one sweep of its 0/1 pattern.
 
@@ -141,8 +131,13 @@ def _pattern_moves(plan: LayerPlan, mask: int, width: int) -> List[PatternMove]:
     move changes each occupancy by -1, 0 or +1, so the moves on any such
     state are the moves on its pattern, shifted by the same changes.  They
     are `_sweep`'s moves wherever it would not overflow; the cutoff is the
-    caller's to keep (`_zf_sides` takes kets at most cutoff-2, from which
+    caller's to keep (`check_zf` takes kets at most cutoff-2, from which
     two layers never pass the cutoff).
+
+    Memoized as tuples, so the checks of a grid share a layer's tables (the
+    `zf` group sweeps 358 times).  The bound holds the 6502 tables of the
+    grids up to n = 5, about 6 MiB (1 KiB a table at n = 5).  Hashing a
+    plan costs time on every call, so each check reads through `_moves`.
     """
     weights = [1 << (_DELTA_BITS * p) for p in range(width)]
     pattern = tuple((mask >> (_DELTA_BITS * p)) & 1 for p in range(width))
@@ -155,31 +150,34 @@ def _pattern_moves(plan: LayerPlan, mask: int, width: int) -> List[PatternMove]:
         fields = sum(map(operator.mul, out, weights)) - mask + units
         raised = (fields >> 1) & units
         moves.append((raised, units & ~(fields | raised), fields - units, alpha, mult))
-    return moves
+    return tuple(moves)
 
 
 # A move table per layer label: its sweep plan and occupied set -> moves,
-# filled on demand by `_pattern_moves` and shared by the kets of one check.
-ZfTables = Dict[int, Tuple[LayerPlan, Dict[int, List[PatternMove]]]]
+# filled on demand from `_pattern_moves` and shared by the kets of one check.
+ZfTables = Dict[int, Tuple[LayerPlan, Dict[int, Tuple[PatternMove, ...]]]]
 
 
 def _zf_tables(n: int, conv: Convention, labels: Iterable[int]) -> ZfTables:
     return {label: (_layer_plan(n, label, conv), {}) for label in labels}
 
 
+def _moves(tables: ZfTables, label: int, mask: int, width: int) -> Tuple[PatternMove, ...]:
+    plan, table = tables[label]
+    moves = table.get(mask)
+    if moves is None:
+        moves = table[mask] = _pattern_moves(plan, mask, width)
+    return moves
+
+
 def _product_map(tables: ZfTables, width: int, outer: int, inner: int, mask: int,
                  ones: int) -> Dict[tuple, int]:
-    """Integer path map for X_outer(u) X_inner(v) on a ket whose occupied
-    indices and indices holding exactly one are the sets `mask` and `ones`
-    (`_occupancy_masks`): keys are (packed occupancy change, exponent of u,
+    """Integer path map for X_outer(u) X_inner(v) on a ket with the sets
+    `mask` and `ones`: keys are (packed occupancy change, exponent of u,
     exponent of v)."""
-    plan_in, table_in = tables[inner]
     plan_out, table_out = tables[outer]
-    moves_in = table_in.get(mask)
-    if moves_in is None:
-        moves_in = table_in[mask] = _pattern_moves(plan_in, mask, width)
     acc: Dict[tuple, int] = {}
-    for up, down, d_in, a_in, c_in in moves_in:
+    for up, down, d_in, a_in, c_in in _moves(tables, inner, mask, width):
         mid = (mask | up) & ~(down & ones)
         moves_out = table_out.get(mid)
         if moves_out is None:
@@ -190,14 +188,15 @@ def _product_map(tables: ZfTables, width: int, outer: int, inner: int, mask: int
     return acc
 
 
-def _zf_sides(tables: ZfTables, i: int, j: int, state: Tuple[int, ...],
-              cutoff: int) -> Tuple[Dict[tuple, int], Dict[tuple, int]]:
+def _zf_sides(tables: ZfTables, i: int, j: int, state: Tuple[int, ...], cutoff: int,
+              mask: int, ones: int) -> Tuple[Dict[tuple, int], Dict[tuple, int]]:
     """Both sides of the exchange relation for the pair (i, j) on `state`:
     X_i(x) X_j(y) on the left; X_i(y) X_j(x) for i = j, (x/y) X_i(y) X_j(x)
     for i > j and X_i(y) X_j(x) + (1 - x/y) X_j(y) X_i(x) for i < j on the
     right.  Keys are (packed occupancy change, e_x, e_y): every term of one
     ket reaches the ket plus its change (`_zf_key` decodes a key).
 
+    `mask` and `ones` are the state's sets, which the caller holds.
     `tables` (`_zf_tables` for i and j) is shared across the kets of a
     check.  The state must lie in `check_zf`'s box, occupancies at most
     cutoff-2, where no move can pass the cutoff.
@@ -205,7 +204,6 @@ def _zf_sides(tables: ZfTables, i: int, j: int, state: Tuple[int, ...],
     if max(state) > cutoff - 2:
         raise ValueError("state %r outside the ket box of cutoff %d" % (state, cutoff))
     width = len(state)
-    mask, ones = _occupancy_masks(state)
     lhs = _product_map(tables, width, i, j, mask, ones)
     shift = 1 if i > j else 0
     rhs = {(d, a_in + shift, a_out - shift): c for (d, a_out, a_in), c in lhs.items()}
@@ -234,11 +232,13 @@ def check_zf(n: int, pair: Tuple[int, int], cutoff: int = 4,
     empty.
 
     Each layer is swept once per occupied set a ket or a middle state
-    shows (`_pattern_moves`), in tables local to the call.  A ket's two
-    sides depend only on its class, the indices it occupies and those
-    holding exactly one (`_occupancy_masks`), so the kets walked are the
-    class representatives min(m, 2): the whole box up to cutoff 4, and its
-    {0, 1, 2} corner above."""
+    shows (`_pattern_moves`, shared by the checks of a grid).  A ket's two
+    sides depend only on its class: its `mask`, and `ones` on the indices
+    an inner move lowers (`_product_map` reads `ones` nowhere else).  The
+    kets are walked in product order and only the first of each class is
+    checked, so a failure names the same ket and key as a walk of every
+    ket.  Above cutoff 4 the walk is the {0, 1, 2}^w corner, which holds a
+    ket of every class."""
     t0 = time.perf_counter()
     if cutoff < 2:
         raise ValueError("the ket box of cutoff %d is empty; need cutoff >= 2" % cutoff)
@@ -246,10 +246,31 @@ def check_zf(n: int, pair: Tuple[int, int], cutoff: int = 4,
     i, j = pair
     width = n * (n - 1) // 2
     tables = _zf_tables(n, conv, (i, j))
+    inner = (j, i) if i < j else (j,)  # the inner layers of `_zf_sides`
+    digits = ((0, 0), (1, 1), (1, 0))[:min(cutoff - 1, 3)]
+    # (mask, ones) of each ket, in product order
+    masks = [(0, 0)]
+    for p in range(width):
+        bit = 1 << (_DELTA_BITS * p)
+        masks = [(m | bit * dm, o | bit * do) for m, o in masks for dm, do in digits]
+    lowered: Dict[int, int] = {}
+    seen = set()
     detail = None
     passed = True
-    for state in itertools.product(range(min(cutoff - 1, 3)), repeat=width):
-        lhs, rhs = _zf_sides(tables, i, j, state, cutoff)
+    for state, (mask, ones) in zip(itertools.product(range(len(digits)), repeat=width),
+                                   masks):
+        down = lowered.get(mask)
+        if down is None:
+            down = 0
+            for label in inner:
+                for move in _moves(tables, label, mask, width):
+                    down |= move[1]
+            lowered[mask] = down
+        ket_class = (mask, ones & down)
+        if ket_class in seen:
+            continue
+        seen.add(ket_class)
+        lhs, rhs = _zf_sides(tables, i, j, state, cutoff, mask, ones)
         if lhs != rhs:
             passed = False
             diff = sorted((_zf_key(state, k), k) for k in lhs.keys() | rhs.keys()

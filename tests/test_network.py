@@ -697,6 +697,13 @@ def term_zf_sides(n, conv, i, j, state, cutoff):
     return dict(lhs), {k: c for k, c in rhs.items() if c}
 
 
+def zf_sets(state):
+    """The `mask` and `ones` that `verify._zf_sides` reads: bit 3 p for
+    each occupied index p, and for each index holding exactly one."""
+    return (sum(1 << 3 * p for p, m in enumerate(state) if m > 0),
+            sum(1 << 3 * p for p, m in enumerate(state) if m == 1))
+
+
 def test_zf_sides_match_term_route():
     conv = default_convention()
     cases = [(n, (i, j)) for n in (2, 3) for i in range(n + 1) for j in range(n + 1)]
@@ -704,13 +711,14 @@ def test_zf_sides_match_term_route():
     for n, (i, j) in cases:
         tables = verify._zf_tables(n, conv, (i, j))
         for state in itertools.product(range(3), repeat=n * (n - 1) // 2):
-            sides = verify._zf_sides(tables, i, j, state, 4)
+            sides = verify._zf_sides(tables, i, j, state, 4, *zf_sets(state))
             got = tuple({verify._zf_key(state, k): c for k, c in side.items()}
                         for side in sides)
             assert got == term_zf_sides(n, conv, i, j, state, 4), (n, (i, j), state)
     # a ket outside the box could raise an index past the cutoff
     with pytest.raises(ValueError, match="outside the ket box"):
-        verify._zf_sides(verify._zf_tables(3, conv, (0, 3)), 0, 3, (0, 3, 0), 4)
+        verify._zf_sides(verify._zf_tables(3, conv, (0, 3)), 0, 3, (0, 3, 0), 4,
+                         *zf_sets((0, 3, 0)))
 
 
 def test_sweep_overflow_at_cutoff():

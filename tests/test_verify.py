@@ -1,8 +1,10 @@
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trivertex import verify
 from trivertex.network import _layer_plan, _sweep, all_conventions, default_convention
@@ -220,34 +222,149 @@ def test_zf_rejects_an_empty_ket_box():
     assert_pass(check_zf(2, (0, 1), cutoff=2))
 
 
-def test_zf_sides_depend_only_on_the_ket_class():
-    # a ket and its representative min(m, 2) occupy the same indices and
-    # hold one at the same indices, so their sides are equal
+def inner_lowered(plans, i, j, state):
+    """The indices that a move of an inner layer of the pair (i, j) -- j,
+    and i as well when i < j -- lowers on `state`, read off `_sweep`."""
+    lowered = set()
+    for label in ((j, i) if i < j else (j,)):
+        for out, _ in _sweep(plans[label], state, max(state) + 2):
+            lowered.update(p for p, (a, b) in enumerate(zip(state, out)) if b < a)
+    return lowered
+
+
+def zf_class(plans, i, j, state):
+    """The class of `state` for the pair (i, j): its occupied indices, and
+    those of them holding one that an inner move lowers."""
+    lowered = inner_lowered(plans, i, j, state)
+    return (frozenset(p for p, m in enumerate(state) if m),
+            frozenset(p for p, m in enumerate(state) if m == 1 and p in lowered))
+
+
+def class_representative(plans, i, j, state):
+    """The first ket in product order with the class of `state`: 2 where an
+    inner move lowers an occupancy of 2 or more, 1 at the other occupied
+    indices."""
+    lowered = inner_lowered(plans, i, j, state)
+    return tuple(0 if not m else 2 if m > 1 and p in lowered else 1
+                 for p, m in enumerate(state))
+
+
+def zf_plans(n, pair):
     conv = default_convention()
-    for n in (2, 3):
+    return {label: _layer_plan(n, label, conv) for label in pair}
+
+
+def zf_sides(n, i, j, state, cutoff):
+    """`verify._zf_sides` on `state`, with fresh tables."""
+    tables = verify._zf_tables(n, default_convention(), (i, j))
+    mask = index_set(m > 0 for m in state)
+    return verify._zf_sides(tables, i, j, state, cutoff, mask,
+                            index_set(m == 1 for m in state))
+
+
+def test_zf_sides_depend_only_on_the_ket_class():
+    # kets of one class have equal sides: every ket is compared with the
+    # first of its class, so every pair of a class is covered
+    rng = random.Random(5)
+    for n in (2, 3, 4):
+        width = n * (n - 1) // 2
+        kets = list(itertools.product(range(5), repeat=width))
         for i, j in itertools.product(range(n + 1), repeat=2):
-            tables = verify._zf_tables(n, conv, (i, j))
-            for state in itertools.product(range(5), repeat=n * (n - 1) // 2):
-                rep = tuple(min(m, 2) for m in state)
-                assert (verify._zf_sides(tables, i, j, state, 6)
-                        == verify._zf_sides(tables, i, j, rep, 6)), (n, (i, j), state)
+            plans = zf_plans(n, (i, j))
+            first = {}
+            for state in (kets if n < 4 else rng.sample(kets, 60)):
+                sides = zf_sides(n, i, j, state, 6)
+                cls = zf_class(plans, i, j, state)
+                assert first.setdefault(cls, sides) == sides, (n, (i, j), state)
+                rep = class_representative(plans, i, j, state)
+                assert zf_class(plans, i, j, rep) == cls
+                assert zf_sides(n, i, j, rep, 6) == sides, (n, (i, j), state)
 
 
 def test_zf_above_cutoff_4_walks_only_class_representatives(monkeypatch):
+    # one `_zf_sides` call per class, on the first ket of the class in
+    # product order over the whole box
     calls = []
     sides = verify._zf_sides
 
-    def counted(tables, i, j, state, cutoff):
+    def counted(tables, i, j, state, *args):
         calls.append(state)
-        return sides(tables, i, j, state, cutoff)
+        return sides(tables, i, j, state, *args)
 
     monkeypatch.setattr(verify, "_zf_sides", counted)
-    assert_pass(check_zf(3, (1, 2), cutoff=6))
-    # {0, 1, 2}^3, not the 5^3 kets of the box
-    assert len(calls) == 27 and set(calls) == set(itertools.product(range(3), repeat=3))
-    calls.clear()
-    assert_pass(check_zf(3, (1, 2), cutoff=3))
-    assert len(calls) == 8
+    for n, pair, cutoff in ((3, (1, 2), 6), (3, (2, 1), 6), (3, (1, 2), 3),
+                            (3, (2, 2), 4), (4, (1, 3), 5)):
+        calls.clear()
+        assert_pass(check_zf(n, pair, cutoff=cutoff))
+        plans = zf_plans(n, pair)
+        first = {}
+        for state in itertools.product(range(cutoff - 1), repeat=n * (n - 1) // 2):
+            first.setdefault(zf_class(plans, *pair, state), state)
+        assert calls == list(first.values()), (n, pair, cutoff)
+
+
+@pytest.fixture
+def fresh_move_cache():
+    # held here, since a test may patch the module attribute
+    cached = verify._pattern_moves
+    cached.cache_clear()
+    yield
+    cached.cache_clear()
+
+
+def every_ket_zf_report(n, pair, cutoff):
+    """(passed, detail) of `check_zf` by a walk of every ket of the box."""
+    for state in itertools.product(range(cutoff - 1), repeat=n * (n - 1) // 2):
+        lhs, rhs = zf_sides(n, *pair, state, cutoff)
+        if lhs != rhs:
+            diff = sorted((verify._zf_key(state, k), k) for k in lhs.keys() | rhs.keys()
+                          if lhs.get(k) != rhs.get(k))
+            key, raw = diff[0]
+            return False, {"state": state, "vars": ("x", "y"), "key": key,
+                           "lhs": lhs.get(raw, 0), "rhs": rhs.get(raw, 0),
+                           "diff_terms": len(diff)}
+    return True, {}
+
+
+def test_skipped_classes_hide_no_failure(monkeypatch, fresh_move_cache):
+    # one move table entry with a wrong multiplicity: the class walk fails
+    # on the same ket, with the same detail, as a walk of every ket
+    n, width = 3, 3
+    moves = verify._pattern_moves
+    failing_states = []
+    for label in range(n + 1):
+        for bad_mask in map(index_set, itertools.product((0, 1), repeat=width)):
+            bad_plan = _layer_plan(n, label, default_convention())
+
+            def wrong(plan, mask, width, bad_mask=bad_mask, bad_plan=bad_plan):
+                got = moves(plan, mask, width)
+                if mask == bad_mask and plan == bad_plan and got:
+                    up, down, delta, alpha, mult = got[0]
+                    got = ((up, down, delta, alpha, mult + 1),) + got[1:]
+                return got
+
+            monkeypatch.setattr(verify, "_pattern_moves", wrong)
+            for other in range(n + 1):
+                for pair in {(label, other), (other, label)}:
+                    r = check_zf(n, pair, cutoff=5)
+                    assert (r.passed, r.detail) == every_ket_zf_report(n, pair, 5), (
+                        label, bad_mask, pair)
+                    if not r.passed:
+                        failing_states.append(r.detail["state"])
+    # failures were found, some on kets that are not the first of their
+    # occupied set
+    assert any(2 in state for state in failing_states)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       st.tuples(*[st.integers(0, 4)] * 10))
+def test_zf_holds_on_random_kets_at_n5(pair, state):
+    i, j = pair
+    lhs, rhs = zf_sides(5, i, j, state, 6)
+    assert lhs == rhs
+    rep = class_representative(zf_plans(5, pair), i, j, state)
+    assert zf_sides(5, i, j, rep, 6) == (lhs, rhs)
 
 
 def pack_delta(change):
@@ -271,9 +388,7 @@ def test_pattern_moves_shift_the_sweep():
         for i in range(n + 1):
             plan = _layer_plan(n, i, conv)
             for state in itertools.product(range(levels), repeat=width):
-                mask, ones = verify._occupancy_masks(state)
-                assert mask == index_set(m > 0 for m in state)
-                assert ones == index_set(m == 1 for m in state)
+                mask = index_set(m > 0 for m in state)
                 got = Counter()
                 for up, down, delta, alpha, mult in verify._pattern_moves(plan, mask, width):
                     change = verify._unpack_delta(delta, width)
