@@ -21,9 +21,13 @@ serves vacuum expectation values (`vev`, `count_configurations`, convention
 resolution), the configuration listing (one exponent slot per layer, so an
 exponent vector is a row), strip matrix elements (`strip_vev`) and the
 operator images `apply_layer`, `apply_strip` and `apply_stack` (one engine
-call per ket state, times its coefficient).  Given a bra, the engine drops
-states that can no longer reach it and sweeps the last operator only toward
-it; without one it returns every reached state.
+call per ket state, times its coefficient).  Without a bra it returns every
+state the ket reaches.  Given one, it contracts from both ends: the ket side
+sweeps the layers, the bra side their transposes (`_reverse_plan`: R0 is its
+own transpose with the color flow reversed, so the transpose is the layer
+swept against the flow), each side dropping states that can no longer reach
+the other end, and the two are joined where they meet.  Each round expands
+the side whose map is smaller now and is predicted smaller after.
 
 A move leaves the sweep with its exponent shift.  A scalar layer's move
 carries alpha, which the engine shifts into the layer's slot.  A per-index
@@ -49,7 +53,8 @@ values.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from .fock import CutoffOverflow, LocalOp
 from .lattice import TensorKind, local_tensor
@@ -272,7 +277,17 @@ def _site_table(h_fixed: Optional[int], v_fixed: Optional[int], h_weighted: bool
 
 
 @functools.lru_cache(maxsize=None)
-def _layer_plan(n: int, i: int, convention: Convention) -> LayerPlan:
+def _reverse_table(h_fixed: Optional[int], v_fixed: Optional[int], h_weighted: bool,
+                   v_weighted: bool) -> Tuple[Optional[Tuple[int, int, int, int]], ...]:
+    """The table of one reverse-plan site: `_site_table`, with the alpha
+    increment counted on the colors the site reads (its index) instead of
+    those it produces."""
+    return tuple(hit and hit[:3] + ((j >> 2) * h_weighted + (j >> 1 & 1) * v_weighted,)
+                 for j, hit in enumerate(_site_table(h_fixed, v_fixed, False, False)))
+
+
+@functools.lru_cache(maxsize=None)
+def _layer_plan(n: int, i: int, convention: Convention, reverse: bool = False) -> LayerPlan:
     """The site sweep of the layer with label i: the initial edge colors by
     slot (-1 where not fixed), the steps, and the colors a free input stub
     is summed over.
@@ -280,11 +295,37 @@ def _layer_plan(n: int, i: int, convention: Convention) -> LayerPlan:
     Sites come bottom row first and along the flow, so both inputs of a
     site are known when it is reached.  Each site table is already filtered
     against the fixed output stubs.
+
+    With `reverse` (`_reverse_plan`) it is the sweep of the transpose, which
+    takes a move's out-state to its in-state with the same alpha and
+    multiplicity.  R0 is its own transpose once the color flow is reversed
+    (b+ and b- swap, t and the identities stay), so the transpose is the
+    layer read against the flow on the same site tables: each site reads
+    the colors of its forward outputs and produces those of its forward
+    inputs (`_reverse_table`).  The free output stubs are branched over both
+    colors; the fixed input stubs, and under residual "zero" the free ones
+    too, filter.  Sites go column by column against the flow, top row first
+    within a column, so a branch on a column's north stub meets the fixed
+    staircase stub at the column's foot within that column.
     """
     fixed = fixed_colors(n, i, convention)
-    free_inputs = {e for e in input_stubs(n, convention) if e not in fixed}
+    inputs = input_stubs(n, convention)
     weighted = set(weighted_stubs(n, convention))
     west_flow = convention.flow == "we"
+    pinned = dict(fixed)
+    if reverse:
+        if convention.residual == "zero":
+            pinned.update((e, 0) for e in inputs if e not in fixed)
+        free = {e for e in output_stubs(n, convention) if e not in fixed}
+        order = [(k, l) for l in (range(n - 1, 0, -1) if west_flow else range(1, n))
+                 for k in range(1, n - l + 1)]
+        table, residual = _reverse_table, (0, 1)
+    else:
+        free = {e for e in inputs if e not in fixed}
+        order = [(k, l) for k in range(n - 1, 0, -1)
+                 for l in (range(1, n - k + 1) if west_flow else range(n - k, 0, -1))]
+        table = _site_table
+        residual = (0, 1) if convention.residual == "sum" else (0,)
     index = {s: j for j, s in enumerate(sites(n))}
     slots: Dict[Edge, int] = {}
 
@@ -293,26 +334,30 @@ def _layer_plan(n: int, i: int, convention: Convention) -> LayerPlan:
 
     known = set(fixed)
     steps: List[tuple] = []
-    for k in range(n - 1, 0, -1):
-        row = range(1, n - k + 1)
-        for l in (row if west_flow else reversed(row)):
-            h_in = ("h", k, l - 1) if west_flow else ("h", k, l)
-            h_out = ("h", k, l) if west_flow else ("h", k, l - 1)
-            v_in, v_out = ("v", k, l), ("v", k - 1, l)
-            if v_in not in known or (h_in not in known and h_in not in free_inputs):
-                raise AssertionError("site %r reached before its inputs" % ((k, l),))
-            if h_in not in known:
-                steps.append((-1, slot(h_in)))
-            table = _site_table(fixed.get(h_out), fixed.get(v_out),
-                                h_out in weighted, v_out in weighted)
-            steps.append((index[(k, l)], slot(h_in), slot(v_in), slot(h_out),
-                          slot(v_out), table))
-            known.update((h_in, h_out, v_out))
+    for k, l in order:
+        h_in = ("h", k, l - 1) if west_flow else ("h", k, l)
+        h_out = ("h", k, l) if west_flow else ("h", k, l - 1)
+        v_in, v_out = ("v", k, l), ("v", k - 1, l)
+        # alpha counts the weighted forward outputs
+        h_weighted, v_weighted = h_out in weighted, v_out in weighted
+        if reverse:
+            h_in, h_out, v_in, v_out = h_out, h_in, v_out, v_in
+        for e in (h_in, v_in):
+            if e not in known:
+                if e not in free:
+                    raise AssertionError("site %r reached before its inputs" % ((k, l),))
+                steps.append((-1, slot(e)))
+                known.add(e)
+        steps.append((index[(k, l)], slot(h_in), slot(v_in), slot(h_out), slot(v_out),
+                      table(pinned.get(h_out), pinned.get(v_out), h_weighted, v_weighted)))
+        known.update((h_out, v_out))
     colors = [-1] * len(slots)
     for e, c in fixed.items():
         colors[slots[e]] = c
-    residual = (0, 1) if convention.residual == "sum" else (0,)
     return tuple(colors), tuple(steps), residual
+
+
+_reverse_plan = functools.partial(_layer_plan, reverse=True)
 
 
 def _sweep(plan: LayerPlan, state: SiteState, cutoff: int,
@@ -402,11 +447,13 @@ def _check_width(states: Iterable[Tuple[int, ...]], width: int):
 # exponent slot per distinct binding atom (a Var, or a polynomial raised to
 # its power only when the result is built).
 Counts = Dict[Tuple[int, ...], int]
-# One operator of a product: its sweep plan, its weighing -- the slot of a
-# scalar atom (an int; a move adds alpha there) or one slot per occupancy
-# index (a tuple; a move adds out_p - in_p at slot p) -- and the derivative
-# (slot, order) applied after it, or None.
-ContractStep = Tuple[LayerPlan, Union[int, Tuple[int, ...]], Optional[Tuple[int, int]]]
+# One operator of a product: its sweep plan; a function that builds the plan
+# of its transpose (`_reverse_plan`), or None for a strip; its weighing --
+# the slot of a scalar atom (an int; a move adds alpha there) or one slot per
+# occupancy index (a tuple; a move adds out_p - in_p at slot p); and the
+# derivative (slot, order) applied after it, or None.
+ContractStep = Tuple[LayerPlan, Optional[Callable[[], LayerPlan]],
+                     Union[int, Tuple[int, ...]], Optional[Tuple[int, int]]]
 
 
 def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteState],
@@ -416,14 +463,32 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
     """S_1 S_2 ... S_r |ket> for steps written left to right, as state ->
     exponent vector -> count.
 
-    Without a `bra` every reached state is returned.  With one, only its
-    entry is (if reached): each operator changes each occupancy by at most
-    one, so the sweep of each step keeps only states within the number of
-    steps left of `bra` in every index, and the last step sweeps only toward
-    `bra`.  A derivative of order k maps exponent e at its slot to e - k
-    with the count times e (e-1) ... (e-k+1).  `projections` maps a gap g
-    (between S_g and S_{g+1}, 1-based) to (index, occupancy): only states
-    with that occupancy pass the gap.
+    Without a `bra` every reached state is returned: the steps act on the
+    ket right to left.  With one, only its entry is (if reached), and the
+    product is contracted from both ends at once.  The ket side holds
+    S_g ... S_r |ket> and sweeps forward plans; the bra side holds
+    <bra| S_1 ... S_{g'} and sweeps the transposes (`_reverse_plan`), with
+    per-index shifts negated.  Each operator changes each occupancy by at
+    most one, so each side keeps only states within the number of steps
+    beyond it of the other end: the ket side sweeps toward `bra`, the bra
+    side toward `ket`.  When every step is on one side or the other, the
+    states both sides hold are joined by convolving their exponent vectors.
+
+    Each round expands one side, chosen from what the loop has seen: the
+    bra side only when it holds fewer states than the ket side and also
+    fewer states times the growth of its previous expansion (states out per
+    state in; 1 before its first); otherwise the ket side.  Growth, not
+    moves per state: on the n = 10 staircase moves per state sent a third
+    layer to the bra side just as the ket side's prune began to shrink its
+    map.  The round that closes the gap keeps only moves onto states the
+    other side holds.  The bra side stops at the first step without a
+    transpose (a strip) or with a derivative, so a strip product, and every
+    contraction without a bra, runs on the ket side alone.
+
+    A derivative of order k maps exponent e at its slot to e - k with the
+    count times e (e-1) ... (e-k+1).  `projections` maps a gap g (between
+    S_g and S_{g+1}, 1-based) to (index, occupancy): only states with that
+    occupancy pass the gap.
 
     Inside, an exponent vector is one integer holding e_s + bias in the
     `width` bits from bit width * s, so a move shifts a vector by one
@@ -433,7 +498,7 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
     # |e_s| is at most the sum of what every step can change at slot s: a
     # scalar move's alpha is at most 2 per site, an index move is +-1
     reach = [0] * n_slots
-    for plan, weigh, deriv in steps:
+    for plan, _, weigh, deriv in steps:
         if isinstance(weigh, tuple):
             for s in weigh:
                 reach[s] += 1
@@ -444,19 +509,48 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
     width = max(reach, default=0).bit_length() + 1
     bias, mask = 1 << (width - 1), (1 << width) - 1
     zero = sum(bias << (width * s) for s in range(n_slots))
-    # a scalar move's alpha is shifted into its slot; a per-index plan sweeps
-    # its moves' packed shifts already (`_with_units`)
-    sweeps = [(_with_units(plan, tuple(1 << (width * s) for s in weigh)), 0)
-              if isinstance(weigh, tuple) else (plan, width * weigh)
-              for plan, weigh, _ in steps]
 
-    combo: Dict[SiteState, Dict[int, int]] = {ket: {zero: 1}}
-    for left in range(len(steps) - 1, -1, -1):
-        plan, offset = sweeps[left]
-        deriv = steps[left][2]
+    # the bra side stops at the first step without a transpose or with a
+    # derivative, and builds each transpose only when it gets there
+    crossable = 0
+    if bra is not None:
+        for _, transpose, _, deriv in steps:
+            if transpose is None or deriv:
+                break
+            crossable += 1
+
+    kets: Dict[SiteState, Dict[int, int]] = {ket: {zero: 1}}
+    bras: Dict[SiteState, Dict[int, int]] = {bra: {zero: 1}}
+    ket_growth = bra_growth = 1.0
+    lo, hi = 0, len(steps)  # the bra side holds S_1 .. S_lo, the ket side the rest
+    while lo < hi:
+        on_bra = (lo < crossable and len(bras) < len(kets)
+                  and len(bras) * bra_growth < len(kets) * ket_growth)
+        if on_bra:
+            # the transpose's moves run from out-state to in-state, so its
+            # per-index shifts are negated
+            _, transpose, weigh, deriv = steps[lo]
+            plan, sign, side, target, slack = transpose(), -1, bras, ket, len(steps) - lo - 1
+            lo += 1
+            gap = lo
+        else:
+            hi -= 1
+            plan, _, weigh, deriv = steps[hi]
+            sign, side, target, slack = 1, kets, bra, hi
+            gap = hi
+        # where the sides meet, only moves onto the other side's states count
+        meet = None if bra is None or lo < hi else kets if on_bra else bras
+        # a scalar move's alpha is shifted into its slot; a per-index plan
+        # sweeps its moves' packed shifts already (`_with_units`)
+        if isinstance(weigh, tuple):
+            plan, offset = _with_units(plan, tuple(sign << (width * s) for s in weigh)), 0
+        else:
+            offset = width * weigh
         out: Dict[SiteState, Dict[int, int]] = {}
-        for state, coeff in combo.items():
-            for (new, alpha), mult in _sweep(plan, state, cutoff, bra, left).items():
+        for state, coeff in side.items():
+            for (new, alpha), mult in _sweep(plan, state, cutoff, target, slack).items():
+                if meet is not None and new not in meet:
+                    continue
                 shift = alpha << offset
                 acc = out.get(new)
                 if acc is None:
@@ -464,6 +558,7 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
                 for key, c in coeff.items():
                     key += shift
                     acc[key] = acc.get(key, 0) + c * mult
+        growth = len(out) / len(side)
         if deriv:
             s, k = deriv
             for state, coeff in out.items():
@@ -475,16 +570,30 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
                     if c:
                         lowered[key - (k << (width * s))] = c
                 out[state] = lowered
-        keep = projections.get(left) if projections and left >= 1 else None
-        combo = {state: coeff for state, coeff in out.items()
-                 if coeff and (keep is None or state[keep[0]] == keep[1])}
-        if not combo:
+        keep = projections.get(gap) if projections and 0 < gap < len(steps) else None
+        side = {state: coeff for state, coeff in out.items()
+                if coeff and (keep is None or state[keep[0]] == keep[1])}
+        if not side:
             return {}
+        if on_bra:
+            bras, bra_growth = side, growth
+        else:
+            kets, ket_growth = side, growth
     if bra is not None:
-        combo = {bra: combo[bra]} if bra in combo else {}
+        joined: Dict[int, int] = {}
+        for state, coeff in bras.items():
+            other = kets.get(state)
+            if other is None:
+                continue
+            for key_b, c_b in coeff.items():
+                key_b -= zero
+                for key, c in other.items():
+                    key += key_b
+                    joined[key] = joined.get(key, 0) + c * c_b
+        kets = {bra: joined} if joined else {}
     return {state: {tuple(((key >> (width * s)) & mask) - bias for s in range(n_slots)): c
                     for key, c in coeff.items()}
-            for state, coeff in combo.items()}
+            for state, coeff in kets.items()}
 
 
 def _image(atoms: Sequence[Union[Var, LaurentPoly]], steps: Sequence[ContractStep],
@@ -595,7 +704,8 @@ def _layer_steps(spec: PartitionSpec, convention: Convention
                 slots.setdefault(binding[s], len(slots)) for s in sites(n))
         else:
             weigh = slots.setdefault(binding, len(slots))
-        steps.append((_layer_plan(n, layer.label, convention), weigh,
+        steps.append((_layer_plan(n, layer.label, convention),
+                      functools.partial(_reverse_plan, n, layer.label, convention), weigh,
                       (weigh, layer.deriv) if layer.deriv else None))
     atoms = list(slots)
     # the derivative acts on exponent slots, so it must not hide inside a
@@ -684,9 +794,11 @@ def set_default_convention(convention: Optional[Convention]):
 def vev(spec: PartitionSpec, convention: Optional[Convention] = None) -> LaurentPoly:
     """Vacuum expectation value of the layer product, exactly.
 
-    Layers are applied right to left to the vacuum with cutoff equal to the
-    number of layers (occupancies grow by at most one per layer), then the
-    vacuum coefficient is extracted.
+    The product is contracted from both vacua at once (`_contract`): the
+    last layers act on the ket, the transposes of the first layers
+    (`_reverse_plan`) on the bra, and the two sides are joined on the states
+    both reach.  The cutoff is the number of layers, since occupancies grow
+    by at most one per layer.
     """
     if convention is None:
         convention = default_convention()
@@ -699,6 +811,9 @@ def count_configurations(spec: PartitionSpec,
     summed, which is the vev at all-ones when every binding is a Var."""
     if not spec.all_scalar:
         raise ValueError("configuration counting needs scalar bindings")
+    # a derivative scales the counts by its falling factorials
+    if any(layer.deriv for layer in spec.layers):
+        raise ValueError("configuration listing needs plain layers")
     if convention is None:
         convention = default_convention()
     return sum(_vev_counts(spec, convention)[1].values())
@@ -721,7 +836,9 @@ def enumerate_configurations(spec: PartitionSpec,
         if layer.deriv:
             raise ValueError("configuration listing needs plain layers")
     # one exponent slot per layer, so an exponent vector is a row
-    steps: List[ContractStep] = [(_layer_plan(spec.n, layer.label, convention), t, None)
+    steps: List[ContractStep] = [(_layer_plan(spec.n, layer.label, convention),
+                                  functools.partial(_reverse_plan, spec.n, layer.label,
+                                                    convention), t, None)
                                  for t, layer in enumerate(spec.layers)]
     vac = vacuum_state(spec.n)
     counts = _contract(steps, vac, vac, len(steps), len(steps)).get(vac, {})
@@ -829,7 +946,7 @@ def _strip_steps(layers: Sequence[StripLayer], m: int
     steps: List[ContractStep] = []
     for ell, row_vars in layers:
         weigh = tuple(slots.setdefault(z, len(slots)) for z in row_vars)
-        steps.append((_column_plan(ell, m), weigh, None))
+        steps.append((_column_plan(ell, m), None, weigh, None))
     return list(slots), steps
 
 

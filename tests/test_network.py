@@ -21,7 +21,10 @@ from trivertex.network import (
     NoConventionFound,
     PartitionSpec,
     _layer_plan,
+    _reverse_plan,
+    _site_table,
     _sweep,
+    _with_units,
     all_conventions,
     apply_layer,
     apply_stack,
@@ -44,6 +47,10 @@ from trivertex.network import (
 from trivertex.poly import LaurentPoly, Var
 
 Z = [Var.layer(t) for t in range(1, 7)]
+RESOLVED = Convention("we", "staircase", "sum", "north_lateral")
+# a reading whose layers map one (in-state, out-state, alpha) by several
+# colorings: label 2 at n = 3 takes the vacuum to itself with alpha 2 twice
+MULTI = Convention("we", "columns", "sum", "north")
 
 
 def zmono(*exps):
@@ -446,6 +453,16 @@ def test_count_configurations_examples():
     assert count_configurations(scalar_spec(4, (1, 2, 3, 3, 4))) == 1
 
 
+def test_count_configurations_refuses_derivative_layers():
+    # the z1-derivative stack has one configuration, but its vev 2 z1 z2
+    # sums to 2: a derivative's falling factorials are not a count
+    spec = scalar_spec(3, (2, 1), derivs=(1, 0))
+    assert vev(spec) == 2 * zmono(1, 1)
+    for listing in (count_configurations, enumerate_configurations):
+        with pytest.raises(ValueError, match="plain layers"):
+            listing(spec)
+
+
 def test_invalid_labels():
     with pytest.raises(InvalidLabels):
         scalar_spec(3, (4,))
@@ -665,25 +682,93 @@ def test_sweep_matches_term_kernel():
                 assert got == term_moves(n, i, conv, state, 3), (n, conv, i, state)
 
 
+TRANSPOSE = {LocalOp.B_PLUS: LocalOp.B_MINUS, LocalOp.B_MINUS: LocalOp.B_PLUS,
+             LocalOp.T_PROJ: LocalOp.T_PROJ, LocalOp.ID_B: LocalOp.ID_B,
+             LocalOp.ID_R: LocalOp.ID_R}
+
+
+def test_r0_is_its_own_transpose_against_the_flow():
+    # read from its outputs to its inputs, R0 is R0 with b+ and b- swapped
+    r0 = {edges: op for edges, (_, op) in local_tensor(TensorKind.R0).items()}
+    assert {(aa, bb, ii, jj): TRANSPOSE[op] for (ii, jj, aa, bb), op in r0.items()} == r0
+    # so on every site table, a hit read back from the occupancy it leaves,
+    # on the table pinning the hit's inputs, returns its inputs and undoes
+    # its occupancy change
+    for h_fixed, v_fixed in itertools.product((None, 0, 1), repeat=2):
+        for j, hit in enumerate(_site_table(h_fixed, v_fixed, False, False)):
+            if hit is None:
+                continue
+            h, v = j >> 2, j >> 1 & 1
+            aa, bb, delta, _ = hit
+            for m in ((1, 2) if j & 1 else (0,)):
+                back = _site_table(h, v, False, False)[4 * aa + 2 * bb + (m + delta > 0)]
+                assert back == (h, v, -delta, 0), (h_fixed, v_fixed, j, m)
+
+
+def transposed_moves(plan, states, cutoff, units=None):
+    """(state swept, state reached, alpha) -> multiplicity of `plan`'s moves
+    between members of `states`; `units` as in `_with_units`."""
+    if units is not None:
+        plan = _with_units(plan, units)
+    moves = {}
+    for state in states:
+        for (out, alpha), mult in _sweep(plan, state, cutoff).items():
+            if max(out) < cutoff:
+                moves[state, out, alpha] = mult
+    return moves
+
+
+def test_reverse_plan_sweeps_the_transpose():
+    # on the box {0,1,2}^w for n <= 4 and every reading, the reverse plan's
+    # moves are the forward moves turned around, with alpha and
+    # multiplicity.  The same loop records the largest multiplicity: the
+    # "columns" reading with residual "sum" maps one (in, out, alpha) by
+    # several colorings, every other reading by one
+    top = Counter()
+    for n in (2, 3, 4):
+        box = list(itertools.product(range(3), repeat=n * (n - 1) // 2))
+        for conv in all_conventions():
+            for i in range(n + 1):
+                fwd = transposed_moves(_layer_plan(n, i, conv), box, 3)
+                back = transposed_moves(_reverse_plan(n, i, conv), box, 3)
+                assert {(s, out, a): m for (out, s, a), m in back.items()} == fwd, (n, conv, i)
+                family = (n, conv.boundary, conv.residual)
+                top[family] = max(top[family], *fwd.values())
+    assert top == {(n, b, r): 2 ** (n - 2) if (b, r) == ("columns", "sum") else 1
+                   for n in (2, 3, 4) for b in ("staircase", "columns") for r in ("sum", "zero")}
+    # per-index shifts: the reverse plan with negated units sums the same
+    # packed shift from the out-state back to the in-state
+    for n in (2, 3):
+        width = n * (n - 1) // 2
+        box = list(itertools.product(range(3), repeat=width))
+        units = tuple(1 << (8 * p) for p in range(width))
+        for conv in all_conventions():
+            for i in range(n + 1):
+                fwd = transposed_moves(_layer_plan(n, i, conv), box, 3, units)
+                back = transposed_moves(_reverse_plan(n, i, conv), box, 3,
+                                        tuple(-u for u in units))
+                assert {(s, out, a): m for (out, s, a), m in back.items()} == fwd, (n, conv, i)
+
+
 @functools.lru_cache(maxsize=None)
 def cached_term_moves(n, i, conv, state, cutoff):
     return term_moves(n, i, conv, state, cutoff)
 
 
-def term_product_map(n, conv, outer, inner, state, cutoff):
+def term_product_map(n, conv, outer, inner, state, cutoff, moves=cached_term_moves):
     """X_outer(u) X_inner(v) |state> by the coloring list: (out_state, e_u,
-    e_v) -> count."""
+    e_v) -> count.  `moves` is `term_moves` or a stand-in for it."""
     acc = Counter()
-    for (mid, a_in), c_in in cached_term_moves(n, inner, conv, state, cutoff).items():
-        for (out, a_out), c_out in cached_term_moves(n, outer, conv, mid, cutoff).items():
+    for (mid, a_in), c_in in moves(n, inner, conv, state, cutoff).items():
+        for (out, a_out), c_out in moves(n, outer, conv, mid, cutoff).items():
             acc[(out, a_out, a_in)] += c_in * c_out
     return acc
 
 
-def term_zf_sides(n, conv, i, j, state, cutoff):
+def term_zf_sides(n, conv, i, j, state, cutoff, moves=cached_term_moves):
     """Both sides of the exchange relation for (i, j) on `state` by the
     coloring list, keyed (out_state, e_x, e_y)."""
-    lhs = term_product_map(n, conv, i, j, state, cutoff)
+    lhs = term_product_map(n, conv, i, j, state, cutoff, moves)
     rhs = Counter()
     # X_i(y) X_j(x), times x/y when i > j
     shift = 1 if i > j else 0
@@ -691,10 +776,25 @@ def term_zf_sides(n, conv, i, j, state, cutoff):
         rhs[(out, a_in + shift, a_out - shift)] += c
     if i < j:
         # + (1 - x/y) X_j(y) X_i(x)
-        for (out, a_out, a_in), c in term_product_map(n, conv, j, i, state, cutoff).items():
+        for (out, a_out, a_in), c in term_product_map(n, conv, j, i, state, cutoff,
+                                                      moves).items():
             rhs[(out, a_in, a_out)] += c
             rhs[(out, a_in + 1, a_out - 1)] -= c
     return dict(lhs), {k: c for k, c in rhs.items() if c}
+
+
+def term_zf_report(n, conv, pair, cutoff, moves=cached_term_moves):
+    """`(passed, detail)` of `verify.check_zf` by the coloring list: the
+    first ket of the box, in product order, whose sides differ, with the
+    first key they differ at."""
+    for state in itertools.product(range(cutoff - 1), repeat=n * (n - 1) // 2):
+        lhs, rhs = term_zf_sides(n, conv, *pair, state, cutoff, moves)
+        diff = sorted(k for k in lhs.keys() | rhs.keys() if lhs.get(k, 0) != rhs.get(k, 0))
+        if diff:
+            return False, {"state": state, "vars": ("x", "y"), "key": diff[0],
+                           "lhs": lhs.get(diff[0], 0), "rhs": rhs.get(diff[0], 0),
+                           "diff_terms": len(diff)}
+    return True, {}
 
 
 def zf_sets(state):
@@ -706,19 +806,76 @@ def zf_sets(state):
 
 def test_zf_sides_match_term_route():
     conv = default_convention()
-    cases = [(n, (i, j)) for n in (2, 3) for i in range(n + 1) for j in range(n + 1)]
-    cases.append((4, (1, 3)))
-    for n, (i, j) in cases:
+    # the resolved reading, and one whose moves have multiplicities above 1
+    cases = [(n, (i, j), c) for n in (2, 3) for i in range(n + 1) for j in range(n + 1)
+             for c in (conv, MULTI)]
+    cases.append((4, (1, 3), conv))
+    for n, (i, j), conv in cases:
         tables = verify._zf_tables(n, conv, (i, j))
         for state in itertools.product(range(3), repeat=n * (n - 1) // 2):
             sides = verify._zf_sides(tables, i, j, state, 4, *zf_sets(state))
             got = tuple({verify._zf_key(state, k): c for k, c in side.items()}
                         for side in sides)
-            assert got == term_zf_sides(n, conv, i, j, state, 4), (n, (i, j), state)
+            assert got == term_zf_sides(n, conv, i, j, state, 4), (n, (i, j), conv, state)
     # a ket outside the box could raise an index past the cutoff
     with pytest.raises(ValueError, match="outside the ket box"):
         verify._zf_sides(verify._zf_tables(3, conv, (0, 3)), 0, 3, (0, 3, 0), 4,
                          *zf_sets((0, 3, 0)))
+
+
+def test_failing_zf_reports_match_term_route():
+    # under MULTI most relations fail, some with counts above 1: each
+    # report names the ket, key and values the coloring list finds
+    failed = 0
+    for n in (2, 3):
+        for pair in itertools.product(range(n + 1), repeat=2):
+            r = verify.check_zf(n, pair, cutoff=4, convention=MULTI)
+            assert (r.passed, r.detail) == term_zf_report(n, MULTI, pair, 4), (n, pair)
+            failed += not r.passed
+    assert failed == 20
+
+
+def test_broken_zf_report_matches_term_route(monkeypatch):
+    # one move of one layer on one occupied set gets an extra count, in the
+    # move tables (as in tests/test_verify.py) and on the coloring list: the
+    # failing report's ket, key and values are the coloring list's
+    n, width, cutoff = 3, 3, 4
+    pattern_moves = verify._pattern_moves
+    failed = 0
+    for label in range(n + 1):
+        plan = _layer_plan(n, label, RESOLVED)
+        for flags in itertools.product((0, 1), repeat=width):
+            moves = cached_term_moves(n, label, RESOLVED, flags, cutoff)
+            if not moves:
+                continue
+            out, alpha = min(moves)
+            change = tuple(b - a for a, b in zip(flags, out))
+            packed = sum(d << 3 * p for p, d in enumerate(change))
+            mask = sum(1 << 3 * p for p, f in enumerate(flags) if f)
+
+            def wrong(plan_, mask_, width_, plan=plan, mask=mask, packed=packed, alpha=alpha):
+                got = pattern_moves(plan_, mask_, width_)
+                if plan_ == plan and mask_ == mask:
+                    got = tuple(m[:4] + (m[4] + 1,) if m[2:4] == (packed, alpha) else m
+                                for m in got)
+                return got
+
+            def broken(n_, i, conv, state, cutoff_, label=label, flags=flags,
+                       change=change, alpha=alpha):
+                got = cached_term_moves(n_, i, conv, state, cutoff_)
+                if i == label and tuple(int(m > 0) for m in state) == flags:
+                    got = got.copy()
+                    got[tuple(m + d for m, d in zip(state, change)), alpha] += 1
+                return got
+
+            monkeypatch.setattr(verify, "_pattern_moves", wrong)
+            for other in range(n + 1):
+                for pair in {(label, other), (other, label)}:
+                    r = verify.check_zf(n, pair, cutoff=cutoff, convention=RESOLVED)
+                    assert (r.passed, r.detail) == term_zf_report(
+                        n, RESOLVED, pair, cutoff, broken), (label, flags, pair)
+                    failed += not r.passed
+    assert failed
 
 
 def test_sweep_overflow_at_cutoff():
@@ -731,14 +888,14 @@ def test_sweep_overflow_at_cutoff():
 
 
 @st.composite
-def small_stacks(draw):
-    """Stacks at n <= 5 (depth <= 3 at n = 5) of per-site layers and scalar
-    layers whose variables come from a pool of three, so layers share them,
-    with derivative orders 0..2.  A per-site layer sometimes reuses an
+def small_stacks(draw, max_n=5):
+    """Stacks at n <= max_n (depth <= 3 from n = 5) of per-site layers and
+    scalar layers whose variables come from a pool of three, so layers share
+    them, with derivative orders 0..2.  A per-site layer sometimes reuses an
     earlier layer's site map, so two per-index steps add into the same
     exponent slots."""
-    n = draw(st.integers(min_value=2, max_value=5))
-    depth = draw(st.integers(min_value=1, max_value=3 if n == 5 else 4))
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    depth = draw(st.integers(min_value=1, max_value=3 if n >= 5 else 4))
     layers = []
     site_maps = []
     for t in range(1, depth + 1):
@@ -757,22 +914,28 @@ def small_stacks(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_stacks())
+@given(small_stacks(), st.sampled_from(all_conventions()))
 # derivatives in a variable another layer shares, on either side of it
 @example(PartitionSpec(4, [LayerSpec(3, Z[0], 2), LayerSpec(3, Z[0]),
-                           LayerSpec(1, site_binding(4, 3))]))
+                           LayerSpec(1, site_binding(4, 3))]), RESOLVED)
 @example(PartitionSpec(5, [LayerSpec(4, Z[0], 1), LayerSpec(3, Z[0], 2),
-                           LayerSpec(1, Z[1])]))
+                           LayerSpec(1, Z[1])]), RESOLVED)
 # one site map on both sides of a scalar layer, and a site map onto the
 # scalar layer's own variable: per-index shifts and alpha in shared slots
 @example(PartitionSpec(3, [LayerSpec(3, site_binding(3, 1)), LayerSpec(0, Z[0]),
-                           LayerSpec(1, site_binding(3, 1))]))
+                           LayerSpec(1, site_binding(3, 1))]), RESOLVED)
 @example(PartitionSpec(3, [LayerSpec(1, {s: Z[0] for s in sites(3)}),
-                           LayerSpec(2, Z[0], 1), LayerSpec(0, site_binding(3, 2))]))
+                           LayerSpec(2, Z[0], 1), LayerSpec(0, site_binding(3, 2))]),
+         RESOLVED)
 # s_(2,1)(z1, z2, z3) has z1 z2 z3 twice: a configuration row that repeats
-@example(scalar_spec(4, (4, 2, 0)))
-def test_stack_vev_matches_term_route(spec):
-    conv = default_convention()
+@example(scalar_spec(4, (4, 2, 0)), RESOLVED)
+# multiplicities above 1, on the ket side and on both sides of the join
+@example(scalar_spec(3, (2,)), MULTI)
+@example(scalar_spec(4, (3, 2)), MULTI)
+@example(scalar_spec(3, (2, 2, 1)), MULTI)
+@example(PartitionSpec(3, [LayerSpec(2, site_binding(3, 1)), LayerSpec(2, Z[0]),
+                           LayerSpec(1, site_binding(3, 3))]), MULTI)
+def test_stack_vev_matches_term_route(spec, conv):
     n, cutoff = spec.n, len(spec.layers)
     vac = vacuum_state(n)
     ket = lib = {vac: LaurentPoly.one()}
@@ -794,3 +957,17 @@ def test_stack_vev_matches_term_route(spec):
             total = total + w
         assert total == vev(plain, conv)
         assert len(rows) == count_configurations(plain, conv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_stacks(max_n=6), st.sampled_from(all_conventions()))
+# Schur-rich and staircase stacks, where the bra side sweeps several layers
+@example(scalar_spec(6, (5, 5, 3, 3)), RESOLVED)
+@example(scalar_spec(5, (4, 3, 2, 1)), RESOLVED)
+@example(inhomogeneous_spec(4, (4, 3, 0, 0)), RESOLVED)
+def test_two_sided_vev_is_the_vacuum_entry_of_the_ket_side(spec, conv):
+    # `vev` contracts from the ket and the bra at once; `apply_stack` has no
+    # bra, so it sweeps every layer from the ket
+    vac = vacuum_state(spec.n)
+    image = apply_stack(spec, conv, vac, len(spec.layers))
+    assert vev(spec, conv) == image.get(vac, LaurentPoly.zero())

@@ -166,6 +166,20 @@ def test_battery_selection_and_json():
         run_battery("nonsense")
 
 
+def test_schur_battery_contracts_each_stack_once(monkeypatch):
+    # the Schur comparison and the count share one contraction per instance
+    calls = []
+    counts = verify._vev_counts
+    monkeypatch.setattr(verify, "_vev_counts",
+                        lambda spec, conv: calls.append(spec) or counts(spec, conv))
+    monkeypatch.setattr(verify, "count_configurations", None)
+    reports = [r for r in run_battery("schur")
+               if r.name in ("schur_correspondence", "counting")]
+    assert len(calls) == len(list(schur_grid())) == len(reports) // 2
+    assert all(r.passed for r in reports)
+    assert [r.name for r in reports[:4]] == ["schur_correspondence", "counting"] * 2
+
+
 def test_hat_group():
     reports = run_battery("hat")
     assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
