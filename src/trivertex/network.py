@@ -234,12 +234,13 @@ _R0_BY_INPUT = _r0_by_input()
 
 Binding = Union[Var, LaurentPoly, Mapping[Site, Union[Var, LaurentPoly]]]
 
-# One step of a site sweep (of a layer or a column strip): a branch over the
-# colors of a free input stub, (-1, slot), or a site, (occupancy index, h_in,
-# v_in, h_out, v_out slots, table).  The site table is indexed by 4 h_in +
-# 2 v_in + (occupancy > 0) and holds (h_out color, v_out color, occupancy
-# change, alpha increment), or None where no R0 entry survives; `_with_units`
-# turns the increment into a packed exponent shift.
+# One step of a site sweep (of a layer, its transpose or a column strip): a
+# branch over the colors of a free stub the sweep reads, (-1, slot), or a
+# site, (occupancy index, h_in, v_in, h_out, v_out slots, table).  The site
+# table is indexed by 4 h_in + 2 v_in + (occupancy > 0) and holds (h_out
+# color, v_out color, occupancy change, alpha increment), or None where no R0
+# entry survives; `_with_units` turns the increment into a packed exponent
+# shift.
 LayerPlan = Tuple[Tuple[int, ...], Tuple[tuple, ...], Tuple[int, ...]]
 
 _OCCUPANCY_CHANGE = {LocalOp.ID_B: 0, LocalOp.ID_R: 0, LocalOp.T_PROJ: 0,
