@@ -7,12 +7,13 @@ boundary positions carry color 1), each coloring contributing the tensor
 product of its per-site local operators weighted by z to the number of 1s on
 the designated output boundary.
 
-A layer acts on occupancy states by a pruned depth-first sweep over the
-sites (`_sweep`): each site's local operator acts as soon as the site is
-reached, so a branch ends at the first site that kills the state or
-disagrees with a fixed output stub, and only the colors of free input stubs
-are branched over.  A one-column strip operator is the same sweep over the
-slots of the column.
+A layer acts on a map of occupancy states by a pruned depth-first sweep
+over the sites (`_sweep_map`): each site's local operator acts as soon as
+the site is reached, so a branch ends at the first site that kills the
+state or disagrees with a fixed output stub.  It branches over the colors
+of free input stubs and over the states, read as a trie, so states that
+agree on the sites swept so far share one branch.  A one-column strip
+operator is the same sweep over the slots of the column.
 
 Every operator product but one is contracted by one engine, `_contract`, on
 exact integers: each state carries exponent vector -> count, one exponent
@@ -27,7 +28,9 @@ sweeps the layers, the bra side their transposes (`_reverse_plan`: R0 is its
 own transpose with the color flow reversed, so the transpose is the layer
 swept against the flow), each side dropping states that can no longer reach
 the other end, and the two are joined where they meet.  Each round expands
-the side whose map is smaller now and is predicted smaller after.
+the side whose map is smaller now and is predicted smaller after; the
+round that closes the gap sweeps the smaller side, onto the other side's
+states only.
 
 A move leaves the sweep with its exponent shift.  A scalar layer's move
 carries alpha, which the engine shifts into the layer's slot.  A per-index
@@ -240,8 +243,9 @@ Binding = Union[Var, LaurentPoly, Mapping[Site, Union[Var, LaurentPoly]]]
 # table is indexed by 4 h_in + 2 v_in + (occupancy > 0) and holds (h_out
 # color, v_out color, occupancy change, alpha increment), or None where no R0
 # entry survives; `_with_units` turns the increment into a packed exponent
-# shift.
-LayerPlan = Tuple[Tuple[int, ...], Tuple[tuple, ...], Tuple[int, ...]]
+# shift.  A plan is (initial colors by slot, steps, the colors a free stub is
+# summed over, the occupancy indices in the order its sites read them).
+LayerPlan = Tuple[Tuple[int, ...], Tuple[tuple, ...], Tuple[int, ...], Tuple[int, ...]]
 
 _OCCUPANCY_CHANGE = {LocalOp.ID_B: 0, LocalOp.ID_R: 0, LocalOp.T_PROJ: 0,
                      LocalOp.B_PLUS: 1, LocalOp.B_MINUS: -1}
@@ -289,9 +293,8 @@ def _reverse_table(h_fixed: Optional[int], v_fixed: Optional[int], h_weighted: b
 
 @functools.lru_cache(maxsize=None)
 def _layer_plan(n: int, i: int, convention: Convention, reverse: bool = False) -> LayerPlan:
-    """The site sweep of the layer with label i: the initial edge colors by
-    slot (-1 where not fixed), the steps, and the colors a free input stub
-    is summed over.
+    """The site sweep of the layer with label i (a `LayerPlan`), the initial
+    edge colors -1 where not fixed.
 
     Sites come bottom row first and along the flow, so both inputs of a
     site are known when it is reached.  Each site table is already filtered
@@ -309,14 +312,34 @@ def _layer_plan(n: int, i: int, convention: Convention, reverse: bool = False) -
     within a column, so a branch on a column's north stub meets the fixed
     staircase stub at the column's foot within that column.
     """
+    steps, slots, table, residual, zeros, order = _plan_frame(n, convention, reverse)
     fixed = fixed_colors(n, i, convention)
+    pinned = dict.fromkeys(zeros, 0)
+    pinned.update(fixed)
+    colors = [-1] * len(slots)
+    for e, c in fixed.items():
+        colors[slots[e]] = c
+    return tuple(colors), tuple(
+        step if step[0] < 0 else step[:5] + (table(pinned.get(step[5]), pinned.get(step[6]),
+                                                   step[7], step[8]),)
+        for step in steps), residual, order
+
+
+@functools.lru_cache(maxsize=None)
+def _plan_frame(n: int, convention: Convention, reverse: bool):
+    """What the plans of every label share: the steps, a site's as (index,
+    its four edge slots, its two output edges and whether each is
+    weighted), the slot of each edge, the table builder, the residual
+    colors, the free stubs pinned to 0 and the site order.  The fixed
+    boundary stubs are the same for every label; only their colors vary."""
+    fixed = {e for stubs in boundary_positions(n, convention) for e in stubs}
     inputs = input_stubs(n, convention)
     weighted = set(weighted_stubs(n, convention))
     west_flow = convention.flow == "we"
-    pinned = dict(fixed)
+    zeros: List[Edge] = []
     if reverse:
         if convention.residual == "zero":
-            pinned.update((e, 0) for e in inputs if e not in fixed)
+            zeros = [e for e in inputs if e not in fixed]
         free = {e for e in output_stubs(n, convention) if e not in fixed}
         order = [(k, l) for l in (range(n - 1, 0, -1) if west_flow else range(1, n))
                  for k in range(1, n - l + 1)]
@@ -350,53 +373,81 @@ def _layer_plan(n: int, i: int, convention: Convention, reverse: bool = False) -
                 steps.append((-1, slot(e)))
                 known.add(e)
         steps.append((index[(k, l)], slot(h_in), slot(v_in), slot(h_out), slot(v_out),
-                      table(pinned.get(h_out), pinned.get(v_out), h_weighted, v_weighted)))
+                      h_out, v_out, h_weighted, v_weighted))
         known.update((h_out, v_out))
-    colors = [-1] * len(slots)
-    for e, c in fixed.items():
-        colors[slots[e]] = c
-    return tuple(colors), tuple(steps), residual
+    return tuple(steps), slots, table, residual, zeros, _site_order(steps)
 
 
 _reverse_plan = functools.partial(_layer_plan, reverse=True)
 
 
-def _sweep(plan: LayerPlan, state: SiteState, cutoff: int,
-           target: Optional[SiteState] = None, slack: int = 0
+def _site_order(steps: Sequence[tuple]) -> Tuple[int, ...]:
+    return tuple(step[0] for step in steps if step[0] >= 0)
+
+
+def _sweep(plan: LayerPlan, state: SiteState, cutoff: int
            ) -> Dict[Tuple[SiteState, int], int]:
-    """(out_state, alpha) -> multiplicity for one plan acting on `state`,
-    alpha the sum of the site increments along the move: its weighted output
-    colors for a layer plan, its packed exponent shift for a plan from
-    `_with_units`.
+    """(out_state, alpha) -> multiplicity for one plan acting on `state`
+    (`_sweep_map` of one state)."""
+    return {(new, alpha): mult
+            for new, coeff in _sweep_map(plan, {state: {0: 1}}, cutoff).items()
+            for alpha, mult in coeff.items()}
+
+
+def _sweep_map(plan: LayerPlan, states: Mapping[SiteState, Mapping[int, int]], cutoff: int,
+               offset: int = 0, target: Optional[SiteState] = None, slack: int = 0,
+               onto: Optional[Iterable[SiteState]] = None) -> Dict[SiteState, Dict[int, int]]:
+    """The image of `states`, state -> (key -> count), under one plan: each
+    move adds alpha << `offset` to the keys of its state's counts, alpha the
+    sum of the site increments along the move (its weighted output colors
+    for a layer plan, its packed exponent shift for a plan from
+    `_with_units`).
 
     A depth-first sweep over the sites: each site's operator acts on the
     occupancy as soon as the site is reached, so a branch ends at the first
-    site that kills the state or disagrees with a fixed output stub, and the
-    only branching is over the colors of free input stubs.  With a `target`
-    only moves onto states within `slack` of it in every index are kept: a
-    branch also ends at the first site whose (final) occupancy is farther
-    from the target than that.  Raises CutoffOverflow if a surviving move
-    raises an occupancy past `cutoff`.
+    site that kills the state or disagrees with a fixed output stub.  It
+    branches over the colors of free input stubs and over the input states,
+    which it reads as a trie (`_trie`): states that agree on the sites swept
+    so far share one branch, so a site is applied once per distinct prefix,
+    not once per state.  With a `target` only moves onto states within
+    `slack` of it in every index are kept: a branch also ends at the first
+    site whose (final) occupancy is farther from the target than that.  With
+    `onto` only moves onto those states are kept, and a branch ends at the
+    first site whose occupancy leaves their trie.  Raises CutoffOverflow if a
+    surviving move raises an occupancy past `cutoff`.
     """
-    colors0, steps, residual = plan
+    colors0, steps, residual, order = plan
     colors = list(colors0)
     last = len(steps)
-    moves: Dict[Tuple[SiteState, int], int] = {}
+    tree = _trie(order, states)
+    occ = [0] * len(order)
+    image: Dict[SiteState, Dict[int, int]] = {}
 
-    # A branch writes only the slots of its own later steps, and every slot
-    # is written before it is read, so returning from a branch needs no undo.
-    def visit(t: int, occ: List[int], alpha: int, over: bool):
+    # A branch writes only the colors and occupancies of its own later
+    # steps, and every slot is written before it is read, so returning from
+    # a branch needs no undo.  `node` is the input trie below the sites swept
+    # so far, or the one state left below them; `into` likewise for `onto`.
+    def visit(t: int, node, into, alpha: int, over: bool):
         while t < last:
             step = steps[t]
             t += 1
             if step[0] < 0:
                 for hv in residual[1:]:
                     colors[step[1]] = hv
-                    visit(t, occ[:], alpha, over)
+                    visit(t, node, into, alpha, over)
                 colors[step[1]] = residual[0]
                 continue
             idx, h_in, v_in, h_out, v_out, table = step
-            m = occ[idx]
+            if node.__class__ is dict:
+                if len(node) > 1:
+                    # the input states part here
+                    t -= 1
+                    for m, below in node.items():
+                        visit(t, {m: below}, into, alpha, over)
+                    return
+                [(m, node)] = node.items()
+            else:
+                m = node[idx]
             hit = table[4 * colors[h_in] + 2 * colors[v_in] + (m > 0)]
             if hit is None:
                 return
@@ -405,21 +456,57 @@ def _sweep(plan: LayerPlan, state: SiteState, cutoff: int,
                 if delta > 0 and m >= cutoff:
                     over = True
                 m += delta
-                occ[idx] = m
+            occ[idx] = m
             # each occupancy index belongs to one step, so m is final here
-            if target is not None and not -slack <= m - target[idx] <= slack:
+            if into is not None:
+                if into.__class__ is dict:
+                    into = into.get(m)
+                    if into is None:
+                        return
+                elif into[idx] != m:
+                    return
+            elif target is not None and not -slack <= m - target[idx] <= slack:
                 return
             alpha += d_alpha
         if over:
             raise CutoffOverflow("internal: occupancy exceeded the layer budget")
-        out = tuple(occ)
+        new = into if into is not None else tuple(occ)
         # share the input tuple when nothing moved, so a state the engine
         # keeps is held by one tuple, not two
-        key = (state if out == state else out, alpha)
-        moves[key] = moves.get(key, 0) + 1
+        if new == node:
+            new = node
+        acc = image.get(new)
+        if acc is None:
+            acc = image[new] = {}
+        shift = alpha << offset
+        for key, c in states[node].items():
+            key += shift
+            acc[key] = acc.get(key, 0) + c
 
-    visit(0, list(state), 0, False)
-    return moves
+    if tree:
+        visit(0, tree, None if onto is None else _trie(order, onto), 0, False)
+    return image
+
+
+def _trie(order: Sequence[int], states: Iterable[SiteState]) -> dict:
+    """The states as nested dicts keyed by their occupancies at the indices
+    in `order`, down to where a state is the only one below: that key maps
+    to the state itself."""
+    root: dict = {}
+    for state in states:
+        node, d = root, 0
+        while True:
+            m = state[order[d]]
+            below = node.get(m)
+            if below is None:
+                node[m] = state
+                break
+            d += 1
+            if below.__class__ is not dict:
+                # two states share this prefix: split it one site further
+                below = node[m] = {below[order[d]]: below}
+            node = below
+    return root
 
 
 @functools.lru_cache(maxsize=256)
@@ -429,11 +516,11 @@ def _with_units(plan: LayerPlan, units: Tuple[int, ...]) -> LayerPlan:
     sum_p (out_p - in_p) units[p], which `_contract` adds to a packed
     exponent vector as it is.  Memoized with a bound: hashing a plan costs
     about a tenth of rebuilding it, which matters for small contractions."""
-    colors, steps, residual = plan
+    colors, steps, residual, order = plan
     return colors, tuple(
         step if step[0] < 0 else step[:5] + (tuple(
             hit and hit[:3] + (hit[2] * units[step[0]],) for hit in step[5]),)
-        for step in steps), residual
+        for step in steps), residual, order
 
 
 def _check_width(states: Iterable[Tuple[int, ...]], width: int):
@@ -481,10 +568,13 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
     state in; 1 before its first); otherwise the ket side.  Growth, not
     moves per state: on the n = 10 staircase moves per state sent a third
     layer to the bra side just as the ket side's prune began to shrink its
-    map.  The round that closes the gap keeps only moves onto states the
-    other side holds.  The bra side stops at the first step without a
-    transpose (a strip) or with a derivative, so a strip product, and every
-    contraction without a bra, runs on the ket side alone.
+    map.  The round that closes the gap sweeps the side with fewer states
+    (the bra side when it may), and only onto states the other side holds:
+    the sweep follows their trie and ends a branch as soon as it leaves it,
+    so that round costs about the states it sweeps.  The bra side stops at
+    the first step without a transpose (a strip) or with a derivative, so a
+    strip product, and every contraction without a bra, runs on the ket
+    side alone.
 
     A derivative of order k maps exponent e at its slot to e - k with the
     count times e (e-1) ... (e-k+1).  `projections` maps a gap g (between
@@ -525,8 +615,10 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
     ket_growth = bra_growth = 1.0
     lo, hi = 0, len(steps)  # the bra side holds S_1 .. S_lo, the ket side the rest
     while lo < hi:
-        on_bra = (lo < crossable and len(bras) < len(kets)
-                  and len(bras) * bra_growth < len(kets) * ket_growth)
+        # the closing round sweeps onto the other side's states only, so its
+        # cost is about the states it sweeps
+        on_bra = lo < crossable and len(bras) < len(kets) and (
+            hi - lo == 1 or len(bras) * bra_growth < len(kets) * ket_growth)
         if on_bra:
             # the transpose's moves run from out-state to in-state, so its
             # per-index shifts are negated
@@ -539,26 +631,15 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
             plan, _, weigh, deriv = steps[hi]
             sign, side, target, slack = 1, kets, bra, hi
             gap = hi
-        # where the sides meet, only moves onto the other side's states count
-        meet = None if bra is None or lo < hi else kets if on_bra else bras
         # a scalar move's alpha is shifted into its slot; a per-index plan
         # sweeps its moves' packed shifts already (`_with_units`)
         if isinstance(weigh, tuple):
             plan, offset = _with_units(plan, tuple(sign << (width * s) for s in weigh)), 0
         else:
             offset = width * weigh
-        out: Dict[SiteState, Dict[int, int]] = {}
-        for state, coeff in side.items():
-            for (new, alpha), mult in _sweep(plan, state, cutoff, target, slack).items():
-                if meet is not None and new not in meet:
-                    continue
-                shift = alpha << offset
-                acc = out.get(new)
-                if acc is None:
-                    acc = out[new] = {}
-                for key, c in coeff.items():
-                    key += shift
-                    acc[key] = acc.get(key, 0) + c * mult
+        # where the sides meet, only moves onto the other side's states count
+        onto = None if bra is None or lo < hi else kets if on_bra else bras
+        out = _sweep_map(plan, side, cutoff, offset, target, slack, onto)
         growth = len(out) / len(side)
         if deriv:
             s, k = deriv
@@ -918,7 +999,7 @@ def _column_plan(ell: int, m: int) -> LayerPlan:
         h_out = 0 if full or p <= ell else 1
         steps.append((p - 1, m + p, p, 2 * m + p, p - 1,
                       _site_table(h_out, None, False, False)))
-    return tuple(colors), tuple(steps), (0, 1)
+    return tuple(colors), tuple(steps), (0, 1), _site_order(steps)
 
 
 StripCombo = Dict[Tuple[int, ...], LaurentPoly]

@@ -24,6 +24,7 @@ from trivertex.network import (
     _reverse_plan,
     _site_table,
     _sweep,
+    _sweep_map,
     _with_units,
     all_conventions,
     apply_layer,
@@ -680,6 +681,45 @@ def test_sweep_matches_term_kernel():
             for i in range(n + 1):
                 got = _sweep(_layer_plan(n, i, conv), state, 3)
                 assert got == term_moves(n, i, conv, state, 3), (n, conv, i, state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sweep_map_matches_one_state_at_a_time(data):
+    # one sweep of a whole map, its states read as a trie, against each
+    # state on its own: the coloring list for a layer, `_sweep` for its
+    # transpose.  Each move adds alpha << offset to its state's keys; with a
+    # target only moves within the slack of it count, with `onto` only moves
+    # onto those states
+    n = data.draw(st.integers(2, 4), label="n")
+    conv = data.draw(st.sampled_from(all_conventions()), label="conv")
+    i = data.draw(st.integers(0, n), label="i")
+    reverse = data.draw(st.booleans(), label="reverse")
+    box = list(itertools.product(range(3), repeat=n * (n - 1) // 2))
+    states = data.draw(st.lists(st.sampled_from(box), min_size=1, max_size=12, unique=True),
+                       label="states")
+    counts = st.dictionaries(st.integers(-8, 8), st.integers(1, 3), min_size=1, max_size=3)
+    side = {state: data.draw(counts, label="counts") for state in states}
+    offset = data.draw(st.sampled_from((0, 5)), label="offset")
+    target = data.draw(st.none() | st.sampled_from(box), label="target")
+    slack = data.draw(st.integers(0, 2), label="slack")
+    onto = data.draw(st.none() | st.lists(st.sampled_from(box), min_size=1, unique=True),
+                     label="onto")
+    plan = (_reverse_plan if reverse else _layer_plan)(n, i, conv)
+    expected = {}
+    for state, coeff in side.items():
+        moves = _sweep(plan, state, 4) if reverse else cached_term_moves(n, i, conv, state, 4)
+        for (out, alpha), mult in moves.items():
+            if onto is not None:
+                if out not in onto:
+                    continue
+            elif target is not None and max(abs(o - t) for o, t in zip(out, target)) > slack:
+                continue
+            acc = expected.setdefault(out, Counter())
+            for key, c in coeff.items():
+                acc[key + (alpha << offset)] += c * mult
+    assert _sweep_map(plan, side, 4, offset, target, slack, onto) == {
+        out: dict(acc) for out, acc in expected.items()}
 
 
 TRANSPOSE = {LocalOp.B_PLUS: LocalOp.B_MINUS, LocalOp.B_MINUS: LocalOp.B_PLUS,
