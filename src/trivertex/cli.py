@@ -8,22 +8,11 @@ verification check fails.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from . import __version__
 from .lattice import CutoffTooSmall
-from .network import (
-    Convention,
-    enumerate_configurations,
-    inhomogeneous_spec,
-    resolve_convention,
-    scalar_spec,
-    set_default_convention,
-    vev,
-)
+from .network import enumerate_configurations, inhomogeneous_spec, scalar_spec, vev
 from .poly import LaurentPoly, Var, parse_var_name
 
 
@@ -121,58 +110,6 @@ def apply_vars_file(p: LaurentPoly, bindings: Dict[Var, object]) -> object:
     return p.evaluate(numbers)
 
 
-# -- convention cache ------------------------------------------------------
-
-# the modules convention resolution runs: the layer sweep, the R0 table, the
-# local operators and the polynomial arithmetic of the anchor values
-_KEY_SOURCES = ("network.py", "lattice.py", "fock.py", "poly.py")
-
-
-def _code_key() -> str:
-    here = os.path.dirname(os.path.abspath(__file__))
-    h = hashlib.sha256()
-    h.update(__version__.encode())
-    for name in _KEY_SOURCES:
-        with open(os.path.join(here, name), "rb") as fh:
-            h.update(fh.read())
-    return h.hexdigest()[:16]
-
-
-def default_cache_path() -> str:
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "trivertex", "convention.txt")
-
-
-def load_or_resolve_convention(cache_path: Optional[str],
-                               use_cache: bool = True) -> Convention:
-    path = cache_path or default_cache_path()
-    key = _code_key()
-    if use_cache:
-        try:
-            with open(path) as fh:
-                fields = dict(line.strip().split("=", 1)
-                              for line in fh if "=" in line)
-            if fields.get("key") == key:
-                conv = Convention(fields["flow"], fields["boundary"],
-                                  fields["residual"], fields["weighted"])
-                set_default_convention(conv)
-                return conv
-        except (OSError, KeyError, TypeError, ValueError):
-            pass
-    conv = resolve_convention(4)
-    set_default_convention(conv)
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write("key=%s\n" % key)
-            for field in ("flow", "boundary", "residual", "weighted"):
-                fh.write("%s=%s\n" % (field, getattr(conv, field)))
-    except OSError:
-        pass  # cache is best-effort
-    return conv
-
-
 # -- subcommands -----------------------------------------------------------
 
 def _spec_from_args(args) -> object:
@@ -208,7 +145,6 @@ def _spec_from_args(args) -> object:
 
 def cmd_compute(args) -> int:
     spec = _spec_from_args(args)
-    load_or_resolve_convention(args.cache_path, not args.no_cache)
     value = vev(spec)
     result: object = value
     if args.vars_file:
@@ -244,7 +180,6 @@ def cmd_compute(args) -> int:
 
 def cmd_enumerate(args) -> int:
     spec = _spec_from_args(args)
-    load_or_resolve_convention(args.cache_path, not args.no_cache)
     try:
         rows = enumerate_configurations(spec)
     except ValueError as exc:
@@ -282,7 +217,6 @@ def cmd_verify(args) -> int:
                          % (args.group, ", ".join(verify.GROUPS)))
     if args.cutoff is not None and args.group != "tetrahedron":
         raise UsageError("--cutoff applies to the tetrahedron group only")
-    load_or_resolve_convention(args.cache_path, not args.no_cache)
     if args.cutoff is not None:
         try:
             reports = [verify.check_tetrahedron(args.cutoff)]
@@ -324,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="label:multiplicity list, e.g. 3:2,1:1")
         p.add_argument("--format", choices=("json", "csv", "plain"),
                        default="plain")
-        p.add_argument("--no-cache", action="store_true",
-                       help="ignore and rewrite the convention cache")
-        p.add_argument("--cache-path", default=None,
-                       help="convention cache file "
-                            "(default: ~/.cache/trivertex/convention.txt)")
 
     p_compute = sub.add_parser("compute", help="expectation value of a stack")
     add_common(p_compute, with_spec=True)

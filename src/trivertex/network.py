@@ -48,9 +48,11 @@ checks of a grid, and contracts one ket per class: the `zf` group sweeps
 358 times, where one engine call per ket swept 114292 times.
 
 The pictures defining the boundary geometry admit several readings; the
-`Convention` type records one reading and `resolve_convention` selects the
-unique reading that reproduces a battery of independently known expectation
-values.
+`Convention` type records one reading.  The paper's reading is pinned as
+`CONVENTION`, the default of every function that takes a reading;
+`resolve_convention` re-derives it as the unique one of the 24 readings
+that reproduces a battery of independently known expectation values, in the
+battery's `convention` check and in the tests.
 """
 
 from __future__ import annotations
@@ -157,6 +159,10 @@ def all_conventions() -> List[Convention]:
         for r in ("sum", "zero")
         for w in ("north", "north_lateral", "all")
     ]
+
+
+# the paper's reading; `resolve_convention(4)` re-derives it
+CONVENTION = Convention("we", "staircase", "sum", "north_lateral")
 
 
 def north_stubs(n: int) -> List[Edge]:
@@ -767,9 +773,6 @@ def inhomogeneous_spec(n: int, labels: Sequence[int]) -> PartitionSpec:
 
 # -- convention resolution -------------------------------------------------
 
-_RESOLVED: Optional[Convention] = None
-
-
 def _layer_steps(spec: PartitionSpec, convention: Convention
                  ) -> Tuple[List[Union[Var, LaurentPoly]], List[ContractStep]]:
     """The binding atoms of a stack, one exponent slot each, and its engine
@@ -808,14 +811,10 @@ def _vev_counts(spec: PartitionSpec, convention: Convention
     return atoms, counts.get(vac, {})
 
 
-def _vev(spec: PartitionSpec, convention: Convention) -> LaurentPoly:
-    return LaurentPoly.from_exponents(*_vev_counts(spec, convention))
-
-
 def _monomial_anchor(n: int, labels: Sequence[int], convention: Convention) -> bool:
     expected = LaurentPoly.monomial(
         {Var.layer(t): i for t, i in enumerate(labels, start=1) if i}, 1)
-    return _vev(scalar_spec(n, labels), convention) == expected
+    return vev(scalar_spec(n, labels), convention) == expected
 
 
 def _passes_anchors(convention: Convention) -> bool:
@@ -827,7 +826,7 @@ def _passes_anchors(convention: Convention) -> bool:
                 return False
     z = [Var.layer(t) for t in range(1, 6)]
     # three staggered-label configurations, exact polynomial with count 3
-    got = _vev(scalar_spec(4, (3, 3, 1)), convention)
+    got = vev(scalar_spec(4, (3, 3, 1)), convention)
     expected = (LaurentPoly.monomial({z[0]: 3, z[1]: 2, z[2]: 2}, 1)
                 + LaurentPoly.monomial({z[0]: 3, z[1]: 3, z[2]: 1}, 1)
                 + LaurentPoly.monomial({z[0]: 2, z[1]: 3, z[2]: 2}, 1))
@@ -857,23 +856,9 @@ def resolve_convention(n_probe: int = 4,
     return survivors[0]
 
 
-def default_convention() -> Convention:
-    """The resolved convention, computed once per process."""
-    global _RESOLVED
-    if _RESOLVED is None:
-        _RESOLVED = resolve_convention(4)
-    return _RESOLVED
-
-
-def set_default_convention(convention: Optional[Convention]):
-    """Install (or clear) the cached convention, e.g. from a file cache."""
-    global _RESOLVED
-    _RESOLVED = convention
-
-
 # -- expectation values ----------------------------------------------------
 
-def vev(spec: PartitionSpec, convention: Optional[Convention] = None) -> LaurentPoly:
+def vev(spec: PartitionSpec, convention: Convention = CONVENTION) -> LaurentPoly:
     """Vacuum expectation value of the layer product, exactly.
 
     The product is contracted from both vacua at once (`_contract`): the
@@ -882,13 +867,11 @@ def vev(spec: PartitionSpec, convention: Optional[Convention] = None) -> Laurent
     both reach.  The cutoff is the number of layers, since occupancies grow
     by at most one per layer.
     """
-    if convention is None:
-        convention = default_convention()
-    return _vev(spec, convention)
+    return LaurentPoly.from_exponents(*_vev_counts(spec, convention))
 
 
 def count_configurations(spec: PartitionSpec,
-                         convention: Optional[Convention] = None) -> int:
+                         convention: Convention = CONVENTION) -> int:
     """Number of contributing global configurations: the vev's counts
     summed, which is the vev at all-ones when every binding is a Var."""
     if not spec.all_scalar:
@@ -896,13 +879,11 @@ def count_configurations(spec: PartitionSpec,
     # a derivative scales the counts by its falling factorials
     if any(layer.deriv for layer in spec.layers):
         raise ValueError("configuration listing needs plain layers")
-    if convention is None:
-        convention = default_convention()
     return sum(_vev_counts(spec, convention)[1].values())
 
 
 def enumerate_configurations(spec: PartitionSpec,
-                             convention: Optional[Convention] = None
+                             convention: Convention = CONVENTION
                              ) -> List[Tuple[Tuple[int, ...], LaurentPoly]]:
     """Contributing global configurations of a scalar spec.
 
@@ -910,8 +891,6 @@ def enumerate_configurations(spec: PartitionSpec,
     exponents; the weights sum to the vev.  A configuration is one choice of
     surviving coloring per layer that returns the vacuum to the vacuum.
     """
-    if convention is None:
-        convention = default_convention()
     if not spec.all_scalar:
         raise ValueError("configuration listing needs scalar bindings")
     for layer in spec.layers:

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .fock import check_q0_relations, check_qosc_relations
 from .lattice import TensorKind, local_tensor, q0_limit, tetrahedron_check
 from .network import (
+    CONVENTION,
     Convention,
     LayerPlan,
     _layer_plan,
@@ -26,8 +27,8 @@ from .network import (
     _vev_counts,
     apply_stack,
     count_configurations,
-    default_convention,
     inhomogeneous_spec,
+    resolve_convention,
     scalar_spec,
     strip_vev,
     vev,
@@ -227,7 +228,7 @@ def _zf_key(state: Tuple[int, ...], key: tuple) -> tuple:
 
 def check_zf(n: int, pair: Tuple[int, int], cutoff: int = 4,
              varpair: Tuple[str, str] = ("x", "y"),
-             convention: Optional[Convention] = None) -> CheckReport:
+             convention: Convention = CONVENTION) -> CheckReport:
     """Exchange relation for the pair (i, j) on every basis ket with
     occupancy at most cutoff-2; ValueError for cutoff < 2, whose box is
     empty.
@@ -243,10 +244,9 @@ def check_zf(n: int, pair: Tuple[int, int], cutoff: int = 4,
     t0 = time.perf_counter()
     if cutoff < 2:
         raise ValueError("the ket box of cutoff %d is empty; need cutoff >= 2" % cutoff)
-    conv = convention or default_convention()
     i, j = pair
     width = n * (n - 1) // 2
-    tables = _zf_tables(n, conv, (i, j))
+    tables = _zf_tables(n, convention, (i, j))
     inner = (j, i) if i < j else (j,)  # the inner layers of `_zf_sides`
     digits = ((0, 0), (1, 1), (1, 0))[:min(cutoff - 1, 3)]
     # (mask, ones) of each ket, in product order
@@ -288,7 +288,7 @@ def check_zf(n: int, pair: Tuple[int, int], cutoff: int = 4,
 # -- factorized and Schur-valued expectation values ------------------------
 
 def check_increasing_labels(n: int, labels: Sequence[int],
-                            convention: Optional[Convention] = None) -> CheckReport:
+                            convention: Convention = CONVENTION) -> CheckReport:
     """Weakly increasing layer labels: the value is the pure monomial
     prod z_t^{i_t} from a single contributing configuration."""
     t0 = time.perf_counter()
@@ -330,7 +330,7 @@ def _block_layout(blocks: Sequence[Tuple[int, int]]):
 
 
 def check_schur_correspondence(n: int, blocks: Sequence[Tuple[int, int]],
-                               convention: Optional[Convention] = None) -> CheckReport:
+                               convention: Convention = CONVENTION) -> CheckReport:
     """Strictly decreasing labels with multiplicities: the expectation value
     factors as prod_k (block variables)^(m-k) times a Schur polynomial."""
     t0 = time.perf_counter()
@@ -362,8 +362,7 @@ def _schur_and_counting(n: int, blocks: Sequence[Tuple[int, int]]) -> List[Check
     of the stack: the count is the vev's counts summed."""
     t0 = time.perf_counter()
     _check_schur_blocks(n, blocks)
-    atoms, counts = _vev_counts(scalar_spec(n, _block_layout(blocks)[0]),
-                                default_convention())
+    atoms, counts = _vev_counts(scalar_spec(n, _block_layout(blocks)[0]), CONVENTION)
     schur = _schur_report(n, blocks, LaurentPoly.from_exponents(atoms, counts), t0)
     return [schur, _counting_report(n, blocks, sum(counts.values()), time.perf_counter())]
 
@@ -371,7 +370,7 @@ def _schur_and_counting(n: int, blocks: Sequence[Tuple[int, int]]) -> List[Check
 def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
                                cutoff: Optional[int] = None,
                                kets: Optional[Iterable[Tuple[int, ...]]] = None,
-                               convention: Optional[Convention] = None) -> CheckReport:
+                               convention: Convention = CONVENTION) -> CheckReport:
     """Reordering identity: the label-decreasing product over its monomial
     prefactor equals the redistribution sum of label-increasing products.
 
@@ -379,7 +378,6 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
     with the full pair product so both sides stay polynomial.
     """
     t0 = time.perf_counter()
-    conv = convention or default_convention()
     labels, var_groups, _, prefactor = _block_layout(blocks)
     sizes = [len(g) for g in var_groups]
     all_vars = [v for g in var_groups for v in g]
@@ -396,7 +394,7 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
     for ket_state in kets:
         cutoff_ = (cutoff if cutoff is not None
                    else max(ket_state, default=0) + total_layers)
-        lhs = apply_stack(scalar_spec(n, labels, all_vars), conv, ket_state, cutoff_)
+        lhs = apply_stack(scalar_spec(n, labels, all_vars), convention, ket_state, cutoff_)
         inv_pref = prefactor ** -1
         lhs = {s: c * inv_pref * full_pair for s, c in lhs.items()}
         rhs: Dict[Tuple[int, ...], LaurentPoly] = {}
@@ -406,7 +404,7 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
             for k in range(len(blocks) - 1, -1, -1):
                 rev_labels.extend([blocks[k][0]] * sizes[k])
                 rev_vars.extend(groups[k])
-            contrib = apply_stack(scalar_spec(n, rev_labels, rev_vars), conv,
+            contrib = apply_stack(scalar_spec(n, rev_labels, rev_vars), convention,
                                   ket_state, cutoff_)
             for s, c in contrib.items():
                 add = c * multiplier
@@ -426,7 +424,7 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
 # -- derivatives, counting, averages ---------------------------------------
 
 def check_derivative_value(n: int, labels: Sequence[int],
-                           convention: Optional[Convention] = None) -> CheckReport:
+                           convention: Convention = CONVENTION) -> CheckReport:
     """First derivative in the first layer variable against the symbolic
     derivative of the closed Schur form (distinct labels)."""
     t0 = time.perf_counter()
@@ -443,7 +441,7 @@ def check_derivative_value(n: int, labels: Sequence[int],
 
 
 def check_counting(n: int, blocks: Sequence[Tuple[int, int]],
-                   convention: Optional[Convention] = None) -> CheckReport:
+                   convention: Convention = CONVENTION) -> CheckReport:
     """Configuration count at all-ones equals the specialized Schur value;
     for multiplicity-free labels also the pairwise product
     prod (i_k - i_l)/(l - k)."""
@@ -474,7 +472,7 @@ def _counting_report(n: int, blocks: Sequence[Tuple[int, int]], count: int,
 
 
 def check_average_ratio(n: int, ell: int,
-                        convention: Optional[Convention] = None) -> CheckReport:
+                        convention: Convention = CONVENTION) -> CheckReport:
     """Label sequence n, n-1, ..., skipping n-ell, ..., 0: the plain value is
     prod z_k^{n-k} e_ell(z_1..z_n), the first-layer-derivative value is its
     z_1 derivative, and the ratio of the two at all-ones is
@@ -517,7 +515,7 @@ def _col_var(t: int, p: int) -> Var:
 
 
 def check_inhomogeneous(n: int, sizes: Sequence[int],
-                        convention: Optional[Convention] = None) -> CheckReport:
+                        convention: Convention = CONVENTION) -> CheckReport:
     """Stacks with independent site variables: the value is the inverse
     first-column prefactor times the block loop elementary function, and
     depends on first-column variables only."""
@@ -603,7 +601,7 @@ def check_one_column(k: int, n_layers: int,
 
 
 def check_column_reduction(n: int, extra_zero_layers: int = 0,
-                           convention: Optional[Convention] = None) -> CheckReport:
+                           convention: Convention = CONVENTION) -> CheckReport:
     """The full-triangle per-site-variable stack with labels n, n-1, ..., 2,
     then 0 repeated, equals the width-(n-1) column chain."""
     t0 = time.perf_counter()
@@ -781,12 +779,17 @@ def check_tetrahedron(cutoff: int = 4) -> CheckReport:
 
 
 def check_convention() -> CheckReport:
-    from .network import resolve_convention
+    """The reading `resolve_convention` selects is the pinned `CONVENTION`,
+    and it gives the anchor values."""
     t0 = time.perf_counter()
     try:
         conv = resolve_convention(4)
     except Exception as exc:
         return _report("convention", {}, False, {"error": str(exc)}, t0)
+    params = {"resolved": str(conv)}
+    if conv != CONVENTION:
+        return _report("convention", params, False,
+                       {"resolved": str(conv), "pinned": str(CONVENTION)}, t0)
     r1 = check_increasing_labels(4, (1, 2, 3, 3, 4), conv)
     spec = scalar_spec(4, (3, 3, 1))
     got = vev(spec, conv)
@@ -796,7 +799,7 @@ def check_convention() -> CheckReport:
                 + LaurentPoly.monomial({z[0]: 2, z[1]: 3, z[2]: 2}, 1))
     ok2 = got == expected and got.at_one() == 3
     passed = r1.passed and ok2
-    return _report("convention", {"resolved": str(conv)}, passed,
+    return _report("convention", params, passed,
                    None if passed else _mismatch(got, expected), t0)
 
 
@@ -885,7 +888,6 @@ def run_battery(selection: str = "all") -> List[CheckReport]:
     if selection != "all" and selection not in GROUPS:
         raise ValueError("unknown group %r" % selection)
     wanted = GROUPS if selection == "all" else (selection,)
-    default_convention()
     reports: List[CheckReport] = []
     for group in wanted:
         for checkers, instances in BATTERY[group]:

@@ -8,11 +8,6 @@ import sys
 import time
 
 from trivertex import verify as V
-from trivertex.network import default_convention
-
-
-def setup_module(module):
-    default_convention()
 
 
 def emit(capsys, num, name, ok, seconds, note=""):

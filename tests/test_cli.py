@@ -1,52 +1,42 @@
 import json
 import os
-import shutil
 import subprocess
 import sys
 
-import pytest
-
 from trivertex import cli, verify
-from trivertex.network import set_default_convention
 from trivertex.verify import CheckReport
 
 
-@pytest.fixture(autouse=True)
-def reset_convention():
-    yield
-    set_default_convention(None)
-
-
-def run(capsys, tmp_path, *argv):
-    code = cli.main(list(argv) + ["--cache-path", str(tmp_path / "conv.txt")])
+def run(capsys, *argv):
+    code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
 
 
-def test_compute_anchor(capsys, tmp_path):
-    code, out, _ = run(capsys, tmp_path, "compute", "--n", "4", "--labels", "3,3,1")
+def test_compute_anchor(capsys):
+    code, out, _ = run(capsys, "compute", "--n", "4", "--labels", "3,3,1")
     assert code == 0
     assert out.strip() == "z1^3 z2^3 z3 + z1^3 z2^2 z3^2 + z1^2 z2^3 z3^2"
 
 
-def test_compute_trivial_and_at_one(capsys, tmp_path):
-    code, out, _ = run(capsys, tmp_path, "compute", "--n", "3", "--labels", "0")
+def test_compute_trivial_and_at_one(capsys):
+    code, out, _ = run(capsys, "compute", "--n", "3", "--labels", "0")
     assert (code, out.strip()) == (0, "1")
-    code, out, _ = run(capsys, tmp_path, "compute", "--n", "4",
+    code, out, _ = run(capsys, "compute", "--n", "4",
                        "--labels", "4,2,1", "--at-one")
     assert (code, out.strip()) == (0, "3")
 
 
-def test_compute_blocks_equals_labels(capsys, tmp_path):
-    _, via_blocks, _ = run(capsys, tmp_path, "compute", "--n", "4",
+def test_compute_blocks_equals_labels(capsys):
+    _, via_blocks, _ = run(capsys, "compute", "--n", "4",
                            "--blocks", "3:2,1:1")
-    _, via_labels, _ = run(capsys, tmp_path, "compute", "--n", "4",
+    _, via_labels, _ = run(capsys, "compute", "--n", "4",
                            "--labels", "3,3,1")
     assert via_blocks == via_labels
 
 
-def test_compute_json(capsys, tmp_path):
-    code, out, _ = run(capsys, tmp_path, "compute", "--n", "4",
+def test_compute_json(capsys):
+    code, out, _ = run(capsys, "compute", "--n", "4",
                        "--labels", "3,3,1", "--format", "json")
     assert code == 0
     obj = json.loads(out)
@@ -55,25 +45,25 @@ def test_compute_json(capsys, tmp_path):
     assert len(obj["terms"]) == 3
     assert all(t["coeff"] == 1 for t in obj["terms"])
     # byte-determinism: same invocation, same bytes
-    _, again, _ = run(capsys, tmp_path, "compute", "--n", "4",
+    _, again, _ = run(capsys, "compute", "--n", "4",
                       "--labels", "3,3,1", "--format", "json")
     assert again == out
 
 
-def test_compute_csv(capsys, tmp_path):
-    code, out, _ = run(capsys, tmp_path, "compute", "--n", "2",
+def test_compute_csv(capsys):
+    code, out, _ = run(capsys, "compute", "--n", "2",
                        "--labels", "2", "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["monomial,coeff", "z1^2,1"]
 
 
-def test_compute_derivative(capsys, tmp_path):
-    code, out, _ = run(capsys, tmp_path, "compute", "--n", "3",
+def test_compute_derivative(capsys):
+    code, out, _ = run(capsys, "compute", "--n", "3",
                        "--labels", "2,1", "--deriv", "1,0")
     assert (code, out.strip()) == (0, "2 z1 z2")
 
 
-def test_usage_errors(capsys, tmp_path):
+def test_usage_errors(capsys):
     cases = [
         ("compute", "--labels", "1"),                      # missing --n
         ("compute", "--n", "3"),                           # no labels
@@ -89,51 +79,55 @@ def test_usage_errors(capsys, tmp_path):
         ("enumerate", "--n", "4", "--labels=", "--format", "csv"),
     ]
     for argv in cases:
-        code, _, err = run(capsys, tmp_path, *argv)
+        code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    _, _, err = run(capsys, tmp_path, "compute", "--n", "-3", "--labels", "0")
+    _, _, err = run(capsys, "compute", "--n", "-3", "--labels", "0")
     assert "n >= 2" in err
     for sub in ("compute", "enumerate"):
-        _, out, err = run(capsys, tmp_path, sub, "--n", "4", "--labels=")
+        _, out, err = run(capsys, sub, "--n", "4", "--labels=")
         assert (out, err) == ("", "error: no labels given\n"), sub
+    # the boundary reading is pinned: no option steers it
+    for flags in (["--no-cache"], ["--cache-path", "x"]):
+        code, out, err = run(capsys, "compute", "--n", "4", "--labels", "3,3,1", *flags)
+        assert (code, out) == (1, ""), flags
+        assert "unrecognized arguments: " + " ".join(flags) in err, (flags, err)
 
 
-def test_verify_cutoff_handling(capsys, tmp_path):
+def test_verify_cutoff_handling(capsys):
     # a cutoff below 3 is an error, 0 included, never a silent default
     for value in ("0", "1", "-3"):
-        code, out, err = run(capsys, tmp_path, "verify", "tetrahedron", "--cutoff", value)
+        code, out, err = run(capsys, "verify", "tetrahedron", "--cutoff", value)
         assert (code, out) == (1, ""), value
         assert err == "error: tetrahedron check needs cutoff >= 3\n", value
     # only the tetrahedron group takes a cutoff
     for group in ("hat", "zf", "all"):
-        code, out, err = run(capsys, tmp_path, "verify", group, "--cutoff", "9")
+        code, out, err = run(capsys, "verify", group, "--cutoff", "9")
         assert (code, out) == (1, ""), group
         assert err == "error: --cutoff applies to the tetrahedron group only\n", group
-    code, out, _ = run(capsys, tmp_path, "verify", "tetrahedron", "--cutoff", "3")
+    code, out, _ = run(capsys, "verify", "tetrahedron", "--cutoff", "3")
     assert code == 0
     assert out.splitlines() == ['PASS tetrahedron              {"cutoff": 3}',
                                 "1 checks, 0 failed"]
 
 
-def test_verify_unknown_group(capsys, tmp_path):
-    code, out, err = run(capsys, tmp_path, "verify", "nosuch")
+def test_verify_unknown_group(capsys):
+    code, out, err = run(capsys, "verify", "nosuch")
     assert (code, out) == (1, "")
     assert err.startswith("error: unknown group 'nosuch'") and err.count("\n") == 1
-    assert not (tmp_path / "conv.txt").exists()
     assert cli.main(["verify", "--help"]) == 0
 
 
-def test_argparse_remap_exit_codes(capsys, tmp_path):
-    code, _, _ = run(capsys, tmp_path, "compute", "--n", "2",
+def test_argparse_remap_exit_codes(capsys):
+    code, _, _ = run(capsys, "compute", "--n", "2",
                      "--labels", "1", "--format", "bogus")
     assert code == 1
     assert cli.main([]) == 1
     assert cli.main(["--help"]) == 0
 
 
-def test_enumerate_plain(capsys, tmp_path):
-    code, out, _ = run(capsys, tmp_path, "enumerate", "--n", "4",
+def test_enumerate_plain(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", "4",
                        "--labels", "3,3,1")
     assert code == 0
     lines = out.splitlines()
@@ -141,14 +135,14 @@ def test_enumerate_plain(capsys, tmp_path):
     assert lines[0] == "2,3,2  z1^2 z2^3 z3^2"
 
 
-def test_enumerate_json_and_csv(capsys, tmp_path):
-    code, out, _ = run(capsys, tmp_path, "enumerate", "--n", "4",
+def test_enumerate_json_and_csv(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", "4",
                        "--labels", "1,2,3,3,4", "--format", "json")
     assert code == 0
     obj = json.loads(out)
     assert obj["count"] == 1
     assert obj["rows"][0]["exponents"] == [1, 2, 3, 3, 4]
-    code, out, _ = run(capsys, tmp_path, "enumerate", "--n", "2",
+    code, out, _ = run(capsys, "enumerate", "--n", "2",
                        "--labels", "2", "--format", "csv")
     assert out.splitlines() == ["alpha1,weight", "2,z1^2"]
 
@@ -158,72 +152,56 @@ def test_vars_file_rename_and_eval(capsys, tmp_path):
     table.write_text("# rename, then numbers\n"
                      "z1_k2l1 = w7\n"
                      "z2_k2l1 = 3\n")
-    code, out, _ = run(capsys, tmp_path, "compute", "--n", "3",
+    code, out, _ = run(capsys, "compute", "--n", "3",
                        "--labels", "2,0", "--vars-file", str(table))
     # renamed poly still has w7 unbound next to a number: usage error
     assert code == 1
 
     table.write_text("z1_k2l1 = 2\nz2_k2l1 = 1/2\n")
-    code, out, _ = run(capsys, tmp_path, "compute", "--n", "3",
+    code, out, _ = run(capsys, "compute", "--n", "3",
                        "--labels", "2,0", "--vars-file", str(table))
     # value is 1 + z2_k2l1/z1_k2l1 = 1 + (1/2)/2
     assert (code, out.strip()) == (0, "5/4")
 
     table.write_text("z1_k2l1 = w7\n")
-    code, out, _ = run(capsys, tmp_path, "compute", "--n", "3",
+    code, out, _ = run(capsys, "compute", "--n", "3",
                        "--labels", "2,0", "--vars-file", str(table))
     assert code == 0
     assert out.strip() == "z2_k2l1 w7^-1 + 1"
 
     table.write_text("nonsense\n")
-    code, _, err = run(capsys, tmp_path, "compute", "--n", "3",
+    code, _, err = run(capsys, "compute", "--n", "3",
                        "--labels", "2,0", "--vars-file", str(table))
     assert code == 1 and "name = value" in err
 
 
-def test_convention_cache(tmp_path, monkeypatch):
-    path = tmp_path / "conv.txt"
-    conv = cli.load_or_resolve_convention(str(path))
-    text = path.read_text()
-    assert "flow=we" in text and text.startswith("key=")
-
-    # with a valid cache the resolver must not run again
-    def boom(*a, **k):
-        raise AssertionError("resolver called despite warm cache")
-
-    monkeypatch.setattr(cli, "resolve_convention", boom)
-    set_default_convention(None)
-    assert cli.load_or_resolve_convention(str(path)) == conv
-
-    # --no-cache bypasses the file
-    with pytest.raises(AssertionError):
-        cli.load_or_resolve_convention(str(path), use_cache=False)
-
-    # stale key forces re-resolution
-    monkeypatch.setattr(cli, "resolve_convention", lambda n=4: conv)
-    path.write_text(text.replace(text.split("\n", 1)[0], "key=stale"))
-    set_default_convention(None)
-    assert cli.load_or_resolve_convention(str(path)) == conv
-    assert "key=stale" not in path.read_text()
+def test_commands_write_no_files(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    for argv in (("compute", "--n", "4", "--labels", "3,3,1"),
+                 ("enumerate", "--n", "4", "--labels", "3,3,1"),
+                 ("verify", "convention")):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_verify_exit_codes(capsys, tmp_path, monkeypatch):
-    code, out, _ = run(capsys, tmp_path, "verify", "convention")
+def test_verify_exit_codes(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "convention")
     assert code == 0
     assert out.splitlines()[-1] == "1 checks, 0 failed"
 
     bad = CheckReport("fake", {}, False, {"why": "forced"}, 0.0)
     monkeypatch.setattr(verify, "run_battery", lambda sel: [bad])
-    code, out, _ = run(capsys, tmp_path, "verify", "zf")
+    code, out, _ = run(capsys, "verify", "zf")
     assert code == 2
     assert out.splitlines()[0].startswith("FAIL fake")
-    code, out, _ = run(capsys, tmp_path, "verify", "zf", "--format", "json")
+    code, out, _ = run(capsys, "verify", "zf", "--format", "json")
     assert code == 2
     assert json.loads(out)[0]["passed"] is False
 
 
-def test_verify_csv(capsys, tmp_path):
-    code, out, _ = run(capsys, tmp_path, "verify", "tetrahedron",
+def test_verify_csv(capsys):
+    code, out, _ = run(capsys, "verify", "tetrahedron",
                        "--cutoff", "3", "--format", "csv")
     assert code == 0
     lines = out.splitlines()
@@ -231,28 +209,12 @@ def test_verify_csv(capsys, tmp_path):
     assert lines[1].startswith("tetrahedron,pass,")
 
 
-def test_cache_key_covers_the_resolution_sources(tmp_path, monkeypatch):
-    # the key is read from the sources next to cli.py; point it at a copy
-    src = os.path.dirname(os.path.abspath(cli.__file__))
-    for name in os.listdir(src):
-        if name.endswith(".py"):
-            shutil.copy(os.path.join(src, name), tmp_path / name)
-    monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
-    base = cli._code_key()
-    for name in ("network.py", "lattice.py", "fock.py", "poly.py"):
-        original = (tmp_path / name).read_text()
-        (tmp_path / name).write_text(original + "\n# edited\n")
-        assert cli._code_key() != base, name
-        (tmp_path / name).write_text(original)
-    assert cli._code_key() == base
-
-
-def test_verify_all_json_matches_fixture(capsys, tmp_path):
+def test_verify_all_json_matches_fixture(capsys):
     """`verify all --format json` equals tests/data/verify_all.json apart
     from each report's `seconds`: the battery's output is a regression gate.
     A change meant to alter that output rewrites the file as this test
     renders it (indent 2, sorted keys, `seconds` removed)."""
-    code, out, _ = run(capsys, tmp_path, "verify", "all", "--format", "json")
+    code, out, _ = run(capsys, "verify", "all", "--format", "json")
     assert code == 0
     reports = json.loads(out)
     for report in reports:
@@ -266,26 +228,25 @@ COLD_START = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from trivertex import cli
-cache = sys.argv[2]
-assert cli.main(["compute", "--n", "4", "--labels", "3,3,1", "--cache-path", cache]) == 0
-assert cli.main(["enumerate", "--n", "4", "--labels", "3,3,1", "--cache-path", cache]) == 0
-print("cold:", sorted(m for m in ("dataclasses", "fractions", "heapq", "json",
+assert cli.main(["compute", "--n", "4", "--labels", "3,3,1"]) == 0
+assert cli.main(["enumerate", "--n", "4", "--labels", "3,3,1"]) == 0
+print("cold:", sorted(m for m in ("dataclasses", "fractions", "hashlib", "heapq", "json",
                                   "trivertex.symfunc", "trivertex.verify")
                      if m in sys.modules))
-assert cli.main(["verify", "hat", "--cache-path", cache]) == 0
+assert cli.main(["verify", "hat"]) == 0
 print("after verify:", "trivertex.verify" in sys.modules)
 """
 
 
-def test_compute_and_enumerate_load_no_battery(tmp_path):
+def test_compute_and_enumerate_load_no_battery():
     """A cold `compute` or `enumerate` loads neither the identity battery nor
     `dataclasses` (which pulls in `inspect`), nor `json`, `fractions` or
     `heapq`, which only JSON output, numeric evaluation and exact division
-    use; `verify` loads the battery.
+    use, nor `hashlib`; `verify` loads the battery.
     `-S` keeps site-packages start-up hooks out of the module set."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     done = subprocess.run(
-        [sys.executable, "-S", "-c", COLD_START, src, str(tmp_path / "conv.txt")],
+        [sys.executable, "-S", "-c", COLD_START, src],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
     lines = done.stdout.decode().splitlines()

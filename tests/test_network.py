@@ -14,6 +14,7 @@ from trivertex import verify
 from trivertex.fock import CutoffOverflow, LocalOp
 from trivertex.lattice import TensorKind, local_tensor
 from trivertex.network import (
+    CONVENTION,
     AmbiguousConvention,
     Convention,
     InvalidLabels,
@@ -31,7 +32,6 @@ from trivertex.network import (
     apply_stack,
     apply_strip,
     count_configurations,
-    default_convention,
     enumerate_configurations,
     fixed_colors,
     input_stubs,
@@ -288,9 +288,7 @@ def test_sites_order_and_count():
 
 
 def test_resolved_convention_is_unique():
-    conv = resolve_convention(4)
-    assert conv == Convention("we", "staircase", "sum", "north_lateral")
-    assert default_convention() == conv
+    assert resolve_convention(4) == RESOLVED == CONVENTION
 
 
 def test_resolution_error_modes():
@@ -340,7 +338,7 @@ def test_anchor_expectation_values():
 
 
 def test_single_site_layer_tables():
-    conv = default_convention()
+    conv = CONVENTION
     def table(i):
         return sorted((t.alpha, t.ops) for t in enumerate_layer_terms(2, i, conv))
     assert table(0) == [(0, (LocalOp.ID_B,)), (1, (LocalOp.B_PLUS,))]
@@ -349,7 +347,7 @@ def test_single_site_layer_tables():
 
 
 def test_all_blue_coloring_always_survives():
-    conv = default_convention()
+    conv = CONVENTION
     for n in (2, 3, 4):
         terms = enumerate_layer_terms(n, 0, conv)
         width = n * (n - 1) // 2
@@ -360,7 +358,7 @@ def test_neighbor_implications_hold_per_term():
     # with south neighbor at (k+1, l) and east neighbor at (k, l+1):
     # (1b, 1b) forces {1b, b+}; (1r, 1r) forces {1r, b-};
     # (t, 1b) forces t; (1r, t) forces t
-    conv = default_convention()
+    conv = CONVENTION
     for n in (3, 4, 5):
         order = sites(n)
         idx = {s: j for j, s in enumerate(order)}
@@ -391,7 +389,7 @@ def test_vev_homogeneity():
 
 
 def test_occupancy_bound_under_application():
-    conv = default_convention()
+    conv = CONVENTION
     n, labels = 3, (0, 0, 0, 0)
     ket = {vacuum_state(n): LaurentPoly.one()}
     for t, label in enumerate(labels, start=1):
@@ -400,7 +398,7 @@ def test_occupancy_bound_under_application():
 
 
 def test_same_label_layers_commute():
-    conv = default_convention()
+    conv = CONVENTION
     n, cutoff = 3, 4
     width = n * (n - 1) // 2
     for i in range(n + 1):
@@ -418,7 +416,7 @@ def test_same_label_layers_commute():
 
 
 def test_per_site_binding_collapses_to_scalar():
-    conv = default_convention()
+    conv = CONVENTION
     n = 3
     z = Z[0]
     binding = {s: z for s in sites(n)}
@@ -434,7 +432,7 @@ def test_per_site_binding_collapses_to_scalar():
 
 def test_configuration_listing():
     rows = enumerate_configurations(scalar_spec(4, (3, 3, 1)))
-    assert rows == term_configurations(scalar_spec(4, (3, 3, 1)), default_convention())
+    assert rows == term_configurations(scalar_spec(4, (3, 3, 1)), CONVENTION)
     assert len(rows) == 3
     weights = sorted(str(w) for _, w in rows)
     assert weights == sorted(["z1^3 z2^2 z3^2", "z1^3 z2^3 z3", "z1^2 z2^3 z3^2"])
@@ -468,11 +466,11 @@ def test_invalid_labels():
     with pytest.raises(InvalidLabels):
         scalar_spec(3, (4,))
     with pytest.raises(InvalidLabels):
-        fixed_colors(3, -1, default_convention())
+        fixed_colors(3, -1, CONVENTION)
 
 
 def test_apply_layer_argument_errors():
-    conv = default_convention()
+    conv = CONVENTION
     ket = {vacuum_state(2): LaurentPoly.one()}
     with pytest.raises(ValueError):
         apply_layer(2, 0, conv, LaurentPoly.var(Z[0]), 1, ket, 2)
@@ -492,7 +490,7 @@ def test_derivative_layer():
 
 def test_polynomial_bindings():
     # a polynomial binding is one exponent slot, raised to its power at the end
-    conv = default_convention()
+    conv = CONVENTION
     z1 = LaurentPoly.var(Z[0])
     spec = PartitionSpec(4, [LayerSpec(3, z1 + 1), LayerSpec(3, Z[1], 1),
                              LayerSpec(1, 2 * z1)])
@@ -508,7 +506,7 @@ def test_polynomial_bindings():
 
 
 def test_layer_action_on_vacuum_n4():
-    conv = default_convention()
+    conv = CONVENTION
     ket = apply_layer(4, 1, conv, Z[0], 0, {vacuum_state(4): LaurentPoly.one()}, 3)
     z = LaurentPoly.var(Z[0])
     # site order (1,1),(1,2),(1,3),(2,1),(2,2),(3,1)
@@ -673,7 +671,7 @@ def term_configurations(spec, conv):
 
 
 def test_sweep_matches_term_kernel():
-    default = default_convention()
+    default = CONVENTION
     cases = [(n, conv, 3) for n in (2, 3) for conv in all_conventions()]
     cases += [(4, default, 3), (5, default, 2)]
     for n, conv, levels in cases:
@@ -845,7 +843,7 @@ def zf_sets(state):
 
 
 def test_zf_sides_match_term_route():
-    conv = default_convention()
+    conv = CONVENTION
     # the resolved reading, and one whose moves have multiplicities above 1
     cases = [(n, (i, j), c) for n in (2, 3) for i in range(n + 1) for j in range(n + 1)
              for c in (conv, MULTI)]
@@ -919,7 +917,7 @@ def test_broken_zf_report_matches_term_route(monkeypatch):
 
 
 def test_sweep_overflow_at_cutoff():
-    conv = default_convention()
+    conv = CONVENTION
     # label 0 at n = 2: 1b or b+ on the single site; b+ at the cutoff overflows
     with pytest.raises(CutoffOverflow):
         apply_layer(2, 0, conv, Z[0], 0, {(2,): LaurentPoly.one()}, 2)

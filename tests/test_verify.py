@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trivertex import verify
-from trivertex.network import _layer_plan, _sweep, all_conventions, default_convention
+from trivertex.network import CONVENTION, Convention, _layer_plan, _sweep, all_conventions
 from trivertex.poly import LaurentPoly, Var
 from trivertex.verify import (
     CheckReport,
@@ -150,6 +150,15 @@ def test_convention_check():
     assert_pass(check_convention())
 
 
+def test_convention_check_fails_on_a_stale_pin(monkeypatch):
+    stale = Convention("we", "columns", "sum", "north")
+    monkeypatch.setattr(verify, "CONVENTION", stale)
+    report = check_convention()
+    assert not report.passed
+    assert report.params == {"resolved": str(CONVENTION)}
+    assert report.detail == {"resolved": str(CONVENTION), "pinned": str(stale)}
+
+
 def test_grid_sizes():
     assert len(list(schur_grid())) == 235
     assert len(list(increasing_grid())) == 431
@@ -264,13 +273,13 @@ def class_representative(plans, i, j, state):
 
 
 def zf_plans(n, pair):
-    conv = default_convention()
+    conv = CONVENTION
     return {label: _layer_plan(n, label, conv) for label in pair}
 
 
 def zf_sides(n, i, j, state, cutoff):
     """`verify._zf_sides` on `state`, with fresh tables."""
-    tables = verify._zf_tables(n, default_convention(), (i, j))
+    tables = verify._zf_tables(n, CONVENTION, (i, j))
     mask = index_set(m > 0 for m in state)
     return verify._zf_sides(tables, i, j, state, cutoff, mask,
                             index_set(m == 1 for m in state))
@@ -348,7 +357,7 @@ def test_skipped_classes_hide_no_failure(monkeypatch, fresh_move_cache):
     failing_states = []
     for label in range(n + 1):
         for bad_mask in map(index_set, itertools.product((0, 1), repeat=width)):
-            bad_plan = _layer_plan(n, label, default_convention())
+            bad_plan = _layer_plan(n, label, CONVENTION)
 
             def wrong(plan, mask, width, bad_mask=bad_mask, bad_plan=bad_plan):
                 got = moves(plan, mask, width)
@@ -395,7 +404,7 @@ def index_set(flags):
 def test_pattern_moves_shift_the_sweep():
     # the moves on a 0/1 pattern, shifted onto any state with that occupied
     # set, are the sweep's moves there (at a cutoff it does not overflow)
-    default = default_convention()
+    default = CONVENTION
     cases = [(n, conv, 4) for n in (2, 3) for conv in all_conventions()] + [(4, default, 3)]
     for n, conv, levels in cases:
         width = n * (n - 1) // 2
