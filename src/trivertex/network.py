@@ -17,20 +17,19 @@ operator is the same sweep over the slots of the column.
 
 Every operator product but one is contracted by one engine, `_contract`, on
 exact integers: each state carries exponent vector -> count, one exponent
-per binding atom, and `LaurentPoly`s are built only from its result.  It
+per binding variable, and `LaurentPoly`s are built only from its result.  It
 serves vacuum expectation values (`vev`, `count_configurations`, convention
 resolution), the configuration listing (one exponent slot per layer, so an
-exponent vector is a row), strip matrix elements (`strip_vev`) and the
-operator images `apply_layer`, `apply_strip` and `apply_stack` (one engine
-call per ket state, times its coefficient).  Without a bra it returns every
-state the ket reaches.  Given one, it contracts from both ends: the ket side
-sweeps the layers, the bra side their transposes (`_reverse_plan`: R0 is its
-own transpose with the color flow reversed, so the transpose is the layer
-swept against the flow), each side dropping states that can no longer reach
-the other end, and the two are joined where they meet.  Each round expands
-the side whose map is smaller now and is predicted smaller after; the
-round that closes the gap sweeps the smaller side, onto the other side's
-states only.
+exponent vector is a row), strip matrix elements (`strip_vev`) and the image
+of a basis state under a whole stack (`apply_stack`).  Without a bra it
+returns every state the ket reaches.  Given one, it contracts from both
+ends: the ket side sweeps the layers, the bra side their transposes
+(`_reverse_plan`: R0 is its own transpose with the color flow reversed, so
+the transpose is the layer swept against the flow), each side dropping
+states that can no longer reach the other end, and the two are joined where
+they meet.  Each round expands the side whose map is smaller now and is
+predicted smaller after; the round that closes the gap sweeps the smaller
+side, onto the other side's states only.
 
 A move leaves the sweep with its exponent shift.  A scalar layer's move
 carries alpha, which the engine shifts into the layer's slot.  A per-index
@@ -161,7 +160,7 @@ def all_conventions() -> List[Convention]:
     ]
 
 
-# the paper's reading; `resolve_convention(4)` re-derives it
+# the paper's reading; `resolve_convention()` re-derives it
 CONVENTION = Convention("we", "staircase", "sum", "north_lateral")
 
 
@@ -241,7 +240,8 @@ _R0_BY_INPUT = _r0_by_input()
 
 # -- layer application -----------------------------------------------------
 
-Binding = Union[Var, LaurentPoly, Mapping[Site, Union[Var, LaurentPoly]]]
+# a layer's variable: one z_t, or a per-site family z_t^{(k,l)}
+Binding = Union[Var, Mapping[Site, Var]]
 
 # One step of a site sweep (of a layer, its transpose or a column strip): a
 # branch over the colors of a free stub the sweep reads, (-1, slot), or a
@@ -529,17 +529,15 @@ def _with_units(plan: LayerPlan, units: Tuple[int, ...]) -> LayerPlan:
         for step in steps), residual, order
 
 
-def _check_width(states: Iterable[Tuple[int, ...]], width: int):
-    for state in states:
-        if len(state) != width:
-            raise ValueError("state width %d != operator width %d" % (len(state), width))
+def _check_width(state: Tuple[int, ...], width: int):
+    if len(state) != width:
+        raise ValueError("state width %d != operator width %d" % (len(state), width))
 
 
 # -- the contraction engine -------------------------------------------------
 
 # A coefficient of the engine: exponent vector -> integer count, with one
-# exponent slot per distinct binding atom (a Var, or a polynomial raised to
-# its power only when the result is built).
+# exponent slot per distinct binding variable.
 Counts = Dict[Tuple[int, ...], int]
 # One operator of a product: its sweep plan; a function that builds the plan
 # of its transpose (`_reverse_plan`), or None for a strip; its weighing --
@@ -658,7 +656,7 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
                     if c:
                         lowered[key - (k << (width * s))] = c
                 out[state] = lowered
-        keep = projections.get(gap) if projections and 0 < gap < len(steps) else None
+        keep = projections.get(gap) if projections else None
         side = {state: coeff for state, coeff in out.items()
                 if coeff and (keep is None or state[keep[0]] == keep[1])}
         if not side:
@@ -682,19 +680,6 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
     return {state: {tuple(((key >> (width * s)) & mask) - bias for s in range(n_slots)): c
                     for key, c in coeff.items()}
             for state, coeff in kets.items()}
-
-
-def _image(atoms: Sequence[Union[Var, LaurentPoly]], steps: Sequence[ContractStep],
-           ket: KetCombo, cutoff: int) -> KetCombo:
-    """The product of `steps` acting on a combination of states: one engine
-    call per ket state, whose polynomials multiply its coefficient."""
-    out: KetCombo = {}
-    for state, coeff in ket.items():
-        for new, counts in _contract(steps, state, None, cutoff, len(atoms)).items():
-            add = LaurentPoly.from_exponents(atoms, counts) * coeff
-            acc = out.get(new)
-            out[new] = add if acc is None else acc + add
-    return {s: c for s, c in out.items() if not c.is_zero()}
 
 
 # -- partition specifications ---------------------------------------------
@@ -727,11 +712,21 @@ class PartitionSpec:
             raise ValueError("need n >= 2 for a nonempty triangle, got %d" % n)
         self.n = n
         self.layers: Tuple[LayerSpec, ...] = tuple(layers)
-        for spec in self.layers:
+        for t, spec in enumerate(self.layers, start=1):
             if not 0 <= spec.label <= n:
                 raise InvalidLabels("label %d outside 0..%d" % (spec.label, n))
             if spec.deriv < 0:
                 raise ValueError("negative derivative order")
+            if isinstance(spec.binding, Var):
+                continue
+            if not isinstance(spec.binding, Mapping):
+                raise ValueError("layer %d: binding %r is neither a Var nor a site map"
+                                 % (t, spec.binding))
+            if spec.deriv:
+                raise ValueError("layer %d: derivative layers need a scalar Var binding" % t)
+            for s in sites(n):
+                if not isinstance(spec.binding.get(s), Var):
+                    raise ValueError("layer %d: site map binds no Var at site %r" % (t, s))
 
     def __eq__(self, other):
         if other.__class__ is PartitionSpec:
@@ -743,7 +738,7 @@ class PartitionSpec:
 
     @property
     def all_scalar(self) -> bool:
-        return all(not isinstance(s.binding, Mapping) for s in self.layers)
+        return all(isinstance(s.binding, Var) for s in self.layers)
 
 
 def scalar_spec(n: int, labels: Sequence[int], zvars: Optional[Sequence[Var]] = None,
@@ -774,37 +769,27 @@ def inhomogeneous_spec(n: int, labels: Sequence[int]) -> PartitionSpec:
 # -- convention resolution -------------------------------------------------
 
 def _layer_steps(spec: PartitionSpec, convention: Convention
-                 ) -> Tuple[List[Union[Var, LaurentPoly]], List[ContractStep]]:
-    """The binding atoms of a stack, one exponent slot each, and its engine
-    steps."""
+                 ) -> Tuple[List[Var], List[ContractStep]]:
+    """The binding variables of a stack, one exponent slot each, and its
+    engine steps."""
     n = spec.n
-    slots: Dict[Union[Var, LaurentPoly], int] = {}
+    slots: Dict[Var, int] = {}
     steps: List[ContractStep] = []
     for layer in spec.layers:
         binding = layer.binding
-        if layer.deriv and not isinstance(binding, Var):
-            raise ValueError("derivative layers need a scalar Var binding")
-        if isinstance(binding, Mapping):
-            weigh: Union[int, Tuple[int, ...]] = tuple(
-                slots.setdefault(binding[s], len(slots)) for s in sites(n))
+        if isinstance(binding, Var):
+            weigh: Union[int, Tuple[int, ...]] = slots.setdefault(binding, len(slots))
         else:
-            weigh = slots.setdefault(binding, len(slots))
+            weigh = tuple(slots.setdefault(binding[s], len(slots)) for s in sites(n))
         steps.append((_layer_plan(n, layer.label, convention),
                       functools.partial(_reverse_plan, n, layer.label, convention), weigh,
                       (weigh, layer.deriv) if layer.deriv else None))
-    atoms = list(slots)
-    # the derivative acts on exponent slots, so it must not hide inside a
-    # polynomial atom
-    for layer in spec.layers:
-        if layer.deriv and any(isinstance(a, LaurentPoly) and layer.binding in a.variables()
-                               for a in atoms):
-            raise ValueError("a derivative variable also occurs in a polynomial binding")
-    return atoms, steps
+    return list(slots), steps
 
 
-def _vev_counts(spec: PartitionSpec, convention: Convention
-                ) -> Tuple[List[Union[Var, LaurentPoly]], Counts]:
-    """The vev as binding atoms and exponent vector -> count (`_contract`)."""
+def _vev_counts(spec: PartitionSpec, convention: Convention) -> Tuple[List[Var], Counts]:
+    """The vev as binding variables and exponent vector -> count
+    (`_contract`)."""
     atoms, steps = _layer_steps(spec, convention)
     vac = vacuum_state(spec.n)
     counts = _contract(steps, vac, vac, len(spec.layers), len(atoms))
@@ -836,16 +821,13 @@ def _passes_anchors(convention: Convention) -> bool:
     return _monomial_anchor(4, (1, 2, 3, 3, 4), convention)
 
 
-def resolve_convention(n_probe: int = 4,
-                       candidates: Optional[Iterable[Convention]] = None) -> Convention:
+def resolve_convention(candidates: Optional[Iterable[Convention]] = None) -> Convention:
     """Select the unique boundary reading that reproduces the anchor battery.
 
     The battery: weakly increasing label sequences must give pure monomials
     prod z_t^{i_t}, and the two size-4 staggered anchors must give their
     known polynomials with the right configuration counts.
     """
-    if n_probe < 4:
-        raise ValueError("need a probe size of at least 4")
     pool = list(candidates) if candidates is not None else all_conventions()
     survivors = [c for c in pool if _passes_anchors(c)]
     if not survivors:
@@ -896,56 +878,36 @@ def enumerate_configurations(spec: PartitionSpec,
     for layer in spec.layers:
         if layer.deriv:
             raise ValueError("configuration listing needs plain layers")
-    # one exponent slot per layer, so an exponent vector is a row
-    steps: List[ContractStep] = [(_layer_plan(spec.n, layer.label, convention),
-                                  functools.partial(_reverse_plan, spec.n, layer.label,
-                                                    convention), t, None)
-                                 for t, layer in enumerate(spec.layers)]
-    vac = vacuum_state(spec.n)
-    counts = _contract(steps, vac, vac, len(steps), len(steps)).get(vac, {})
-    slots: Dict[Union[Var, LaurentPoly], int] = {}
-    layer_slot = [slots.setdefault(layer.binding, len(slots)) for layer in spec.layers]
+    # one variable, so one exponent slot, per layer: an exponent vector is a row
+    _, counts = _vev_counts(PartitionSpec(spec.n, [
+        LayerSpec(layer.label, Var.aux(t)) for t, layer in enumerate(spec.layers)]), convention)
     rows: List[Tuple[Tuple[int, ...], LaurentPoly]] = []
     for alphas, count in sorted(counts.items()):
-        exps = [0] * len(slots)
-        for s, a in zip(layer_slot, alphas):
-            exps[s] += a
-        weight = LaurentPoly.from_exponents(list(slots), {tuple(exps): 1})
-        rows.extend([(alphas, weight)] * count)
+        exps: Dict[Var, int] = {}
+        for layer, a in zip(spec.layers, alphas):
+            exps[layer.binding] = exps.get(layer.binding, 0) + a
+        rows.extend([(alphas, LaurentPoly.monomial(exps))] * count)
     return rows
 
 
-# -- operator images -------------------------------------------------------
-
-def apply_layer(n: int, label: int, convention: Convention, binding: Binding,
-                deriv: int, ket: KetCombo, cutoff: int) -> KetCombo:
-    """Act with the layer X_label on a combination of occupancy states.
-
-    A scalar binding z weighs each move by z**alpha; a site-map binding (the
-    per-site-variable layer) by prod_s z^{(s)} ** (out_s - in_s).
-    Afterwards the whole coefficients are differentiated `deriv` times in
-    the scalar variable.  Raises CutoffOverflow if a surviving move raises
-    an occupancy past `cutoff`, and ValueError on a state of another width.
-    """
-    if deriv and not isinstance(binding, Var):
-        raise ValueError("derivative layers need a scalar Var binding")
-    _check_width(ket, n * (n - 1) // 2)
-    spec = PartitionSpec(n, (LayerSpec(label, binding),))
-    out = _image(*_layer_steps(spec, convention), ket, cutoff)
-    if deriv:
-        out = {s: c.derivative(binding, deriv) for s, c in out.items()}
-        out = {s: c for s, c in out.items() if not c.is_zero()}
-    return out
-
+# -- stack images ----------------------------------------------------------
 
 def apply_stack(spec: PartitionSpec, convention: Convention, ket: SiteState,
                 cutoff: int) -> KetCombo:
     """The whole layer product of `spec` acting on the basis state `ket`,
-    every reached state with its coefficient, in one engine call.  A
+    every reached state with its coefficient, in one engine call.
+
+    A scalar binding z weighs each move by z**alpha; a site-map binding (the
+    per-site-variable layer) by prod_s z^{(s)} ** (out_s - in_s).  A
     derivative layer differentiates the coefficient of the layers right of
-    it and itself, as in `vev`."""
-    _check_width([ket], spec.n * (spec.n - 1) // 2)
-    return _image(*_layer_steps(spec, convention), {tuple(ket): LaurentPoly.one()}, cutoff)
+    it and itself, as in `vev`.  Raises CutoffOverflow if a surviving move
+    raises an occupancy past `cutoff`, and ValueError on a state of another
+    width.
+    """
+    _check_width(ket, spec.n * (spec.n - 1) // 2)
+    atoms, steps = _layer_steps(spec, convention)
+    return {state: LaurentPoly.from_exponents(atoms, counts)
+            for state, counts in _contract(steps, tuple(ket), None, cutoff, len(atoms)).items()}
 
 
 # -- column strip operators ------------------------------------------------
@@ -981,29 +943,13 @@ def _column_plan(ell: int, m: int) -> LayerPlan:
     return tuple(colors), tuple(steps), (0, 1), _site_order(steps)
 
 
-StripCombo = Dict[Tuple[int, ...], LaurentPoly]
-StripLayer = Tuple[int, Sequence[Union[Var, LaurentPoly]]]
+StripLayer = Tuple[int, Sequence[Var]]
 
 
-def apply_strip(ell: int, row_vars: Sequence[Union[Var, LaurentPoly]],
-                combo: StripCombo, cutoff: int) -> StripCombo:
-    """Act with the column operator Y_ell on a combination of slot
-    occupancies of the width-m strip, m = len(row_vars).
-
-    Slot p carries the q=0 z-dressed tensor with the p-th row variable, so a
-    raise at slot p weighs row_vars[p-1] and a lower its inverse.  Raises
-    CutoffOverflow if a surviving move raises an occupancy past `cutoff`,
-    and ValueError on a state of another width.
-    """
-    _check_width(combo, len(row_vars))
-    return _image(*_strip_steps([(ell, row_vars)], len(row_vars)), combo, cutoff)
-
-
-def _strip_steps(layers: Sequence[StripLayer], m: int
-                 ) -> Tuple[List[Union[Var, LaurentPoly]], List[ContractStep]]:
+def _strip_steps(layers: Sequence[StripLayer], m: int) -> Tuple[List[Var], List[ContractStep]]:
     """The row variables of width-m strip layers, one exponent slot each,
     and their engine steps."""
-    slots: Dict[Union[Var, LaurentPoly], int] = {}
+    slots: Dict[Var, int] = {}
     steps: List[ContractStep] = []
     for ell, row_vars in layers:
         weigh = tuple(slots.setdefault(z, len(slots)) for z in row_vars)
@@ -1016,17 +962,29 @@ def strip_vev(layers: Sequence[StripLayer], bra: Tuple[int, ...],
               projections: Optional[Mapping[int, Tuple[int, int]]] = None
               ) -> LaurentPoly:
     """<bra| L_1 L_2 ... L_r |ket> for strip layers written left to right,
-    each an (ell, row_vars) pair standing for Y_ell (see `apply_strip`),
     contracted by `_contract`.
+
+    Each layer is an (ell, row_vars) pair standing for the column operator
+    Y_ell on the width-m strip, m = len(row_vars).  Slot p carries the q=0
+    z-dressed tensor with the p-th row variable, so a raise at slot p weighs
+    row_vars[p-1] and a lower its inverse.
 
     `projections` optionally maps a gap index g (between L_g and L_{g+1},
     1-based) to (slot, value): after the layers right of the gap have acted,
     only states with that slot occupancy are kept.  Raises ValueError when
-    the bra, the ket and the layers differ in width.
+    the bra, the ket and the layers differ in width, when a row variable is
+    not a Var, or when a projection's gap is outside 1..r-1 or its slot
+    outside 0..m-1.
     """
-    _check_width([bra], len(ket))
-    for _, row_vars in layers:
-        _check_width([ket], len(row_vars))
+    _check_width(bra, len(ket))
+    for t, (_, row_vars) in enumerate(layers, start=1):
+        _check_width(ket, len(row_vars))
+        if not all(isinstance(z, Var) for z in row_vars):
+            raise ValueError("strip layer %d: every row variable must be a Var" % t)
+    for gap, (slot, _) in (projections or {}).items():
+        if not (0 < gap < len(layers) and 0 <= slot < len(ket)):
+            raise ValueError("projection at gap %r, slot %r: need a gap in 1..%d and a slot"
+                             " in 0..%d" % (gap, slot, len(layers) - 1, len(ket) - 1))
     atoms, steps = _strip_steps(layers, len(ket))
     cutoff = len(layers) + max(ket, default=0)
     bra = tuple(bra)

@@ -242,31 +242,16 @@ class LaurentPoly:
         return LaurentPoly({monomial_from_dict(exps): int(coeff)})
 
     @staticmethod
-    def from_exponents(atoms: Sequence[Union[Var, "LaurentPoly"]],
+    def from_exponents(atoms: Sequence[Var],
                        counts: Mapping[Tuple[int, ...], int]) -> "LaurentPoly":
         """sum over exponent vectors e of counts[e] * prod_s atoms[s] ** e[s].
 
-        The Var atoms must be distinct; a polynomial atom is raised to its
-        power here (a negative power needs a unit single term).
+        The atoms are distinct Vars, so distinct vectors give distinct
+        monomials.
         """
-        var_slots = sorted(((s, a) for s, a in enumerate(atoms) if isinstance(a, Var)),
-                           key=lambda sa: sa[1].sort_key())
-        poly_slots = [(s, a) for s, a in enumerate(atoms) if not isinstance(a, Var)]
-        terms: Dict[Monomial, int] = {}
-        rest = LaurentPoly.zero()
-        for exps, c in counts.items():
-            if not c:
-                continue
-            m = tuple((v, exps[s]) for s, v in var_slots if exps[s])
-            if any(exps[s] for s, _ in poly_slots):
-                factor = LaurentPoly({m: c})
-                for s, p in poly_slots:
-                    factor = factor * p ** exps[s]
-                rest = rest + factor
-            else:
-                # distinct vectors give distinct monomials over distinct Vars
-                terms[m] = c
-        return LaurentPoly(terms) + rest if rest else LaurentPoly(terms)
+        slots = sorted(range(len(atoms)), key=lambda s: atoms[s].sort_key())
+        return LaurentPoly({tuple((atoms[s], exps[s]) for s in slots if exps[s]): c
+                            for exps, c in counts.items() if c})
 
     # -- predicates --------------------------------------------------------
 

@@ -227,7 +227,6 @@ def _zf_key(state: Tuple[int, ...], key: tuple) -> tuple:
 
 
 def check_zf(n: int, pair: Tuple[int, int], cutoff: int = 4,
-             varpair: Tuple[str, str] = ("x", "y"),
              convention: Convention = CONVENTION) -> CheckReport:
     """Exchange relation for the pair (i, j) on every basis ket with
     occupancy at most cutoff-2; ValueError for cutoff < 2, whose box is
@@ -277,7 +276,7 @@ def check_zf(n: int, pair: Tuple[int, int], cutoff: int = 4,
             diff = sorted((_zf_key(state, k), k) for k in lhs.keys() | rhs.keys()
                           if lhs.get(k) != rhs.get(k))
             key, raw = diff[0]
-            detail = {"state": state, "vars": varpair, "key": key,
+            detail = {"state": state, "vars": ("x", "y"), "key": key,
                       "lhs": lhs.get(raw, 0), "rhs": rhs.get(raw, 0),
                       "diff_terms": len(diff)}
             break
@@ -287,15 +286,14 @@ def check_zf(n: int, pair: Tuple[int, int], cutoff: int = 4,
 
 # -- factorized and Schur-valued expectation values ------------------------
 
-def check_increasing_labels(n: int, labels: Sequence[int],
-                            convention: Convention = CONVENTION) -> CheckReport:
+def check_increasing_labels(n: int, labels: Sequence[int]) -> CheckReport:
     """Weakly increasing layer labels: the value is the pure monomial
     prod z_t^{i_t} from a single contributing configuration."""
     t0 = time.perf_counter()
     if any(labels[t] > labels[t + 1] for t in range(len(labels) - 1)):
         raise ValueError("labels must be weakly increasing")
     spec = scalar_spec(n, labels)
-    got = vev(spec, convention)
+    got = vev(spec)
     expected = LaurentPoly.monomial(
         {Var.layer(t): i for t, i in enumerate(labels, start=1) if i}, 1)
     count = got.at_one()
@@ -329,13 +327,12 @@ def _block_layout(blocks: Sequence[Tuple[int, int]]):
     return labels, var_groups, tuple(parts), prefactor
 
 
-def check_schur_correspondence(n: int, blocks: Sequence[Tuple[int, int]],
-                               convention: Convention = CONVENTION) -> CheckReport:
+def check_schur_correspondence(n: int, blocks: Sequence[Tuple[int, int]]) -> CheckReport:
     """Strictly decreasing labels with multiplicities: the expectation value
     factors as prod_k (block variables)^(m-k) times a Schur polynomial."""
     t0 = time.perf_counter()
     _check_schur_blocks(n, blocks)
-    got = vev(scalar_spec(n, _block_layout(blocks)[0]), convention)
+    got = vev(scalar_spec(n, _block_layout(blocks)[0]))
     return _schur_report(n, blocks, got, t0)
 
 
@@ -368,9 +365,8 @@ def _schur_and_counting(n: int, blocks: Sequence[Tuple[int, int]]) -> List[Check
 
 
 def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
-                               cutoff: Optional[int] = None,
-                               kets: Optional[Iterable[Tuple[int, ...]]] = None,
-                               convention: Convention = CONVENTION) -> CheckReport:
+                               kets: Optional[Iterable[Tuple[int, ...]]] = None
+                               ) -> CheckReport:
     """Reordering identity: the label-decreasing product over its monomial
     prefactor equals the redistribution sum of label-increasing products.
 
@@ -392,9 +388,9 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
     passed = True
     detail = None
     for ket_state in kets:
-        cutoff_ = (cutoff if cutoff is not None
-                   else max(ket_state, default=0) + total_layers)
-        lhs = apply_stack(scalar_spec(n, labels, all_vars), convention, ket_state, cutoff_)
+        # occupancies grow by at most one per layer
+        cutoff = max(ket_state, default=0) + total_layers
+        lhs = apply_stack(scalar_spec(n, labels, all_vars), CONVENTION, ket_state, cutoff)
         inv_pref = prefactor ** -1
         lhs = {s: c * inv_pref * full_pair for s, c in lhs.items()}
         rhs: Dict[Tuple[int, ...], LaurentPoly] = {}
@@ -404,8 +400,8 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
             for k in range(len(blocks) - 1, -1, -1):
                 rev_labels.extend([blocks[k][0]] * sizes[k])
                 rev_vars.extend(groups[k])
-            contrib = apply_stack(scalar_spec(n, rev_labels, rev_vars), convention,
-                                  ket_state, cutoff_)
+            contrib = apply_stack(scalar_spec(n, rev_labels, rev_vars), CONVENTION,
+                                  ket_state, cutoff)
             for s, c in contrib.items():
                 add = c * multiplier
                 acc = rhs.get(s)
@@ -423,8 +419,7 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
 
 # -- derivatives, counting, averages ---------------------------------------
 
-def check_derivative_value(n: int, labels: Sequence[int],
-                           convention: Convention = CONVENTION) -> CheckReport:
+def check_derivative_value(n: int, labels: Sequence[int]) -> CheckReport:
     """First derivative in the first layer variable against the symbolic
     derivative of the closed Schur form (distinct labels)."""
     t0 = time.perf_counter()
@@ -432,7 +427,7 @@ def check_derivative_value(n: int, labels: Sequence[int],
     if any(labels[k] <= labels[k + 1] for k in range(m - 1)):
         raise ValueError("labels must be strictly decreasing")
     derivs = [1] + [0] * (m - 1)
-    got = vev(scalar_spec(n, labels, derivs=derivs), convention)
+    got = vev(scalar_spec(n, labels, derivs=derivs))
     parts = tuple(labels[k] - m + (k + 1) for k in range(m))
     expected = schur_derivative_oracle(parts, m)
     passed = got == expected
@@ -440,13 +435,12 @@ def check_derivative_value(n: int, labels: Sequence[int],
                    passed, None if passed else _mismatch(got, expected), t0)
 
 
-def check_counting(n: int, blocks: Sequence[Tuple[int, int]],
-                   convention: Convention = CONVENTION) -> CheckReport:
+def check_counting(n: int, blocks: Sequence[Tuple[int, int]]) -> CheckReport:
     """Configuration count at all-ones equals the specialized Schur value;
     for multiplicity-free labels also the pairwise product
     prod (i_k - i_l)/(l - k)."""
     t0 = time.perf_counter()
-    count = count_configurations(scalar_spec(n, _block_layout(blocks)[0]), convention)
+    count = count_configurations(scalar_spec(n, _block_layout(blocks)[0]))
     return _counting_report(n, blocks, count, t0)
 
 
@@ -471,8 +465,7 @@ def _counting_report(n: int, blocks: Sequence[Tuple[int, int]], count: int,
                    passed, detail, t0)
 
 
-def check_average_ratio(n: int, ell: int,
-                        convention: Convention = CONVENTION) -> CheckReport:
+def check_average_ratio(n: int, ell: int) -> CheckReport:
     """Label sequence n, n-1, ..., skipping n-ell, ..., 0: the plain value is
     prod z_k^{n-k} e_ell(z_1..z_n), the first-layer-derivative value is its
     z_1 derivative, and the ratio of the two at all-ones is
@@ -484,8 +477,8 @@ def check_average_ratio(n: int, ell: int,
     labels = [v for v in range(n, -1, -1) if v != n - ell]
     zv = [Var.layer(t) for t in range(1, n + 1)]
     stair = LaurentPoly.monomial({zv[k]: n - 1 - k for k in range(n - 1)}, 1)
-    plain = vev(scalar_spec(n, labels), convention)
-    hat = vev(scalar_spec(n, labels, derivs=[1] + [0] * (n - 1)), convention)
+    plain = vev(scalar_spec(n, labels))
+    hat = vev(scalar_spec(n, labels, derivs=[1] + [0] * (n - 1)))
     e_full = elementary(ell, zv)
     closed_plain = stair * e_full
     closed_hat = ((stair * e_full).derivative(zv[0]))
@@ -514,8 +507,7 @@ def _col_var(t: int, p: int) -> Var:
     return Var.site(t, p, 1)
 
 
-def check_inhomogeneous(n: int, sizes: Sequence[int],
-                        convention: Convention = CONVENTION) -> CheckReport:
+def check_inhomogeneous(n: int, sizes: Sequence[int]) -> CheckReport:
     """Stacks with independent site variables: the value is the inverse
     first-column prefactor times the block loop elementary function, and
     depends on first-column variables only."""
@@ -526,7 +518,7 @@ def check_inhomogeneous(n: int, sizes: Sequence[int],
     for i in range(1, n):
         labels.extend([n - i + 1] * sizes[i - 1])
     labels.extend([0] * sizes[-1])
-    got = vev(inhomogeneous_spec(n, labels), convention)
+    got = vev(inhomogeneous_spec(n, labels))
     W = sum(sizes)
     pref = LaurentPoly.one()
     t = 0
@@ -600,13 +592,12 @@ def check_one_column(k: int, n_layers: int,
                    None if passed else _mismatch(got, expected), t0)
 
 
-def check_column_reduction(n: int, extra_zero_layers: int = 0,
-                           convention: Convention = CONVENTION) -> CheckReport:
+def check_column_reduction(n: int, extra_zero_layers: int = 0) -> CheckReport:
     """The full-triangle per-site-variable stack with labels n, n-1, ..., 2,
     then 0 repeated, equals the width-(n-1) column chain."""
     t0 = time.perf_counter()
     labels = list(range(n, 1, -1)) + [0] * (extra_zero_layers + 1)
-    lhs = vev(inhomogeneous_spec(n, labels), convention)
+    lhs = vev(inhomogeneous_spec(n, labels))
     m = n - 1
     layers = _column_layers(m, len(labels))
     rhs = strip_vev(layers, (0,) * m, (0,) * m)
@@ -783,14 +774,14 @@ def check_convention() -> CheckReport:
     and it gives the anchor values."""
     t0 = time.perf_counter()
     try:
-        conv = resolve_convention(4)
+        conv = resolve_convention()
     except Exception as exc:
         return _report("convention", {}, False, {"error": str(exc)}, t0)
     params = {"resolved": str(conv)}
     if conv != CONVENTION:
         return _report("convention", params, False,
                        {"resolved": str(conv), "pinned": str(CONVENTION)}, t0)
-    r1 = check_increasing_labels(4, (1, 2, 3, 3, 4), conv)
+    r1 = check_increasing_labels(4, (1, 2, 3, 3, 4))
     spec = scalar_spec(4, (3, 3, 1))
     got = vev(spec, conv)
     z = [Var.layer(t) for t in (1, 2, 3)]

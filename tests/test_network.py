@@ -21,16 +21,17 @@ from trivertex.network import (
     LayerSpec,
     NoConventionFound,
     PartitionSpec,
+    _column_plan,
+    _contract,
     _layer_plan,
     _reverse_plan,
     _site_table,
+    _strip_steps,
     _sweep,
     _sweep_map,
     _with_units,
     all_conventions,
-    apply_layer,
     apply_stack,
-    apply_strip,
     count_configurations,
     enumerate_configurations,
     fixed_colors,
@@ -267,6 +268,14 @@ def term_apply_strip(terms, combo, cutoff):
     return {s: c for s, c in out.items() if not c.is_zero()}
 
 
+def strip_image(ell, rv, state, cutoff):
+    """Y_ell with row variables `rv` on one basis state, by the engine:
+    `_contract` on the strip's steps, with no bra."""
+    atoms, steps = _strip_steps([(ell, rv)], len(rv))
+    return {new: LaurentPoly.from_exponents(atoms, counts)
+            for new, counts in _contract(steps, state, None, cutoff, len(atoms)).items()}
+
+
 def term_strip_vev(layers, bra, ket, projections=None):
     """<bra| L_1 ... L_r |ket> over term lists, right to left, keeping only
     the states with occupancy v at slot p after gap g for {g: (p, v)}."""
@@ -288,18 +297,16 @@ def test_sites_order_and_count():
 
 
 def test_resolved_convention_is_unique():
-    assert resolve_convention(4) == RESOLVED == CONVENTION
+    assert resolve_convention() == RESOLVED == CONVENTION
 
 
 def test_resolution_error_modes():
     losers = [c for c in all_conventions() if c.residual == "zero"]
     with pytest.raises(NoConventionFound):
-        resolve_convention(4, candidates=losers)
+        resolve_convention(candidates=losers)
     winner = Convention("we", "staircase", "sum", "north_lateral")
     with pytest.raises(AmbiguousConvention):
-        resolve_convention(4, candidates=[winner, winner])
-    with pytest.raises(ValueError):
-        resolve_convention(3)
+        resolve_convention(candidates=[winner, winner])
 
 
 def test_convention_and_spec_value_semantics():
@@ -389,12 +396,11 @@ def test_vev_homogeneity():
 
 
 def test_occupancy_bound_under_application():
-    conv = CONVENTION
     n, labels = 3, (0, 0, 0, 0)
-    ket = {vacuum_state(n): LaurentPoly.one()}
-    for t, label in enumerate(labels, start=1):
-        ket = apply_layer(n, label, conv, Z[t - 1], 0, ket, len(labels))
-        assert max(max(s) for s in ket) <= t
+    for t in range(1, len(labels) + 1):
+        image = apply_stack(scalar_spec(n, labels[:t]), CONVENTION, vacuum_state(n),
+                            len(labels))
+        assert max(max(s) for s in image) <= t
 
 
 def test_same_label_layers_commute():
@@ -423,9 +429,8 @@ def test_per_site_binding_collapses_to_scalar():
     width = n * (n - 1) // 2
     for i in range(n + 1):
         for state in itertools.product(range(2), repeat=width):
-            ket = {state: LaurentPoly.one()}
-            bar = apply_layer(n, i, conv, binding, 0, ket, 4)
-            hom = apply_layer(n, i, conv, z, 0, ket, 4)
+            bar = apply_stack(PartitionSpec(n, [LayerSpec(i, binding)]), conv, state, 4)
+            hom = apply_stack(PartitionSpec(n, [LayerSpec(i, z)]), conv, state, 4)
             shift = LaurentPoly.var(z) ** -i
             assert bar == {s: c * shift for s, c in hom.items()}
 
@@ -469,15 +474,29 @@ def test_invalid_labels():
         fixed_colors(3, -1, CONVENTION)
 
 
-def test_apply_layer_argument_errors():
-    conv = CONVENTION
-    ket = {vacuum_state(2): LaurentPoly.one()}
-    with pytest.raises(ValueError):
-        apply_layer(2, 0, conv, LaurentPoly.var(Z[0]), 1, ket, 2)
-    with pytest.raises(ValueError):
-        apply_layer(2, 0, conv, {(1, 1): Z[0]}, 1, ket, 2)
-    with pytest.raises(ValueError):
-        apply_layer(2, 0, conv, Z[0], 0, {(0, 0): LaurentPoly.one()}, 2)
+def test_stack_argument_errors():
+    with pytest.raises(ValueError, match="layer 1: derivative"):
+        PartitionSpec(2, [LayerSpec(0, {(1, 1): Z[0]}, 1)])
+    with pytest.raises(ValueError, match="width"):
+        apply_stack(scalar_spec(2, (0,)), CONVENTION, (0, 0), 2)
+
+
+def test_bindings_are_checked_when_the_spec_is_built():
+    # a site map lacking a site, or a binding that is neither a Var nor a
+    # site map of Vars, is refused by name, before any contraction
+    z = Z[0]
+    with pytest.raises(ValueError, match=r"layer 1: site map binds no Var at site \(1, 2\)"):
+        vev(PartitionSpec(3, [LayerSpec(1, {(1, 1): z})]))
+    partial = dict(site_binding(3, 2))
+    del partial[(2, 1)]
+    with pytest.raises(ValueError, match=r"layer 2: .* site \(2, 1\)"):
+        PartitionSpec(3, [LayerSpec(1, z), LayerSpec(0, partial)])
+    for binding in (LaurentPoly.var(z) + 1, 2, "z1"):
+        with pytest.raises(ValueError, match="layer 2: binding .* neither a Var nor a site map"):
+            PartitionSpec(3, [LayerSpec(1, z), LayerSpec(1, binding)])
+    polys = {**site_binding(3, 1), (1, 1): LaurentPoly.var(z)}
+    with pytest.raises(ValueError, match=r"layer 1: site map binds no Var at site \(1, 1\)"):
+        PartitionSpec(3, [LayerSpec(1, polys)])
 
 
 def test_derivative_layer():
@@ -488,26 +507,8 @@ def test_derivative_layer():
     assert hat == base.derivative(Z[0])
 
 
-def test_polynomial_bindings():
-    # a polynomial binding is one exponent slot, raised to its power at the end
-    conv = CONVENTION
-    z1 = LaurentPoly.var(Z[0])
-    spec = PartitionSpec(4, [LayerSpec(3, z1 + 1), LayerSpec(3, Z[1], 1),
-                             LayerSpec(1, 2 * z1)])
-    ket = {vacuum_state(4): LaurentPoly.one()}
-    for layer in reversed(spec.layers):
-        ket = term_apply_layer(4, enumerate_layer_terms(4, layer.label, conv),
-                               layer.binding, layer.deriv, ket, 3)
-    expected = ket[vacuum_state(4)]
-    assert vev(spec, conv) == expected
-    # a derivative in a variable inside a polynomial binding is refused
-    with pytest.raises(ValueError):
-        vev(PartitionSpec(3, [LayerSpec(2, Z[0], 1), LayerSpec(1, z1 + 1)]), conv)
-
-
 def test_layer_action_on_vacuum_n4():
-    conv = CONVENTION
-    ket = apply_layer(4, 1, conv, Z[0], 0, {vacuum_state(4): LaurentPoly.one()}, 3)
+    ket = apply_stack(scalar_spec(4, (1,)), CONVENTION, vacuum_state(4), 3)
     z = LaurentPoly.var(Z[0])
     # site order (1,1),(1,2),(1,3),(2,1),(2,2),(3,1)
     assert ket == {
@@ -552,9 +553,8 @@ def test_column_operator_tables_width2():
         assert {ops: c for c, ops in term_Y(ell, 2, row_vars(1, 2))} == table
         terms = [(c, ops) for ops, c in table.items()]
         for state in itertools.product(range(3), repeat=2):
-            ket = {state: LaurentPoly.one()}
-            assert (apply_strip(ell, row_vars(1, 2), ket, 3)
-                    == term_apply_strip(terms, ket, 3)), (ell, state)
+            assert (strip_image(ell, row_vars(1, 2), state, 3)
+                    == term_apply_strip(terms, {state: LaurentPoly.one()}, 3)), (ell, state)
 
 
 def test_top_column_operator_fixes_vacuum():
@@ -591,9 +591,9 @@ def test_strip_sweep_matches_term_route():
             rv = row_vars(1, m)
             terms = term_Y(ell, m, rv)
             for state in itertools.product(range(3), repeat=m):
-                ket = {state: LaurentPoly.one()}
-                assert (apply_strip(ell, rv, ket, 3)
-                        == term_apply_strip(terms, ket, 3)), (m, ell, state)
+                assert (strip_image(ell, rv, state, 3)
+                        == term_apply_strip(terms, {state: LaurentPoly.one()}, 3)), \
+                    (m, ell, state)
     # two-layer stacks Y_ell1(z_1) Y_ell2(z_2) between bras and kets with
     # occupancies up to 2, plain and with the gap projected on the top slot
     for m in range(1, 4):
@@ -613,25 +613,38 @@ def test_strip_overflow_at_cutoff():
     # Y_2 on width 2: b+ on slot 2 comes with t on slot 1; with slot 1 empty
     # the raise survives, so slot 2 at the cutoff overflows
     with pytest.raises(CutoffOverflow):
-        apply_strip(2, rv, {(0, 2): LaurentPoly.one()}, 2)
+        _sweep(_column_plan(2, 2), (0, 2), 2)
     # with slot 1 occupied t kills that branch after the raise: no overflow
     z1 = LaurentPoly.var(rv[0])
-    assert apply_strip(2, rv, {(1, 2): LaurentPoly.one()}, 2) == {
-        (1, 2): LaurentPoly.one(), (2, 2): z1}
+    assert strip_image(2, rv, (1, 2), 2) == {(1, 2): LaurentPoly.one(), (2, 2): z1}
     with pytest.raises(ValueError):
-        apply_strip(3, rv, {(0, 0): LaurentPoly.one()}, 2)
+        _column_plan(3, 2)
 
 
 def test_strip_width_mismatch():
     z = col_var(1, 1)
-    with pytest.raises(ValueError):
-        apply_strip(1, [z], {(0, 5): LaurentPoly.one()}, 3)
     with pytest.raises(ValueError):
         strip_vev([(1, [z])], (1, 5), (0, 5))
     with pytest.raises(ValueError):
         strip_vev([(1, [z])], (1, 5), (0,))
     with pytest.raises(ValueError):
         strip_vev([(1, [z]), (1, row_vars(2, 2))], (0,), (0,))
+    with pytest.raises(ValueError, match="strip layer 2: every row variable must be a Var"):
+        strip_vev([(1, [z]), (0, [LaurentPoly.var(z)])], (0,), (0,))
+
+
+def test_strip_projections_are_checked():
+    # a gap outside 1..r-1 or a slot outside the strip is refused, not
+    # ignored, read from the end or left to fail inside the engine
+    layers = [(0, row_vars(1, 2)), (1, row_vars(2, 2))]
+    for proj in ({7: (0, 0)}, {0: (0, 0)}, {2: (0, 0)}, {1: (5, 0)}, {1: (2, 0)},
+                 {1: (-1, 0)}):
+        with pytest.raises(ValueError, match="projection"):
+            strip_vev(layers, (0, 0), (0, 0), proj)
+    for slot in (0, 1):
+        proj = {1: (slot, 1)}
+        assert strip_vev(layers, (0, 0), (0, 1), proj) == term_strip_vev(
+            [term_Y(ell, 2, rv) for ell, rv in layers], (0, 0), (0, 1), proj)
 
 
 # -- the site sweep against the term route ---------------------------------
@@ -917,12 +930,11 @@ def test_broken_zf_report_matches_term_route(monkeypatch):
 
 
 def test_sweep_overflow_at_cutoff():
-    conv = CONVENTION
     # label 0 at n = 2: 1b or b+ on the single site; b+ at the cutoff overflows
     with pytest.raises(CutoffOverflow):
-        apply_layer(2, 0, conv, Z[0], 0, {(2,): LaurentPoly.one()}, 2)
+        apply_stack(scalar_spec(2, (0,)), CONVENTION, (2,), 2)
     # label 2 only lowers or keeps, so a full site is fine
-    assert apply_layer(2, 2, conv, Z[0], 0, {(2,): LaurentPoly.one()}, 2)
+    assert apply_stack(scalar_spec(2, (2,)), CONVENTION, (2,), 2)
 
 
 @st.composite
@@ -976,13 +988,11 @@ def small_stacks(draw, max_n=5):
 def test_stack_vev_matches_term_route(spec, conv):
     n, cutoff = spec.n, len(spec.layers)
     vac = vacuum_state(n)
-    ket = lib = {vac: LaurentPoly.one()}
+    ket = {vac: LaurentPoly.one()}
     for layer in reversed(spec.layers):
         ket = term_apply_layer(n, enumerate_layer_terms(n, layer.label, conv),
                                layer.binding, layer.deriv, ket, cutoff)
-        lib = apply_layer(n, layer.label, conv, layer.binding, layer.deriv, lib, cutoff)
     expected = ket.get(vac, LaurentPoly.zero())
-    assert lib.get(vac, LaurentPoly.zero()) == expected
     assert apply_stack(spec, conv, vac, cutoff) == ket
     value = vev(spec, conv)
     assert value == expected

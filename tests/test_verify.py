@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trivertex import verify
-from trivertex.network import CONVENTION, Convention, _layer_plan, _sweep, all_conventions
+from trivertex.network import (CONVENTION, Convention, _layer_plan, _sweep, all_conventions,
+                               scalar_spec, vev)
 from trivertex.poly import LaurentPoly, Var
+from trivertex.symfunc import schur_bialternant, schur_jacobi_trudi, schur_pragacz
 from trivertex.verify import (
     CheckReport,
     check_average_ratio,
@@ -67,6 +69,39 @@ def test_schur_correspondence():
         check_schur_correspondence(3, ((1, 1), (2, 1)))
     with pytest.raises(ValueError):
         check_schur_correspondence(3, ((4, 1),))
+
+
+@st.composite
+def schur_stacks(draw):
+    """(n, blocks) with n <= 6: strictly decreasing labels in 0..n, block
+    multiplicities 1-2, at most 5 layers (blocks past that are dropped)."""
+    n = draw(st.integers(2, 6))
+    values = sorted(draw(st.lists(st.integers(0, n), min_size=1, max_size=5, unique=True)),
+                    reverse=True)
+    blocks = []
+    for value in values:
+        mult = draw(st.integers(1, 2))
+        if sum(m for _, m in blocks) + mult > 5:
+            break
+        blocks.append((value, mult))
+    return n, tuple(blocks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(schur_stacks())
+def test_decreasing_stacks_are_schur_polynomials_by_three_oracles(case):
+    # the vev is the block prefactor times s_lambda, by the determinant, the
+    # bialternant and the redistribution sum
+    n, blocks = case
+    labels, var_groups, parts, prefactor = verify._block_layout(blocks)
+    zvars = [v for group in var_groups for v in group]
+    got = vev(scalar_spec(n, labels))
+    assert got == prefactor * schur_jacobi_trudi(parts, zvars)
+    assert got == prefactor * schur_bialternant(parts, zvars)
+    # each block's part sits at its first variable
+    firsts = itertools.accumulate([0] + [len(g) for g in var_groups[:-1]])
+    assert got == prefactor * schur_pragacz(
+        [(parts[i], len(g)) for i, g in zip(firsts, var_groups)], var_groups)
 
 
 def test_multiple_commutation():
