@@ -2,7 +2,8 @@
 
 A local tensor is a 2x2x2x2 table: subscripts (i, j) are the two incoming
 edge colors, superscripts (a, b) the outgoing ones, and each nonzero entry is
-a Fock-space operator dressed with a monomial prefactor.  Four kinds exist:
+a Fock-space operator dressed with a monomial prefactor.  Every nonzero entry
+conserves color: i + j = a + b.  Four kinds exist:
 
 * R0    — undeformed, no spectral variable (identities, raise, lower, project);
 * LZ    — same entries with spectral weights z / z^-1 on raise / lower;
@@ -13,11 +14,10 @@ The negation of MQZ lives in the application step, not the stored table:
 `apply_entry` substitutes q -> -q into the combined coefficient, which also
 negates the q's produced by the operator action itself.
 
-Every nonzero entry conserves color: i + j = a + b.
-
 The tetrahedron-equation check composes four such tensors on four color lines
 and two Fock lines, in both orders, and compares the resulting maps sector by
-sector with exact Laurent coefficients.
+sector.  Each factor's action is tabled once per check, and coefficients are
+exact integer counts keyed by packed exponent vectors (`_tables`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from enum import Enum
 from itertools import product
 from typing import Dict, List, Optional, Tuple, Union
 
-from .fock import LocalOp, apply_local
+from .fock import CutoffOverflow, LocalOp, apply_local, q_to_zero
 from .poly import LaurentPoly, Var
 
 
@@ -52,12 +52,6 @@ _Q = Var.q()
 _MINUS_Q = LaurentPoly.var(_Q) * -1
 
 
-def _as_invertible_poly(z: Union[Var, LaurentPoly]) -> LaurentPoly:
-    if isinstance(z, Var):
-        return LaurentPoly.var(z)
-    return z
-
-
 def local_tensor(kind: TensorKind, z: Optional[Union[Var, LaurentPoly]] = None) -> EntryTable:
     """Entry table for one tensor kind.
 
@@ -68,35 +62,21 @@ def local_tensor(kind: TensorKind, z: Optional[Union[Var, LaurentPoly]] = None) 
     """
     one = LaurentPoly.one()
     if kind is TensorKind.R0:
-        return {
-            (0, 0, 0, 0): (one, LocalOp.ID_B),
-            (1, 1, 1, 1): (one, LocalOp.ID_R),
-            (1, 0, 0, 1): (one, LocalOp.B_PLUS),
-            (0, 1, 1, 0): (one, LocalOp.B_MINUS),
-            (0, 1, 0, 1): (one, LocalOp.T_PROJ),
-        }
-    if z is None:
+        zp = zm = one
+    elif z is None:
         raise MissingVariable("tensor kind %s needs a spectral variable" % kind.value)
-    zp = _as_invertible_poly(z)
-    zm = zp ** -1
-    if kind is TensorKind.LZ:
-        return {
-            (0, 0, 0, 0): (one, LocalOp.ID_B),
-            (1, 1, 1, 1): (one, LocalOp.ID_R),
-            (1, 0, 0, 1): (zp, LocalOp.B_PLUS),
-            (0, 1, 1, 0): (zm, LocalOp.B_MINUS),
-            (0, 1, 0, 1): (one, LocalOp.T_PROJ),
-        }
-    if kind in (TensorKind.LQZ, TensorKind.MQZ):
-        return {
-            (0, 0, 0, 0): (one, LocalOp.ID_B),
-            (1, 1, 1, 1): (one, LocalOp.ID_R),
-            (1, 0, 0, 1): (zp, LocalOp.A_PLUS),
-            (0, 1, 1, 0): (zm, LocalOp.A_MINUS),
-            (0, 1, 0, 1): (one, LocalOp.K),
-            (1, 0, 1, 0): (_MINUS_Q, LocalOp.K),
-        }
-    raise ValueError("unknown tensor kind %r" % (kind,))
+    else:
+        zp = LaurentPoly.var(z) if isinstance(z, Var) else z
+        zm = zp ** -1
+    if kind in (TensorKind.R0, TensorKind.LZ):
+        up, down, diag, extra = LocalOp.B_PLUS, LocalOp.B_MINUS, LocalOp.T_PROJ, {}
+    elif kind in (TensorKind.LQZ, TensorKind.MQZ):
+        up, down, diag = LocalOp.A_PLUS, LocalOp.A_MINUS, LocalOp.K
+        extra = {(1, 0, 1, 0): (_MINUS_Q, LocalOp.K)}
+    else:
+        raise ValueError("unknown tensor kind %r" % (kind,))
+    return {(0, 0, 0, 0): (one, LocalOp.ID_B), (1, 1, 1, 1): (one, LocalOp.ID_R),
+            (1, 0, 0, 1): (zp, up), (0, 1, 1, 0): (zm, down), (0, 1, 0, 1): (one, diag), **extra}
 
 
 def kind_negates_q(kind: TensorKind) -> bool:
@@ -126,55 +106,93 @@ def q0_limit(kind: TensorKind, z: Union[Var, LaurentPoly]) -> EntryTable:
     Prefactors are evaluated at q = 0 (entries whose prefactor vanishes are
     dropped) and operators are mapped through their undeformed limits.
     """
-    from .fock import q_to_zero
-
     if kind not in (TensorKind.LQZ, TensorKind.MQZ):
         raise ValueError("q0_limit applies to the deformed kinds only")
-    table = local_tensor(kind, z)
     out: EntryTable = {}
-    for key, (prefactor, op) in table.items():
+    for key, (prefactor, op) in local_tensor(kind, z).items():
         if kind_negates_q(kind):
             prefactor = prefactor.substitute({_Q: _MINUS_Q})
         at0 = prefactor.substitute({_Q: 0})
-        if at0.is_zero():
-            continue
-        out[key] = (at0, q_to_zero(op))
+        if not at0.is_zero():
+            out[key] = (at0, q_to_zero(op))
     return out
 
 
 # -- tetrahedron equation --------------------------------------------------
 
-# A factor acts on two of the four color lines (first carries i/a, second
-# carries j/b) and one of the two Fock lines.
-Factor = Tuple[TensorKind, int, int, int, LaurentPoly]
+def _tables(factors, space):
+    """Each factor's table on occupancies 0..space-1, (i, j, m) -> moves
+    (a, b, m2, packed coefficient), built once through `local_tensor` and
+    `apply_entry`; a move past the truncation stays as (a, b, None, message)
+    and raises CutoffOverflow when reached.  A packed coefficient maps
+    sum_s e_s << (width * s), e_s the exponent of variable s, to its count.
+    A side applies each factor once, so a signed field holds len(factors)
+    times the largest |e_s|: a product adds keys, and dict equality is
+    polynomial equality.  Also returns `decode`, packed side -> poly side.
+    """
+    tables = [{key: [] for key in product((0, 1), (0, 1), range(space))} for _ in factors]
+    for (kind, z), table in zip(factors, tables):
+        for ((i, j, a, b), entry), m in product(local_tensor(kind, z).items(), range(space)):
+            try:
+                table[i, j, m] += [(a, b, m2, c) for m2, c in apply_entry(kind, entry, m, space)]
+            except CutoffOverflow as exc:
+                table[i, j, m].append((a, b, None, str(exc)))
+    polys = [c.terms for t in tables for ms in t.values() for _, _, m2, c in ms if m2 is not None]
+    atoms = sorted({v for p in polys for mono in p for v, _ in mono}, key=Var.sort_key)
+    top = max((abs(e) for p in polys for mono in p for _, e in mono), default=0)
+    width = (len(factors) * top).bit_length() + 1
+    shift = {v: width * s for s, v in enumerate(atoms)}
+    for moves in [moves for t in tables for moves in t.values()]:
+        moves[:] = [(a, b, m2, c if m2 is None else {
+            sum(e << shift[v] for v, e in mono): k for mono, k in c.terms.items()})
+            for a, b, m2, c in moves]
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    zero = sum(half << s for s in shift.values())
 
-State = Tuple[int, int, int, int, int, int]  # four colors then two occupancies
+    def decode(side):
+        return {state: LaurentPoly.from_exponents(atoms, {
+            tuple(((key + zero) >> s & mask) - half for s in shift.values()): k
+            for key, k in coeff.items()}) for state, coeff in side.items()}
+    return tables, decode
 
 
-def _apply_factor(states: Dict[State, LaurentPoly], factor: Factor, space: int) -> Dict[State, LaurentPoly]:
-    kind, line_a, line_b, fock, z = factor
-    table = local_tensor(kind, z)
-    by_input: Dict[Tuple[int, int], List[Tuple[int, int, Entry]]] = {}
-    for (i, j, a, b), entry in table.items():
-        by_input.setdefault((i, j), []).append((a, b, entry))
-    fock_pos = 4 + (fock - 5)
-    out: Dict[State, LaurentPoly] = {}
+def _apply(states, line_a, line_b, fock, table):
+    """One factor on state (four colors, two occupancies) -> packed coefficient,
+    acting on the colors at line_a (i/a) and line_b (j/b) and occupancy fock."""
+    out = {}
     for state, coeff in states.items():
-        i, j = state[line_a - 1], state[line_b - 1]
-        m = state[fock_pos]
-        for a, b, entry in by_input.get((i, j), ()):
-            for m2, c in apply_entry(kind, entry, m, space):
-                nxt = list(state)
-                nxt[line_a - 1] = a
-                nxt[line_b - 1] = b
-                nxt[fock_pos] = m2
-                key = tuple(nxt)
-                acc = out.get(key, LaurentPoly.zero()) + coeff * c
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-    return out
+        for a, b, m2, mc in table[state[line_a], state[line_b], state[fock]]:
+            if m2 is None:
+                raise CutoffOverflow(mc)
+            nxt = list(state)
+            nxt[line_a], nxt[line_b], nxt[fock] = a, b, m2
+            acc = out.setdefault(tuple(nxt), {})
+            for key, c in coeff.items():
+                for key2, c2 in mc.items():
+                    key2 += key
+                    acc[key2] = acc.get(key2, 0) + c * c2
+    return {state: kept for state, coeff in out.items()
+            if (kept := {key: c for key, c in coeff.items() if c})}
+
+
+def _sectors(cutoff, zvars):
+    """(input, lhs, rhs, decode) per sector of `tetrahedron_check`, sides packed."""
+    # kind, color lines carrying i/a and j/b, Fock line; z is their ratio
+    geometry = [(TensorKind.MQZ, 1, 2, 6), (TensorKind.MQZ, 3, 4, 6),
+                (TensorKind.LQZ, 1, 3, 5), (TensorKind.LQZ, 2, 4, 5)]
+    space = cutoff + 1  # occupancies 0..cutoff reachable from cutoff-2 inputs
+    tables, decode = _tables([(kind, LaurentPoly.monomial({zvars[a - 1]: 1, zvars[b - 1]: -1}))
+                              for kind, a, b, _ in geometry], space)
+    m126, m346, l135, l245 = [(a - 1, b - 1, fock - 1, table)
+                              for (_, a, b, fock), table in zip(geometry, tables)]
+    for colors, m5, m6 in product(product((0, 1), repeat=4), range(cutoff - 1), range(cutoff - 1)):
+        start = colors + (m5, m6)
+        lhs = rhs = {start: {0: 1}}
+        for step in (l245, l135, m346, m126):  # rightmost first
+            lhs = _apply(lhs, *step)
+        for step in (m126, m346, l135, l245):
+            rhs = _apply(rhs, *step)
+        yield start, lhs, rhs, decode
 
 
 def tetrahedron_check(cutoff: int, zvars: Optional[Tuple[Var, Var, Var, Var]] = None) -> dict:
@@ -184,44 +202,25 @@ def tetrahedron_check(cutoff: int, zvars: Optional[Tuple[Var, Var, Var, Var]] = 
           = L_245(z2/z4) L_135(z1/z3) M_346(z3/z4) M_126(z1/z2)
 
     on four color lines and two Fock lines, composing right to left, for all
-    input sectors with Fock occupancies <= cutoff-2.  Each Fock line is hit by
-    exactly two factors, so two levels of headroom make the truncated check
-    exact; cutoff < 3 raises CutoffTooSmall.
+    input sectors with Fock occupancies <= cutoff-2, with exact integer
+    coefficients keyed by packed exponents (`_tables`).  Each Fock line is
+    hit by exactly two factors, so two levels of headroom make the truncated
+    check exact; cutoff < 3 raises CutoffTooSmall.  The first failing sector
+    also gives its first differing output state and both coefficients there.
     """
     if cutoff < 3:
         raise CutoffTooSmall("tetrahedron check needs cutoff >= 3")
     if zvars is None:
         zvars = tuple(Var.layer(i) for i in (1, 2, 3, 4))
-
-    def ratio(i, j):
-        return LaurentPoly.monomial({zvars[i - 1]: 1, zvars[j - 1]: -1})
-
-    m126 = (TensorKind.MQZ, 1, 2, 6, ratio(1, 2))
-    m346 = (TensorKind.MQZ, 3, 4, 6, ratio(3, 4))
-    l135 = (TensorKind.LQZ, 1, 3, 5, ratio(1, 3))
-    l245 = (TensorKind.LQZ, 2, 4, 5, ratio(2, 4))
-    lhs_order = [l245, l135, m346, m126]  # application order (rightmost first)
-    rhs_order = [m126, m346, l135, l245]
-
-    space = cutoff + 1  # occupancies 0..cutoff reachable from cutoff-2 inputs
-    sectors = 0
-    mismatches = []
-    for colors in product((0, 1), repeat=4):
-        for m5 in range(cutoff - 1):
-            for m6 in range(cutoff - 1):
-                start: Dict[State, LaurentPoly] = {colors + (m5, m6): LaurentPoly.one()}
-                lhs = start
-                for f in lhs_order:
-                    lhs = _apply_factor(lhs, f, space)
-                rhs = start
-                for f in rhs_order:
-                    rhs = _apply_factor(rhs, f, space)
-                sectors += 1
-                if lhs != rhs:
-                    mismatches.append({"input": colors + (m5, m6)})
-    return {
-        "cutoff": cutoff,
-        "sectors": sectors,
-        "mismatches": mismatches,
-        "passed": not mismatches,
-    }
+    sectors, mismatches = 0, []
+    for start, lhs, rhs, decode in _sectors(cutoff, zvars):
+        sectors += 1
+        if lhs != rhs:
+            mismatches.append({"input": start})
+            if len(mismatches) == 1:
+                lhs, rhs = decode(lhs), decode(rhs)
+                out = min(s for s in lhs.keys() | rhs.keys() if lhs.get(s) != rhs.get(s))
+                mismatches[0].update(output=out, lhs=str(lhs.get(out, 0)),
+                                     rhs=str(rhs.get(out, 0)))
+    return {"cutoff": cutoff, "sectors": sectors, "mismatches": mismatches,
+            "passed": not mismatches}

@@ -686,12 +686,17 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
 
 class LayerSpec:
     """One layer X_label(binding), differentiated `deriv` times in its
-    variable."""
+    variable.  Its fields cannot be reassigned once a `PartitionSpec` has
+    checked them."""
 
     def __init__(self, label: int, binding: Binding, deriv: int = 0):
-        self.label = label
-        self.binding = binding
-        self.deriv = deriv
+        self.__dict__.update(label=label, binding=binding, deriv=deriv)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to LayerSpec.%s" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete LayerSpec.%s" % name)
 
     def __eq__(self, other):
         if other.__class__ is LayerSpec:

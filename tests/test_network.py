@@ -499,6 +499,19 @@ def test_bindings_are_checked_when_the_spec_is_built():
         PartitionSpec(3, [LayerSpec(1, polys)])
 
 
+def test_checked_layers_cannot_be_reassigned():
+    # a binding reassigned after PartitionSpec checked it would reach the
+    # contraction unchecked and fail there with a bare KeyError
+    spec = scalar_spec(3, (1,))
+    layer = spec.layers[0]
+    for name, value in (("binding", {(1, 1): Z[0]}), ("label", 5), ("deriv", -1), ("other", 0)):
+        with pytest.raises(AttributeError, match="cannot assign to LayerSpec"):
+            setattr(layer, name, value)
+    with pytest.raises(AttributeError, match="cannot delete LayerSpec"):
+        del layer.deriv
+    assert layer == LayerSpec(1, Z[0]) and vev(spec) == zmono(1)
+
+
 def test_derivative_layer():
     # <O|X_2(z1)X_1(z2)|O> = z1^2 z2, so the z1-derivative layer gives 2 z1 z2
     base = vev(scalar_spec(3, (2, 1)))
