@@ -20,12 +20,6 @@ class UsageError(Exception):
     pass
 
 
-# -- output ----------------------------------------------------------------
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
-
-
 # -- argument handling -----------------------------------------------------
 
 def _parse_int_list(raw: str, what: str) -> List[int]:
@@ -155,7 +149,7 @@ def cmd_compute(args) -> int:
         result = result.at_one()
 
     if args.format == "plain":
-        _emit(str(result))
+        print(result)
     elif args.format == "json":
         import json
 
@@ -164,17 +158,17 @@ def cmd_compute(args) -> int:
                "value": str(result)}
         if isinstance(result, LaurentPoly):
             obj["terms"] = result.to_obj()
-        _emit(json.dumps(obj, sort_keys=True))
+        print(json.dumps(obj, sort_keys=True))
     else:  # csv
         if isinstance(result, LaurentPoly):
-            _emit("monomial,coeff")
+            print("monomial,coeff")
             for row in result.to_obj():
                 mono = " ".join("%s^%d" % (name, e)
                                 for name, e in sorted(row["monomial"].items()))
-                _emit("%s,%d" % (mono or "1", row["coeff"]))
+                print("%s,%d" % (mono or "1", row["coeff"]))
         else:
-            _emit("value")
-            _emit(str(result))
+            print("value")
+            print(result)
     return 0
 
 
@@ -186,12 +180,12 @@ def cmd_enumerate(args) -> int:
         raise UsageError(str(exc))
     if args.format == "plain":
         for alphas, weight in rows:
-            _emit("%s  %s" % (",".join(map(str, alphas)), weight))
-        _emit("total %d" % len(rows))
+            print("%s  %s" % (",".join(map(str, alphas)), weight))
+        print("total %d" % len(rows))
     elif args.format == "json":
         import json
 
-        _emit(json.dumps({
+        print(json.dumps({
             "n": args.n,
             "labels": [layer.label for layer in spec.layers],
             "count": len(rows),
@@ -200,9 +194,9 @@ def cmd_enumerate(args) -> int:
         }, sort_keys=True))
     else:
         width = len(rows[0][0]) if rows else 0
-        _emit(",".join("alpha%d" % t for t in range(1, width + 1)) + ",weight")
+        print(",".join("alpha%d" % t for t in range(1, width + 1)) + ",weight")
         for alphas, weight in rows:
-            _emit(",".join(map(str, alphas)) + "," + str(weight))
+            print(",".join(map(str, alphas)) + "," + str(weight))
     return 0
 
 
@@ -226,18 +220,18 @@ def cmd_verify(args) -> int:
         reports = verify.run_battery(args.group)
     failures = [r for r in reports if not r.passed]
     if args.format == "json":
-        _emit(verify.reports_to_json(reports))
+        print(verify.reports_to_json(reports))
     elif args.format == "csv":
-        _emit("name,passed,seconds,params")
+        print("name,passed,seconds,params")
         for r in reports:
-            _emit("%s,%s,%.3f,%s" % (
+            print("%s,%s,%.3f,%s" % (
                 r.name, "pass" if r.passed else "fail", r.seconds,
                 json.dumps(r.params, sort_keys=True).replace(",", ";")))
     else:
         for r in reports:
-            _emit("%s %-24s %s" % ("PASS" if r.passed else "FAIL",
-                                   r.name, json.dumps(r.params, sort_keys=True)))
-        _emit("%d checks, %d failed" % (len(reports), len(failures)))
+            print("%s %-24s %s" % ("PASS" if r.passed else "FAIL",
+                                  r.name, json.dumps(r.params, sort_keys=True)))
+        print("%d checks, %d failed" % (len(reports), len(failures)))
     return 2 if failures else 0
 
 

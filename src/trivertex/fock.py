@@ -8,8 +8,7 @@ dimension of the truncated space.  Two families act:
   operator, and the projector onto m = 0; raising annihilates nothing but can
   overflow the truncation, lowering kills m = 0;
 * the q-deformed oscillator family: raising/lowering whose products produce
-  (1 - q^{2m}) factors, and the diagonal operator with eigenvalue q^m plus its
-  inverse.
+  (1 - q^{2m}) factors, and the diagonal operator with eigenvalue q^m.
 
 Coefficients are exact Laurent polynomials in q.  Raising past the truncation
 raises CutoffOverflow rather than silently truncating, so callers must size
@@ -37,7 +36,6 @@ class LocalOp(Enum):
     A_PLUS = "a+"    # q-oscillator raising
     A_MINUS = "a-"   # q-oscillator lowering, coefficient 1 - q^(2m)
     K = "k"          # diagonal q^m
-    K_INV = "k^-1"   # diagonal q^(-m)
 
     def __repr__(self):
         return self.value
@@ -77,8 +75,6 @@ def apply_local(op: LocalOp, m: int, cutoff: int) -> List[Tuple[int, LaurentPoly
         return [(m - 1, _ONE - LaurentPoly.var(Q, 2 * m))]
     if op is LocalOp.K:
         return [(m, LaurentPoly.var(Q, m))]
-    if op is LocalOp.K_INV:
-        return [(m, LaurentPoly.var(Q, -m))]
     raise ValueError("unknown operator %r" % (op,))
 
 
@@ -86,8 +82,7 @@ def q_to_zero(op: LocalOp) -> LocalOp:
     """Image of a q-oscillator operator in the q -> 0 limit.
 
     The diagonal q^m becomes the vacuum projector, raising/lowering lose their
-    deformation factors, identities stay put.  The inverse diagonal has no
-    limit (entries q^-m diverge) and raises ValueError.
+    deformation factors, identities stay put.
     """
     table = {
         LocalOp.ID_B: LocalOp.ID_B,
@@ -96,8 +91,6 @@ def q_to_zero(op: LocalOp) -> LocalOp:
         LocalOp.A_MINUS: LocalOp.B_MINUS,
         LocalOp.K: LocalOp.T_PROJ,
     }
-    if op is LocalOp.K_INV:
-        raise ValueError("q^-m has no q -> 0 limit")
     if op not in table:
         raise ValueError("%r is not a q-oscillator operator" % (op,))
     return table[op]
@@ -108,23 +101,21 @@ def q_to_zero(op: LocalOp) -> LocalOp:
 Matrix = Dict[Tuple[int, int], LaurentPoly]
 
 
-def op_matrix(ops: Sequence[LocalOp], cutoff: int, headroom: int = 0,
-              scalar: LaurentPoly = None) -> Matrix:
+def op_matrix(ops: Sequence[LocalOp], cutoff: int, scalar: LaurentPoly = None) -> Matrix:
     """Matrix of a product of operators (applied right to left) on inputs
     0..cutoff-1.
 
-    `headroom` extra occupancy levels are allowed for intermediate states, so
+    One extra occupancy level is allowed for intermediate states, so
     products like lowering∘raising can be evaluated at the top of the window
     exactly as they act on the untruncated space.
     """
-    space = cutoff + headroom
     mat: Matrix = {}
     for m_in in range(cutoff):
         states = {m_in: _ONE if scalar is None else scalar}
         for op in reversed(list(ops)):
             nxt: Dict[int, LaurentPoly] = {}
             for m, coeff in states.items():
-                for m2, c2 in apply_local(op, m, space):
+                for m2, c2 in apply_local(op, m, cutoff + 1):
                     acc = nxt.get(m2, LaurentPoly.zero()) + coeff * c2
                     if acc.is_zero():
                         nxt.pop(m2, None)
@@ -136,10 +127,11 @@ def op_matrix(ops: Sequence[LocalOp], cutoff: int, headroom: int = 0,
     return mat
 
 
-def _mat_sum(mats: Sequence[Matrix]) -> Matrix:
+def _combo(terms, cutoff: int) -> Matrix:
+    """Matrix of sum_i scalar_i * (product of ops_i)."""
     out: Matrix = {}
-    for mat in mats:
-        for key, coeff in mat.items():
+    for s, ops in terms:
+        for key, coeff in op_matrix(ops, cutoff, scalar=s).items():
             acc = out.get(key, LaurentPoly.zero()) + coeff
             if acc.is_zero():
                 out.pop(key, None)
@@ -148,9 +140,14 @@ def _mat_sum(mats: Sequence[Matrix]) -> Matrix:
     return out
 
 
-def _combo(terms, cutoff: int, headroom: int) -> Matrix:
-    """Matrix of sum_i scalar_i * (product of ops_i)."""
-    return _mat_sum([op_matrix(ops, cutoff, headroom, scalar=s) for s, ops in terms])
+def _check_relations(cutoff: int, cases) -> dict:
+    """Each case, name -> (lhs, rhs) as `_combo` terms, compared as matrices
+    on occupancies 0..cutoff-1 (cutoff >= 2 required)."""
+    if cutoff < 2:
+        raise ValueError("cutoff must be >= 2")
+    relations = {name: _combo(lhs, cutoff) == _combo(rhs, cutoff)
+                 for name, (lhs, rhs) in cases.items()}
+    return {"cutoff": cutoff, "relations": relations, "passed": all(relations.values())}
 
 
 def check_q0_relations(cutoff: int) -> dict:
@@ -160,20 +157,13 @@ def check_q0_relations(cutoff: int) -> dict:
     Relations: proj∘raise = 0, lower∘proj = 0, raise∘lower = 1 - proj,
     lower∘raise = 1.
     """
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    one = LaurentPoly.one()
     t, bp, bm = LocalOp.T_PROJ, LocalOp.B_PLUS, LocalOp.B_MINUS
-    cases = {
-        "proj_after_raise_is_zero": ([(one, [t, bp])], []),
-        "lower_after_proj_is_zero": ([(one, [bm, t])], []),
-        "raise_lower_is_one_minus_proj": ([(one, [bp, bm])], [(one, []), (-1 * one, [t])]),
-        "lower_raise_is_one": ([(one, [bm, bp])], [(one, [])]),
-    }
-    relations = {}
-    for name, (lhs, rhs) in cases.items():
-        relations[name] = _combo(lhs, cutoff, 1) == _combo(rhs, cutoff, 1)
-    return {"cutoff": cutoff, "relations": relations, "passed": all(relations.values())}
+    return _check_relations(cutoff, {
+        "proj_after_raise_is_zero": ([(_ONE, [t, bp])], []),
+        "lower_after_proj_is_zero": ([(_ONE, [bm, t])], []),
+        "raise_lower_is_one_minus_proj": ([(_ONE, [bp, bm])], [(_ONE, []), (-_ONE, [t])]),
+        "lower_raise_is_one": ([(_ONE, [bm, bp])], [(_ONE, [])]),
+    })
 
 
 def check_qosc_relations(cutoff: int) -> dict:
@@ -183,18 +173,10 @@ def check_qosc_relations(cutoff: int) -> dict:
     Relations: k a+ = q a+ k, k a- = q^-1 a- k, a- a+ = 1 - q^2 k^2,
     a+ a- = 1 - k^2.
     """
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    one = LaurentPoly.one()
-    q1 = LaurentPoly.var(Q)
     ap, am, k = LocalOp.A_PLUS, LocalOp.A_MINUS, LocalOp.K
-    cases = {
-        "k_raise_twist": ([(one, [k, ap])], [(q1, [ap, k])]),
-        "k_lower_twist": ([(one, [k, am])], [(LaurentPoly.var(Q, -1), [am, k])]),
-        "lower_raise": ([(one, [am, ap])], [(one, []), (-1 * LaurentPoly.var(Q, 2), [k, k])]),
-        "raise_lower": ([(one, [ap, am])], [(one, []), (-1 * one, [k, k])]),
-    }
-    relations = {}
-    for name, (lhs, rhs) in cases.items():
-        relations[name] = _combo(lhs, cutoff, 1) == _combo(rhs, cutoff, 1)
-    return {"cutoff": cutoff, "relations": relations, "passed": all(relations.values())}
+    return _check_relations(cutoff, {
+        "k_raise_twist": ([(_ONE, [k, ap])], [(LaurentPoly.var(Q), [ap, k])]),
+        "k_lower_twist": ([(_ONE, [k, am])], [(LaurentPoly.var(Q, -1), [am, k])]),
+        "lower_raise": ([(_ONE, [am, ap])], [(_ONE, []), (-LaurentPoly.var(Q, 2), [k, k])]),
+        "raise_lower": ([(_ONE, [ap, am])], [(_ONE, []), (-_ONE, [k, k])]),
+    })

@@ -79,10 +79,6 @@ def local_tensor(kind: TensorKind, z: Optional[Union[Var, LaurentPoly]] = None) 
             (1, 0, 0, 1): (zp, up), (0, 1, 1, 0): (zm, down), (0, 1, 0, 1): (one, diag), **extra}
 
 
-def kind_negates_q(kind: TensorKind) -> bool:
-    return kind is TensorKind.MQZ
-
-
 def apply_entry(kind: TensorKind, entry: Entry, m: int, cutoff: int) -> List[Tuple[int, LaurentPoly]]:
     """Act with one tensor entry on Fock occupancy m.
 
@@ -93,7 +89,7 @@ def apply_entry(kind: TensorKind, entry: Entry, m: int, cutoff: int) -> List[Tup
     out = []
     for m2, c in apply_local(op, m, cutoff):
         coeff = prefactor * c
-        if kind_negates_q(kind):
+        if kind is TensorKind.MQZ:
             coeff = coeff.substitute({_Q: _MINUS_Q})
         if not coeff.is_zero():
             out.append((m2, coeff))
@@ -110,7 +106,7 @@ def q0_limit(kind: TensorKind, z: Union[Var, LaurentPoly]) -> EntryTable:
         raise ValueError("q0_limit applies to the deformed kinds only")
     out: EntryTable = {}
     for key, (prefactor, op) in local_tensor(kind, z).items():
-        if kind_negates_q(kind):
+        if kind is TensorKind.MQZ:
             prefactor = prefactor.substitute({_Q: _MINUS_Q})
         at0 = prefactor.substitute({_Q: 0})
         if not at0.is_zero():

@@ -10,9 +10,11 @@ the designated output boundary.
 A layer acts on a map of occupancy states by a pruned depth-first sweep
 over the sites (`_sweep_map`): each site's local operator acts as soon as
 the site is reached, so a branch ends at the first site that kills the
-state or disagrees with a fixed output stub.  It branches over the colors
-of free input stubs and over the states, read as a trie, so states that
-agree on the sites swept so far share one branch.  A one-column strip
+state or disagrees with a fixed output stub.  The site tables are read off
+`fock.apply_local` (`_site_table`), so the sweep runs on the operator action
+whose relations `fock.check_q0_relations` proves.  It branches over the
+colors of free input stubs and over the states, read as a trie, so states
+that agree on the sites swept so far share one branch.  A one-column strip
 operator is the same sweep over the slots of the column.
 
 Every operator product but one is contracted by one engine, `_contract`, on
@@ -60,7 +62,7 @@ import functools
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
-from .fock import CutoffOverflow, LocalOp
+from .fock import CutoffOverflow, LocalOp, apply_local
 from .lattice import TensorKind, local_tensor
 from .poly import LaurentPoly, Var
 
@@ -253,37 +255,29 @@ Binding = Union[Var, Mapping[Site, Var]]
 # summed over, the occupancy indices in the order its sites read them).
 LayerPlan = Tuple[Tuple[int, ...], Tuple[tuple, ...], Tuple[int, ...], Tuple[int, ...]]
 
-_OCCUPANCY_CHANGE = {LocalOp.ID_B: 0, LocalOp.ID_R: 0, LocalOp.T_PROJ: 0,
-                     LocalOp.B_PLUS: 1, LocalOp.B_MINUS: -1}
-
-
-def _acts_on(op: LocalOp, occupied: bool) -> bool:
-    """Whether an R0 operator leaves an empty/occupied site alive."""
-    if op is LocalOp.B_MINUS:
-        return occupied
-    if op is LocalOp.T_PROJ:
-        return not occupied
-    return True
-
 
 @functools.lru_cache(maxsize=None)
 def _site_table(h_fixed: Optional[int], v_fixed: Optional[int], h_weighted: bool,
                 v_weighted: bool) -> Tuple[Optional[Tuple[int, int, int, int]], ...]:
     """The table of one sweep site whose output edges carry the given fixed
-    colors (None where free) and count toward alpha or not."""
+    colors (None where free) and count toward alpha or not.  Each entry is
+    read off `apply_local` at occupancy 0 or 1: a sweep reads an occupancy
+    only through m > 0, and cutoff 3 leaves room for a raise from 1."""
     table: List[Optional[Tuple[int, int, int, int]]] = []
     for hv in (0, 1):
         for j in (0, 1):
-            for occupied in (False, True):
-                hits = [(aa, bb, _OCCUPANCY_CHANGE[op], aa * h_weighted + bb * v_weighted)
+            for m in (0, 1):
+                hits = [(aa, bb, m2 - m, aa * h_weighted + bb * v_weighted, c)
                         for aa, bb, op in _R0_BY_INPUT.get((hv, j), ())
                         if h_fixed in (None, aa) and v_fixed in (None, bb)
-                        and _acts_on(op, occupied)]
+                        for m2, c in apply_local(op, m, 3)]
                 # R0 entries sharing an input pair differ in which
-                # occupancies they kill, so a site never branches
-                if len(hits) > 1:
-                    raise AssertionError("R0 entries for input %r overlap" % ((hv, j),))
-                table.append(hits[0] if hits else None)
+                # occupancies they kill, so a site never branches; every R0
+                # coefficient is 1
+                if len(hits) > 1 or any(not hit[4].is_one() for hit in hits):
+                    raise AssertionError("R0 entries for input %r overlap or carry a"
+                                         " coefficient" % ((hv, j),))
+                table.append(hits[0][:4] if hits else None)
     return tuple(table)
 
 
@@ -687,9 +681,12 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
 class LayerSpec:
     """One layer X_label(binding), differentiated `deriv` times in its
     variable.  Its fields cannot be reassigned once a `PartitionSpec` has
-    checked them."""
+    checked them, and a site map is copied, so the caller's dict can change
+    without reaching the layer."""
 
     def __init__(self, label: int, binding: Binding, deriv: int = 0):
+        if isinstance(binding, Mapping):
+            binding = dict(binding)
         self.__dict__.update(label=label, binding=binding, deriv=deriv)
 
     def __setattr__(self, name, value):
@@ -865,7 +862,7 @@ def count_configurations(spec: PartitionSpec,
         raise ValueError("configuration counting needs scalar bindings")
     # a derivative scales the counts by its falling factorials
     if any(layer.deriv for layer in spec.layers):
-        raise ValueError("configuration listing needs plain layers")
+        raise ValueError("configuration counting needs plain layers")
     return sum(_vev_counts(spec, convention)[1].values())
 
 

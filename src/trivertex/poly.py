@@ -31,8 +31,8 @@ negative exponent: no exact quotient.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -204,7 +204,9 @@ def monomial_degree(a: Monomial) -> int:
 
 
 class LaurentPoly:
-    """Immutable-by-convention sparse Laurent polynomial with int coefficients."""
+    """Immutable-by-convention sparse Laurent polynomial with int coefficients.
+
+    Not hashable: its terms are a plain dict."""
 
     __slots__ = ("terms",)
 
@@ -270,9 +272,6 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms
         return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -506,25 +505,6 @@ class LaurentPoly:
         """JSON-ready list of terms in canonical order, integer coefficients."""
         return [{"monomial": {v.name: e for v, e in m}, "coeff": c}
                 for m, c in self.sorted_terms()]
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_obj())
-
-    @staticmethod
-    def from_obj(obj: Iterable[Mapping]) -> "LaurentPoly":
-        out = LaurentPoly.zero()
-        for term in obj:
-            exps = {parse_var_name(n): int(e) for n, e in term["monomial"].items()}
-            out = out + LaurentPoly.monomial(exps, int(term["coeff"]))
-        return out
-
-    @staticmethod
-    def from_json(text: str) -> "LaurentPoly":
-        import json
-
-        return LaurentPoly.from_obj(json.loads(text))
 
 
 # -- exact division --------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .poly import InexactDivision, LaurentPoly, Var, exact_divide
 
@@ -120,11 +120,7 @@ def schur_bialternant(parts: Sequence[int], zvars: Sequence[Var]) -> LaurentPoly
     lam = tuple(parts) + (0,) * (n - len(parts))
     rows = [[LaurentPoly.var(zvars[i], lam[j] + n - (j + 1)) for j in range(n)]
             for i in range(n)]
-    numerator = det_poly(rows)
-    denom = LaurentPoly.one()
-    for i, j in combinations(range(n), 2):
-        denom = denom * (LaurentPoly.var(zvars[i]) - LaurentPoly.var(zvars[j]))
-    return exact_divide(numerator, denom)
+    return exact_divide(det_poly(rows), pair_product(zvars))
 
 
 def _ordered_set_partitions(items: Sequence, sizes: Sequence[int]):
@@ -240,16 +236,14 @@ def schur_at_one(parts: Sequence[int], n: int) -> int:
 
 # -- derivative closed form ------------------------------------------------
 
-def schur_derivative_oracle(parts: Sequence[int], m: int, deriv_var_index: int = 1) -> LaurentPoly:
+def schur_derivative_oracle(parts: Sequence[int], m: int) -> LaurentPoly:
     """Closed form for d/dz_1 of prod_k z_k^{m-k} * s_lambda(z_1..z_m).
 
-    Only the first variable is supported.  The result is
+    The result is
     (m-1) z_1^{m-2} prod_{k>=2} z_k^{m-k} s_lambda
     + prod_k z_k^{m-k} * sum_l det(JT matrix with column l differentiated),
     where differentiating column l replaces e_s(all) by e_{s-1}(all but z_1).
     """
-    if deriv_var_index != 1:
-        raise ValueError("only the first-variable derivative has a closed form here")
     parts = validate_partition(parts)
     zvars = [Var.layer(t) for t in range(1, m + 1)]
     s_lam = schur_jacobi_trudi(parts, zvars)
@@ -283,12 +277,7 @@ def schur_derivative_oracle(parts: Sequence[int], m: int, deriv_var_index: int =
 
 # -- loop elementary symmetric functions ----------------------------------
 
-VarTable = Callable[[int, int], Union[Var, LaurentPoly]]
-
-
-def _table_poly(var_of: VarTable, i: int, j: int) -> LaurentPoly:
-    v = var_of(i, j)
-    return LaurentPoly.var(v) if isinstance(v, Var) else v
+VarTable = Callable[[int, int], Var]
 
 
 def loop_elementary_general(sizes: Sequence[int], var_of: VarTable, n_cols: int) -> LaurentPoly:
@@ -309,7 +298,7 @@ def loop_elementary_general(sizes: Sequence[int], var_of: VarTable, n_cols: int)
     for chosen in combinations(range(1, n_cols + 1), total):
         term = LaurentPoly.one()
         for slot, pos in enumerate(chosen):
-            term = term * _table_poly(var_of, row_of_slot[slot], pos)
+            term = term * LaurentPoly.var(var_of(row_of_slot[slot], pos))
         out = out + term
     return out
 

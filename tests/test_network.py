@@ -512,6 +512,18 @@ def test_checked_layers_cannot_be_reassigned():
     assert layer == LayerSpec(1, Z[0]) and vev(spec) == zmono(1)
 
 
+def test_checked_site_map_is_the_layers_own():
+    # the caller's dict, changed after PartitionSpec checked it, would reach
+    # the contraction unchecked and fail there with a bare KeyError
+    binding = site_binding(3, 1)
+    spec = PartitionSpec(3, [LayerSpec(1, binding)])
+    del binding[(1, 2)]
+    assert spec.layers[0].binding == site_binding(3, 1)
+    assert vev(spec) == vev(inhomogeneous_spec(3, (1,)))
+    with pytest.raises(ValueError, match="configuration counting needs plain layers"):
+        count_configurations(scalar_spec(3, (1,), derivs=(1,)))
+
+
 def test_derivative_layer():
     # <O|X_2(z1)X_1(z2)|O> = z1^2 z2, so the z1-derivative layer gives 2 z1 z2
     base = vev(scalar_spec(3, (2, 1)))

@@ -309,20 +309,14 @@ def test_canonical_term_order_graded_lex():
     assert names == ["z1^2", "z1^1*z2^1", "z1^1", "z2^1", ""]
 
 
-def test_json_roundtrip_and_determinism():
-    p = 3 * lp_var(X, 2) * lp_var(Q, -1) - lp_var(Y) + 7
-    q = LaurentPoly.from_json(p.to_json())
-    assert q == p
-    assert p.to_json() == q.to_json()
-
-
 def test_obj_shape_has_int_coefficients():
     p = 3 * lp_var(X, 2) - lp_var(Y) + 7
     assert p.to_obj() == [{"monomial": {"z1": 2}, "coeff": 3},
                           {"monomial": {"z2": 1}, "coeff": -1},
                           {"monomial": {}, "coeff": 7}]
-    # string coefficients still parse
-    assert LaurentPoly.from_obj([{"monomial": {"z1": 2}, "coeff": "3"}]) == 3 * lp_var(X, 2)
+    # the terms are a plain dict, so a polynomial has no hash to go stale
+    with pytest.raises(TypeError):
+        hash(p)
 
 
 def test_parse_var_name_roundtrip():
