@@ -27,7 +27,7 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple, Union
 
 from .fock import CutoffOverflow, LocalOp, apply_local, q_to_zero
-from .poly import LaurentPoly, Var
+from .poly import LaurentPoly, Var, packing
 
 
 class MissingVariable(Exception):
@@ -120,9 +120,9 @@ def _tables(factors, space):
     """Each factor's table on occupancies 0..space-1, (i, j, m) -> moves
     (a, b, m2, packed coefficient), built once through `local_tensor` and
     `apply_entry`; a move past the truncation stays as (a, b, None, message)
-    and raises CutoffOverflow when reached.  A packed coefficient maps
-    sum_s e_s << (width * s), e_s the exponent of variable s, to its count.
-    A side applies each factor once, so a signed field holds len(factors)
+    and raises CutoffOverflow when reached.  A packed coefficient maps the
+    exponent vector over the variables, packed by `poly.packing`, to its
+    count.  A side applies each factor once, so the reach is len(factors)
     times the largest |e_s|: a product adds keys, and dict equality is
     polynomial equality.  Also returns `decode`, packed side -> poly side.
     """
@@ -136,19 +136,16 @@ def _tables(factors, space):
     polys = [c.terms for t in tables for ms in t.values() for _, _, m2, c in ms if m2 is not None]
     atoms = sorted({v for p in polys for mono in p for v, _ in mono}, key=Var.sort_key)
     top = max((abs(e) for p in polys for mono in p for _, e in mono), default=0)
-    width = (len(factors) * top).bit_length() + 1
+    width, _, unpack = packing(len(factors) * top, len(atoms))
     shift = {v: width * s for s, v in enumerate(atoms)}
     for moves in [moves for t in tables for moves in t.values()]:
         moves[:] = [(a, b, m2, c if m2 is None else {
             sum(e << shift[v] for v, e in mono): k for mono, k in c.terms.items()})
             for a, b, m2, c in moves]
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    zero = sum(half << s for s in shift.values())
 
     def decode(side):
-        return {state: LaurentPoly.from_exponents(atoms, {
-            tuple(((key + zero) >> s & mask) - half for s in shift.values()): k
-            for key, k in coeff.items()}) for state, coeff in side.items()}
+        return {state: LaurentPoly.from_exponents(
+            atoms, {unpack(key): k for key, k in coeff.items()}) for state, coeff in side.items()}
     return tables, decode
 
 

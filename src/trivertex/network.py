@@ -19,7 +19,8 @@ operator is the same sweep over the slots of the column.
 
 Every operator product but one is contracted by one engine, `_contract`, on
 exact integers: each state carries exponent vector -> count, one exponent
-per binding variable, and `LaurentPoly`s are built only from its result.  It
+per binding variable, the vector packed into one int (`poly.packing`);
+`LaurentPoly`s are built only from its result.  It
 serves vacuum expectation values (`vev`, `count_configurations`, convention
 resolution), the configuration listing (one exponent slot per layer, so an
 exponent vector is a row), strip matrix elements (`strip_vev`) and the image
@@ -64,7 +65,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
 
 from .fock import CutoffOverflow, LocalOp, apply_local
 from .lattice import TensorKind, local_tensor
-from .poly import LaurentPoly, Var
+from .poly import LaurentPoly, Var, packing
 
 
 class NoConventionFound(Exception):
@@ -579,10 +580,11 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
     S_g and S_{g+1}, 1-based) to (index, occupancy): only states with that
     occupancy pass the gap.
 
-    Inside, an exponent vector is one integer holding e_s + bias in the
-    `width` bits from bit width * s, so a move shifts a vector by one
-    integer addition, and a vector over the r n(n-1)/2 slots of a per-site
-    stack takes a few machine words where a tuple takes one per slot.
+    Inside, an exponent vector is one integer in the layout of
+    `poly.packing`, its width from the largest reach of a slot, so a move
+    shifts a vector by one integer addition, and a vector over the r
+    n(n-1)/2 slots of a per-site stack takes a few machine words where a
+    tuple takes one per slot.
     """
     # |e_s| is at most the sum of what every step can change at slot s: a
     # scalar move's alpha is at most 2 per site, an index move is +-1
@@ -595,9 +597,7 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
             reach[weigh] += 2 * len(plan[1])
         if deriv:
             reach[deriv[0]] += deriv[1]
-    width = max(reach, default=0).bit_length() + 1
-    bias, mask = 1 << (width - 1), (1 << width) - 1
-    zero = sum(bias << (width * s) for s in range(n_slots))
+    width, read, unpack = packing(max(reach, default=0), n_slots)
 
     # the bra side stops at the first step without a transpose or with a
     # derivative, and builds each transpose only when it gets there
@@ -608,8 +608,8 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
                 break
             crossable += 1
 
-    kets: Dict[SiteState, Dict[int, int]] = {ket: {zero: 1}}
-    bras: Dict[SiteState, Dict[int, int]] = {bra: {zero: 1}}
+    kets: Dict[SiteState, Dict[int, int]] = {ket: {0: 1}}
+    bras: Dict[SiteState, Dict[int, int]] = {bra: {0: 1}}
     ket_growth = bra_growth = 1.0
     lo, hi = 0, len(steps)  # the bra side holds S_1 .. S_lo, the ket side the rest
     while lo < hi:
@@ -644,7 +644,7 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
             for state, coeff in out.items():
                 lowered: Dict[int, int] = {}
                 for key, c in coeff.items():
-                    e = ((key >> (width * s)) & mask) - bias
+                    e = read(key, s)
                     for j in range(k):
                         c *= e - j
                     if c:
@@ -666,14 +666,11 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
             if other is None:
                 continue
             for key_b, c_b in coeff.items():
-                key_b -= zero
                 for key, c in other.items():
                     key += key_b
                     joined[key] = joined.get(key, 0) + c * c_b
         kets = {bra: joined} if joined else {}
-    return {state: {tuple(((key >> (width * s)) & mask) - bias for s in range(n_slots)): c
-                    for key, c in coeff.items()}
-            for state, coeff in kets.items()}
+    return {state: {unpack(key): c for key, c in coeff.items()} for state, coeff in kets.items()}
 
 
 # -- partition specifications ---------------------------------------------
@@ -894,20 +891,20 @@ def enumerate_configurations(spec: PartitionSpec,
 
 # -- stack images ----------------------------------------------------------
 
-def apply_stack(spec: PartitionSpec, convention: Convention, ket: SiteState,
-                cutoff: int) -> KetCombo:
+def apply_stack(spec: PartitionSpec, convention: Convention, ket: SiteState) -> KetCombo:
     """The whole layer product of `spec` acting on the basis state `ket`,
     every reached state with its coefficient, in one engine call.
 
     A scalar binding z weighs each move by z**alpha; a site-map binding (the
     per-site-variable layer) by prod_s z^{(s)} ** (out_s - in_s).  A
     derivative layer differentiates the coefficient of the layers right of
-    it and itself, as in `vev`.  Raises CutoffOverflow if a surviving move
-    raises an occupancy past `cutoff`, and ValueError on a state of another
-    width.
+    it and itself, as in `vev`.  The cutoff is max(ket) plus the number of
+    layers, since occupancies grow by at most one per layer.  Raises
+    ValueError on a state of another width.
     """
     _check_width(ket, spec.n * (spec.n - 1) // 2)
     atoms, steps = _layer_steps(spec, convention)
+    cutoff = max(ket, default=0) + len(spec.layers)
     return {state: LaurentPoly.from_exponents(atoms, counts)
             for state, counts in _contract(steps, tuple(ket), None, cutoff, len(atoms)).items()}
 

@@ -203,6 +203,28 @@ def monomial_degree(a: Monomial) -> int:
     return sum(e for _, e in a)
 
 
+def packing(reach: int, slots: int) -> tuple:
+    """The layout of integer vectors of `slots` entries in [-reach, reach]
+    packed into one int: entry s adds e_s << (width * s), so the zero vector
+    packs to 0, and while every entry stays within reach a sum of packed
+    vectors is the packed sum.  Returns (width, read, unpack): read(key, s)
+    is entry s, unpack(key) the vector for `LaurentPoly.from_exponents`."""
+    width = reach.bit_length() + 1
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    offsets = range(0, width * slots, width)
+    # half added to every field takes up the borrow of negative lower fields
+    zero = sum(half << offset for offset in offsets)
+
+    def read(key: int, s: int) -> int:
+        return ((key + zero) >> (width * s) & mask) - half
+
+    def unpack(key: int) -> Tuple[int, ...]:
+        key += zero
+        return tuple((key >> offset & mask) - half for offset in offsets)
+
+    return width, read, unpack
+
+
 class LaurentPoly:
     """Immutable-by-convention sparse Laurent polynomial with int coefficients.
 
@@ -307,8 +329,6 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly.zero()
-            if other == 1:
-                return self
             return LaurentPoly({m: c * other for m, c in self.terms.items()})
         a, b = self.terms, other.terms
         if not a or not b:
@@ -391,8 +411,6 @@ class LaurentPoly:
         polys: Dict[Var, LaurentPoly] = {}
         for v, p in bindings.items():
             polys[v] = LaurentPoly.const(p) if isinstance(p, int) else p
-        if not polys:
-            return self
         out = LaurentPoly.zero()
         pow_cache: Dict[Tuple[Var, int], LaurentPoly] = {}
         for m, c in self.terms.items():

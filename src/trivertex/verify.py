@@ -33,7 +33,7 @@ from .network import (
     strip_vev,
     vev,
 )
-from .poly import LaurentPoly, Var
+from .poly import LaurentPoly, Var, packing
 from .symfunc import (
     elementary,
     loop_elementary,
@@ -100,24 +100,13 @@ def _mismatch(lhs: LaurentPoly, rhs: LaurentPoly) -> dict:
 
 # -- exchange relations ----------------------------------------------------
 
-# Packed occupancies and index sets.  An occupancy change d_p at index p
-# adds d_p << (3 p); digits stay within -4..3 for a sum of up to three moves,
-# where the packing is unique and `_unpack_delta` reads it back.  A set of
-# indices is the bitmask with bit 3 p for index p, the low bit of p's field,
-# so a change and the indices it raises or lowers share one layout.  A ket
-# is read through two sets: `mask`, the indices it occupies, and `ones`,
-# those holding exactly one.
-_DELTA_BITS = 3
-
-
-def _unpack_delta(packed: int, width: int) -> Tuple[int, ...]:
-    digits = []
-    half, mask = 1 << (_DELTA_BITS - 1), (1 << _DELTA_BITS) - 1
-    for _ in range(width):
-        d = ((packed + half) & mask) - half
-        digits.append(d)
-        packed = (packed - d) >> _DELTA_BITS
-    return tuple(digits)
+# Packed occupancies and index sets.  An occupancy change is packed by
+# `poly.packing` with reach 3 (a sum of up to three moves), so d_p at index
+# p adds d_p << (3 p).  A set of indices is the bitmask with bit 3 p for
+# index p, the low bit of p's field, so a change and the indices it raises
+# or lowers share one layout.  A ket is read through two sets: `mask`, the
+# indices it occupies, and `ones`, those holding exactly one.
+_DELTA_REACH = 3
 
 
 # One move on an occupied set: (raised indices, lowered indices, packed
@@ -142,8 +131,9 @@ def _pattern_moves(plan: LayerPlan, mask: int, width: int) -> Tuple[PatternMove,
     grids up to n = 5, about 6 MiB (1 KiB a table at n = 5).  Hashing a
     plan costs time on every call, so each check reads through `_moves`.
     """
-    weights = [1 << (_DELTA_BITS * p) for p in range(width)]
-    pattern = tuple((mask >> (_DELTA_BITS * p)) & 1 for p in range(width))
+    bits, _, unpack = packing(_DELTA_REACH, width)
+    weights = [1 << (bits * p) for p in range(width)]
+    pattern = unpack(mask)
     units = sum(weights)
     moves: List[PatternMove] = []
     # a 0/1 pattern never passes cutoff 2
@@ -223,8 +213,8 @@ def _zf_sides(tables: ZfTables, i: int, j: int, state: Tuple[int, ...], cutoff: 
 def _zf_key(state: Tuple[int, ...], key: tuple) -> tuple:
     """A `_zf_sides` key of the ket `state` as (out_state, e_x, e_y)."""
     delta, e_x, e_y = key
-    out = tuple(m + d for m, d in zip(state, _unpack_delta(delta, len(state))))
-    return out, e_x, e_y
+    changes = packing(_DELTA_REACH, len(state))[2](delta)
+    return tuple(map(operator.add, state, changes)), e_x, e_y
 
 
 def check_zf(n: int, pair: Tuple[int, int], cutoff: int = 4,
@@ -249,10 +239,11 @@ def check_zf(n: int, pair: Tuple[int, int], cutoff: int = 4,
     tables = _zf_tables(n, convention, (i, j))
     inner = (j, i) if i < j else (j,)  # the inner layers of `_zf_sides`
     digits = ((0, 0), (1, 1), (1, 0))[:min(cutoff - 1, 3)]
+    bits = packing(_DELTA_REACH, width)[0]
     # (mask, ones) of each ket, in product order
     masks = [(0, 0)]
     for p in range(width):
-        bit = 1 << (_DELTA_BITS * p)
+        bit = 1 << (bits * p)
         masks = [(m | bit * dm, o | bit * do) for m, o in masks for dm, do in digits]
     lowered: Dict[int, int] = {}
     seen = set()
@@ -379,7 +370,6 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
     sizes = [len(g) for g in var_groups]
     all_vars = [v for g in var_groups for v in g]
     width = n * (n - 1) // 2
-    total_layers = len(labels)
     if kets is None:
         kets = [(0,) * width]
     full_pair = pair_product(all_vars)
@@ -387,9 +377,7 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
     passed = True
     detail = None
     for ket_state in kets:
-        # occupancies grow by at most one per layer
-        cutoff = max(ket_state, default=0) + total_layers
-        lhs = apply_stack(scalar_spec(n, labels, all_vars), CONVENTION, ket_state, cutoff)
+        lhs = apply_stack(scalar_spec(n, labels, all_vars), CONVENTION, ket_state)
         inv_pref = prefactor ** -1
         lhs = {s: c * inv_pref * full_pair for s, c in lhs.items()}
         rhs: Dict[Tuple[int, ...], LaurentPoly] = {}
@@ -399,8 +387,7 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
             for k in range(len(blocks) - 1, -1, -1):
                 rev_labels.extend([blocks[k][0]] * sizes[k])
                 rev_vars.extend(groups[k])
-            contrib = apply_stack(scalar_spec(n, rev_labels, rev_vars), CONVENTION,
-                                  ket_state, cutoff)
+            contrib = apply_stack(scalar_spec(n, rev_labels, rev_vars), CONVENTION, ket_state)
             for s, c in contrib.items():
                 add = c * multiplier
                 acc = rhs.get(s)

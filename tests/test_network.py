@@ -398,8 +398,7 @@ def test_vev_homogeneity():
 def test_occupancy_bound_under_application():
     n, labels = 3, (0, 0, 0, 0)
     for t in range(1, len(labels) + 1):
-        image = apply_stack(scalar_spec(n, labels[:t]), CONVENTION, vacuum_state(n),
-                            len(labels))
+        image = apply_stack(scalar_spec(n, labels[:t]), CONVENTION, vacuum_state(n))
         assert max(max(s) for s in image) <= t
 
 
@@ -429,8 +428,8 @@ def test_per_site_binding_collapses_to_scalar():
     width = n * (n - 1) // 2
     for i in range(n + 1):
         for state in itertools.product(range(2), repeat=width):
-            bar = apply_stack(PartitionSpec(n, [LayerSpec(i, binding)]), conv, state, 4)
-            hom = apply_stack(PartitionSpec(n, [LayerSpec(i, z)]), conv, state, 4)
+            bar = apply_stack(PartitionSpec(n, [LayerSpec(i, binding)]), conv, state)
+            hom = apply_stack(PartitionSpec(n, [LayerSpec(i, z)]), conv, state)
             shift = LaurentPoly.var(z) ** -i
             assert bar == {s: c * shift for s, c in hom.items()}
 
@@ -478,7 +477,7 @@ def test_stack_argument_errors():
     with pytest.raises(ValueError, match="layer 1: derivative"):
         PartitionSpec(2, [LayerSpec(0, {(1, 1): Z[0]}, 1)])
     with pytest.raises(ValueError, match="width"):
-        apply_stack(scalar_spec(2, (0,)), CONVENTION, (0, 0), 2)
+        apply_stack(scalar_spec(2, (0,)), CONVENTION, (0, 0))
 
 
 def test_bindings_are_checked_when_the_spec_is_built():
@@ -533,7 +532,7 @@ def test_derivative_layer():
 
 
 def test_layer_action_on_vacuum_n4():
-    ket = apply_stack(scalar_spec(4, (1,)), CONVENTION, vacuum_state(4), 3)
+    ket = apply_stack(scalar_spec(4, (1,)), CONVENTION, vacuum_state(4))
     z = LaurentPoly.var(Z[0])
     # site order (1,1),(1,2),(1,3),(2,1),(2,2),(3,1)
     assert ket == {
@@ -957,9 +956,26 @@ def test_broken_zf_report_matches_term_route(monkeypatch):
 def test_sweep_overflow_at_cutoff():
     # label 0 at n = 2: 1b or b+ on the single site; b+ at the cutoff overflows
     with pytest.raises(CutoffOverflow):
-        apply_stack(scalar_spec(2, (0,)), CONVENTION, (2,), 2)
+        _sweep(_layer_plan(2, 0, CONVENTION), (2,), 2)
     # label 2 only lowers or keeps, so a full site is fine
-    assert apply_stack(scalar_spec(2, (2,)), CONVENTION, (2,), 2)
+    assert _sweep(_layer_plan(2, 2, CONVENTION), (2,), 2)
+
+
+def test_derivative_reads_its_field_over_negative_lower_fields():
+    # one site map on both sides of a derivative layer takes the lower
+    # exponent slots, and a lowering move there leaves them negative when the
+    # derivative reads the slot of its variable above them
+    n = 3
+    site_map = site_binding(n, 1)
+    for labels in itertools.product(range(n + 1), repeat=3):
+        spec = PartitionSpec(n, [LayerSpec(labels[0], site_map), LayerSpec(labels[1], Z[0], 1),
+                                 LayerSpec(labels[2], site_map)])
+        for state in itertools.product((0, 1), repeat=3):
+            ket = {state: LaurentPoly.one()}
+            for layer in reversed(spec.layers):
+                ket = term_apply_layer(n, enumerate_layer_terms(n, layer.label, CONVENTION),
+                                       layer.binding, layer.deriv, ket, max(state) + 3)
+            assert apply_stack(spec, CONVENTION, state) == ket, (labels, state)
 
 
 @st.composite
@@ -1018,7 +1034,7 @@ def test_stack_vev_matches_term_route(spec, conv):
         ket = term_apply_layer(n, enumerate_layer_terms(n, layer.label, conv),
                                layer.binding, layer.deriv, ket, cutoff)
     expected = ket.get(vac, LaurentPoly.zero())
-    assert apply_stack(spec, conv, vac, cutoff) == ket
+    assert apply_stack(spec, conv, vac) == ket
     value = vev(spec, conv)
     assert value == expected
     if spec.all_scalar:
@@ -1042,5 +1058,5 @@ def test_two_sided_vev_is_the_vacuum_entry_of_the_ket_side(spec, conv):
     # `vev` contracts from the ket and the bra at once; `apply_stack` has no
     # bra, so it sweeps every layer from the ket
     vac = vacuum_state(spec.n)
-    image = apply_stack(spec, conv, vac, len(spec.layers))
+    image = apply_stack(spec, conv, vac)
     assert vev(spec, conv) == image.get(vac, LaurentPoly.zero())

@@ -19,6 +19,7 @@ from trivertex.poly import (
     monomial_degree,
     monomial_invert,
     monomial_mul,
+    packing,
     parse_var_name,
 )
 
@@ -276,6 +277,39 @@ def test_exact_divide_known_quotients():
     assert exact_divide(num, den) == lp_var(X, -3) * lp_var(Y, -3) * (x + y)
 
 
+# -- packed exponent vectors ----------------------------------------------
+
+@st.composite
+def packed_pairs(draw):
+    """A reach and two vectors of one length (0..6) with entries within it."""
+    reach = draw(st.integers(min_value=0, max_value=40))
+    slots = draw(st.integers(min_value=0, max_value=6))
+    vec = st.lists(st.integers(min_value=-reach, max_value=reach), min_size=slots,
+                   max_size=slots)
+    return reach, draw(vec), draw(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_pairs())
+# reach 0, and entries at the reach where the width steps up
+@example((0, [0, 0, 0], [0, 0, 0]))
+@example((3, [3, -3, 3], [-3, 3, 0]))
+@example((4, [-4, 4, -1], [4, -4, 0]))
+def test_packing_roundtrip_sum_and_read(case):
+    # entry s adds e_s << (width * s); unpack and read invert that, also on
+    # the sum of two packed vectors while every entry stays within reach
+    reach, a, b = case
+    width, read, unpack = packing(reach, len(a))
+    total = [x + y for x, y in zip(a, b)]
+    keys = [(vec, sum(e << (width * s) for s, e in enumerate(vec))) for vec in (a, b)]
+    if all(abs(e) <= reach for e in total):
+        keys.append((total, keys[0][1] + keys[1][1]))
+    for vec, key in keys:
+        assert unpack(key) == tuple(vec)
+        assert [read(key, s) for s in range(len(vec))] == vec
+    assert unpack(0) == (0,) * len(a)
+
+
 # -- ordering and serialization -------------------------------------------
 
 def test_var_order():
@@ -331,6 +365,16 @@ def test_str_rendering():
     p = lp_var(X, 2) - 2 * lp_var(Y) + 1
     assert str(p) == "z1^2 - 2 z2 + 1"
     assert str(LaurentPoly.zero()) == "0"
+
+
+def test_results_never_share_terms_with_an_operand():
+    # p * 1, 1 * p and p.substitute({}) equal p, but are new polynomials, so
+    # writing into a result's terms leaves p as it was
+    p = 3 * lp_var(X, 2) - lp_var(Y, -1)
+    for q in (p * 1, 1 * p, p.substitute({})):
+        assert q == p and q is not p and q.terms is not p.terms
+        q.terms[()] = 5
+        assert p == 3 * lp_var(X, 2) - lp_var(Y, -1)
 
 
 def test_pow_negative_unit_term():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from trivertex import verify
 from trivertex.network import (CONVENTION, Convention, _layer_plan, _sweep, all_conventions,
                                scalar_spec, vev)
-from trivertex.poly import LaurentPoly, Var
+from trivertex.poly import LaurentPoly, Var, packing
 from trivertex.symfunc import schur_bialternant, schur_jacobi_trudi, schur_pragacz
 from trivertex.verify import (
     CheckReport,
@@ -425,11 +425,6 @@ def test_zf_holds_on_random_kets_at_n5(pair, state):
     assert zf_sides(5, i, j, rep, 6) == (lhs, rhs)
 
 
-def pack_delta(change):
-    """An occupancy change packed as `verify._zf_sides` keys it: d_p << 3 p."""
-    return sum(d << (3 * p) for p, d in enumerate(change))
-
-
 def index_set(flags):
     """The set of indices whose flag holds, in the layout of
     `verify._pattern_moves`: bit 3 p for index p."""
@@ -445,29 +440,22 @@ def test_pattern_moves_shift_the_sweep():
         width = n * (n - 1) // 2
         for i in range(n + 1):
             plan = _layer_plan(n, i, conv)
+            _, _, unpack = packing(3, width)
             for state in itertools.product(range(levels), repeat=width):
                 mask = index_set(m > 0 for m in state)
                 got = Counter()
                 for up, down, delta, alpha, mult in verify._pattern_moves(plan, mask, width):
-                    change = verify._unpack_delta(delta, width)
+                    change = unpack(delta)
                     assert up == index_set(d > 0 for d in change)
                     assert down == index_set(d < 0 for d in change)
                     got[(tuple(m + d for m, d in zip(state, change)), alpha)] += mult
                 assert got == _sweep(plan, state, levels), (n, conv, i, state)
 
 
-def test_delta_packing_roundtrip():
-    for change in itertools.product(range(-4, 4), repeat=3):
-        assert verify._unpack_delta(pack_delta(change), 3) == change
-    # a sum of two moves is the packing of the summed changes
-    assert pack_delta((1, -1, 0)) + pack_delta((1, 0, -1)) == pack_delta((2, -1, -1))
-
-
 def test_failing_zf_report_names_first_differing_key(monkeypatch):
-    # keys of the ket (0,): the change to out_state, packed, then e_x, e_y
-    sides = ({(pack_delta((1,)), 1, 0): 2, (pack_delta((0,)), 0, 0): 1,
-              (pack_delta((2,)), 1, 1): 1},
-             {(pack_delta((1,)), 1, 0): 3, (pack_delta((0,)), 0, 0): 1})
+    # keys of the ket (0,): the change to out_state, packed (one index, so
+    # the change itself), then e_x, e_y
+    sides = ({(1, 1, 0): 2, (0, 0, 0): 1, (2, 1, 1): 1}, {(1, 1, 0): 3, (0, 0, 0): 1})
     monkeypatch.setattr(verify, "_zf_sides", lambda *args: sides)
     r = check_zf(2, (0, 1), cutoff=3)
     assert not r.passed
