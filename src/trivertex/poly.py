@@ -371,7 +371,7 @@ class LaurentPoly:
         """Formal partial derivative d^order/dv^order."""
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        p = self
+        p = LaurentPoly(dict(self.terms)) if order == 0 else self
         for _ in range(order):
             out: Dict[Monomial, int] = {}
             for m, c in p.terms.items():

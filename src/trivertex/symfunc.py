@@ -9,17 +9,22 @@ i-th selected variable carries its own alphabet), the all-ones
 specialization, and the closed form for the first-variable derivative of a
 Schur polynomial.
 
-Everything returns exact LaurentPoly values; determinants use a
-column-subset DP so the cost is rows * 2^rows polynomial operations.
+Inside, a polynomial over one alphabet is a dict from an exponent vector
+packed by `poly.packing(reach, len(alphabet))` (reach bounds every exponent
+reached) to an int count, so a product of monomials is a sum of keys.  Each
+public function builds one exact LaurentPoly, at its return.  Determinants
+use a column-subset memo: rows * 2^rows products of packed dicts.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .poly import InexactDivision, LaurentPoly, Var, exact_divide
+from .poly import InexactDivision, LaurentPoly, Var, exact_divide, packing
+
+# packed exponent vector -> count; zero counts may linger until the end
+Packed = Dict[int, int]
 
 
 class NonPolynomialResult(Exception):
@@ -49,65 +54,102 @@ def conjugate(parts: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sum(1 for p in nonzero if p >= c) for c in range(1, nonzero[0] + 1))
 
 
+# -- packed polynomials ----------------------------------------------------
+
+def _alphabet(reach: int, alphabet: Sequence[Var]):
+    """The alphabet's unit keys under `poly.packing(reach, len(alphabet))`,
+    and the conversion of a packed dict over them to a LaurentPoly."""
+    width, _, unpack = packing(reach, len(alphabet))
+
+    def to_poly(packed: Packed) -> LaurentPoly:
+        return LaurentPoly.from_exponents(
+            alphabet, {unpack(key): c for key, c in packed.items()})
+
+    return [1 << width * s for s in range(len(alphabet))], to_poly
+
+
+def _add_product(acc: Packed, a: Packed, b: Packed, scale: int = 1) -> Packed:
+    """acc += scale * a * b, in place; cancelled keys stay with count 0."""
+    get = acc.get
+    for ka, ca in a.items():
+        ca *= scale
+        for kb, cb in b.items():
+            key = ka + kb
+            acc[key] = get(key, 0) + ca * cb
+    return acc
+
+
 # -- elementary symmetric polynomials -------------------------------------
+
+def _elementary(r: int, units: Sequence[int]) -> Packed:
+    """e_r over unit keys: {0: 1} for r = 0, empty for r < 0 or r > #units."""
+    return {sum(combo): 1 for combo in combinations(units, r)} if r >= 0 else {}
+
 
 def elementary(r: int, zvars: Sequence[Var]) -> LaurentPoly:
     """e_r over the given variables: 1 for r=0, 0 for r<0 or r>#vars."""
-    if r < 0 or r > len(zvars):
-        return LaurentPoly.zero()
-    if r == 0:
-        return LaurentPoly.one()
-    out = LaurentPoly.zero()
-    for combo in combinations(zvars, r):
-        out = out + LaurentPoly.monomial({v: 1 for v in combo})
-    return out
+    units, to_poly = _alphabet(1, zvars)
+    return to_poly(_elementary(r, units))
 
 
 # -- determinants ----------------------------------------------------------
 
-def det_poly(rows: List[List[LaurentPoly]]) -> LaurentPoly:
-    """Determinant of a square matrix of polynomials.
-
-    Laplace expansion along rows with memoization on the remaining column
-    set; the row index is implied by the popcount so the memo key is just the
-    bitmask.
-    """
+def _det(rows: List[List[Packed]]) -> Packed:
+    """Determinant of a square matrix of packed polynomials: Laplace
+    expansion along rows, memoized on the remaining column set (the row index
+    is implied by the popcount; the empty set closes an expansion with 1)."""
     size = len(rows)
-    if size == 0:
-        return LaurentPoly.one()
-    memo: Dict[int, LaurentPoly] = {}
+    memo: Dict[int, Packed] = {0: {0: 1}}
 
-    def minor(r: int, mask: int) -> LaurentPoly:
-        if r == size:
-            return LaurentPoly.one()
+    def minor(r: int, mask: int) -> Packed:
         cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        acc = LaurentPoly.zero()
-        sign = 1
-        for c in range(size):
-            if mask & (1 << c):
-                entry = rows[r][c]
-                if not entry.is_zero():
-                    contrib = entry * minor(r + 1, mask ^ (1 << c))
-                    acc = acc + (contrib if sign > 0 else -contrib)
-                sign = -sign
-        memo[mask] = acc
-        return acc
+        if cached is None:
+            acc: Packed = {}
+            sign = 1
+            for c in range(size):
+                if mask >> c & 1:
+                    if rows[r][c]:
+                        _add_product(acc, rows[r][c], minor(r + 1, mask ^ 1 << c), sign)
+                    sign = -sign
+            cached = memo[mask] = {key: v for key, v in acc.items() if v}
+        return cached
 
     return minor(0, (1 << size) - 1)
 
 
+def det_poly(rows: List[List[LaurentPoly]]) -> LaurentPoly:
+    """Determinant of a square matrix of polynomials, packed once over the
+    entries' joint alphabet: a term multiplies `size` entries, so every
+    exponent stays within size times the largest |exponent| of an entry."""
+    monomials = [m for row in rows for p in row for m in p.terms]
+    alphabet = list(dict.fromkeys(v for m in monomials for v, _ in m))
+    reach = len(rows) * max((abs(e) for m in monomials for _, e in m), default=0)
+    units, to_poly = _alphabet(reach, alphabet)
+    unit_of = dict(zip(alphabet, units))
+    return to_poly(_det([[{sum(unit_of[v] * e for v, e in m): c for m, c in p.terms.items()}
+                          for p in row] for row in rows]))
+
+
+def _alternant(exps: Sequence[int], units: Sequence[int]) -> Packed:
+    """det(x_a ** e_j) over unit keys x_a and exponents e_j: the pair
+    product prod_{a<b} (x_a - x_b) for exps n-1, ..., 1, 0."""
+    return _det([[{u * e: 1} for e in exps] for u in units])
+
+
 # -- Schur polynomials: three routes --------------------------------------
+
+def _jacobi_trudi_rows(mu: Sequence[int], units: Sequence[int]) -> List[List[Packed]]:
+    """The matrix (e_{mu_i - i + j}) over the conjugate partition mu."""
+    return [[_elementary(mu[i] - i + j, units) for j in range(len(mu))] for i in range(len(mu))]
+
 
 def schur_jacobi_trudi(parts: Sequence[int], zvars: Sequence[Var]) -> LaurentPoly:
     """Schur polynomial as the determinant det(e_{mu_i - i + j}) over the
     conjugate partition mu; division-free."""
     mu = conjugate(parts)
-    size = len(mu)
-    rows = [[elementary(mu[i] - (i + 1) + (j + 1), zvars) for j in range(size)]
-            for i in range(size)]
-    return det_poly(rows)
+    # every entry has exponents at most 1, and a term multiplies len(mu)
+    units, to_poly = _alphabet(len(mu), zvars)
+    return to_poly(_det(_jacobi_trudi_rows(mu, units)))
 
 
 def schur_bialternant(parts: Sequence[int], zvars: Sequence[Var]) -> LaurentPoly:
@@ -118,9 +160,10 @@ def schur_bialternant(parts: Sequence[int], zvars: Sequence[Var]) -> LaurentPoly
     if len([p for p in parts if p > 0]) > n:
         raise ValueError("partition longer than variable list")
     lam = tuple(parts) + (0,) * (n - len(parts))
-    rows = [[LaurentPoly.var(zvars[i], lam[j] + n - (j + 1)) for j in range(n)]
-            for i in range(n)]
-    return exact_divide(det_poly(rows), pair_product(zvars))
+    # variable i sits in row i only, with exponent at most lam_1 + n - 1
+    units, to_poly = _alphabet(lam[0] + n - 1 if n else 0, zvars)
+    numerator = _alternant([lam[j] + n - (j + 1) for j in range(n)], units)
+    return exact_divide(to_poly(numerator), pair_product(zvars))
 
 
 def _ordered_set_partitions(items: Sequence, sizes: Sequence[int]):
@@ -141,10 +184,23 @@ def _ordered_set_partitions(items: Sequence, sizes: Sequence[int]):
 
 def pair_product(vs: Sequence[Var]) -> LaurentPoly:
     """Product of (v_a - v_b) over all pairs a < b in the given order."""
-    out = LaurentPoly.one()
-    for a, b in combinations(vs, 2):
-        out = out * (LaurentPoly.var(a) - LaurentPoly.var(b))
-    return out
+    units, to_poly = _alphabet(max(len(vs) - 1, 0), vs)
+    return to_poly(_alternant(range(len(vs) - 1, -1, -1), units))
+
+
+def _redistributions(units: Sequence[int], sizes: Sequence[int]):
+    """(index blocks, packed multiplier) for every split of range(#units)
+    into ordered blocks of the given sizes; see `redistributions`."""
+    n = len(units)
+    for w in _ordered_set_partitions(range(n), list(sizes)):
+        block_of = {i: k for k, blk in enumerate(w) for i in blk}
+        crossed = sum(block_of[a] > block_of[b] for a, b in combinations(range(n), 2))
+        multiplier = {0: -1 if crossed & 1 else 1}
+        for blk in w:
+            # a block lists its indices in increasing order
+            multiplier = _add_product({}, multiplier, _alternant(
+                range(len(blk) - 1, -1, -1), [units[i] for i in blk]))
+        yield w, multiplier
 
 
 def redistributions(all_vars: Sequence[Var], sizes: Sequence[int]):
@@ -157,22 +213,10 @@ def redistributions(all_vars: Sequence[Var], sizes: Sequence[int]):
     flipping once for every canonical pair (a before b) split with a in the
     later block (the denominator then holds (b - a) instead of (a - b)).
     """
-    for w in _ordered_set_partitions(list(all_vars), list(sizes)):
-        block_of = {}
-        for k, blk in enumerate(w):
-            for v in blk:
-                block_of[v] = k
-        sign = 1
-        multiplier = LaurentPoly.one()
-        for va, vb in combinations(all_vars, 2):
-            ka, kb = block_of[va], block_of[vb]
-            if ka == kb:
-                multiplier = multiplier * (LaurentPoly.var(va) - LaurentPoly.var(vb))
-            elif ka > kb:
-                sign = -sign
-        if sign < 0:
-            multiplier = -multiplier
-        yield [tuple(blk) for blk in w], multiplier
+    # an exponent stays below its block's size
+    units, to_poly = _alphabet(max(sizes, default=1) - 1, all_vars)
+    for w, multiplier in _redistributions(units, sizes):
+        yield [tuple(all_vars[i] for i in blk) for blk in w], to_poly(multiplier)
 
 
 def schur_pragacz(blocks: Sequence[Tuple[int, int]],
@@ -195,24 +239,18 @@ def schur_pragacz(blocks: Sequence[Tuple[int, int]],
     if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
         raise ValueError("block part values must be weakly decreasing")
     all_vars: List[Var] = [v for group in var_blocks for v in group]
-    r = len(blocks)
 
-    denom_full = pair_product(all_vars)
-    total = LaurentPoly.zero()
     # every variable in block k carries the part value plus the number of
     # variables sitting in later blocks (reduces to p_k + r - k when all
-    # multiplicities are 1)
-    later = [sum(sizes[k + 1:]) for k in range(r)]
-    for w, multiplier in redistributions(all_vars, sizes):
-        exps = {}
-        for k, blk in enumerate(w):
-            p = values[k] + later[k]
-            for v in blk:
-                exps[v] = p
-        term = multiplier * LaurentPoly.monomial({v: e for v, e in exps.items() if e != 0}, 1)
-        total = total + term
+    # multiplicities are 1), and a multiplier exponent below its block size
+    later = [sum(sizes[k + 1:]) for k in range(len(blocks))]
+    units, to_poly = _alphabet(max(map(abs, values), default=0) + len(all_vars) - 1, all_vars)
+    total: Packed = {}
+    for w, multiplier in _redistributions(units, sizes):
+        shift = sum(units[i] * (values[k] + later[k]) for k, blk in enumerate(w) for i in blk)
+        _add_product(total, multiplier, {shift: 1})
     try:
-        return exact_divide(total, denom_full)
+        return exact_divide(to_poly(total), pair_product(all_vars))
     except InexactDivision as exc:
         raise NonPolynomialResult(str(exc))
 
@@ -225,13 +263,15 @@ def schur_at_one(parts: Sequence[int], n: int) -> int:
     if n < len([p for p in parts if p > 0]):
         raise ValueError("need at least length(lambda) variables")
     lam = tuple(parts) + (0,) * (n - len(parts))
-    val = Fraction(1)
+    num = den = 1
     for k in range(n):
         for l in range(k + 1, n):
-            val *= Fraction(lam[k] - lam[l] + l - k, l - k)
-    if val.denominator != 1:
-        raise AssertionError("specialization %s not integral" % val)
-    return int(val)
+            num *= lam[k] - lam[l] + l - k
+            den *= l - k
+    val, rem = divmod(num, den)
+    if rem:
+        raise AssertionError("specialization %d/%d not integral" % (num, den))
+    return val
 
 
 # -- derivative closed form ------------------------------------------------
@@ -246,33 +286,21 @@ def schur_derivative_oracle(parts: Sequence[int], m: int) -> LaurentPoly:
     """
     parts = validate_partition(parts)
     zvars = [Var.layer(t) for t in range(1, m + 1)]
-    s_lam = schur_jacobi_trudi(parts, zvars)
-    out = LaurentPoly.zero()
-    if m >= 2:
-        exps = {zvars[0]: m - 2}
-        for k in range(2, m + 1):
-            exps[zvars[k - 1]] = m - k
-        pref = LaurentPoly.monomial({v: e for v, e in exps.items() if e != 0})
-        out = out + (m - 1) * pref * s_lam
     mu = conjugate(parts)
     size = len(mu)
-    pref_full = LaurentPoly.monomial(
-        {zvars[k]: m - (k + 1) for k in range(m) if m - (k + 1) != 0})
-    reduced_vars = zvars[1:]
-    deriv_sum = LaurentPoly.zero()
+    # s_lambda sits under z_1^(m-2), and the determinant of column l, of
+    # exponent at most size - 1 in z_1, under z_1^(m-1) z_2^(m-2) ...
+    units, to_poly = _alphabet(max(size + m - 2, 0), zvars)
+    rows = _jacobi_trudi_rows(mu, units)
+    stair = sum(u * (m - 1 - k) for k, u in enumerate(units))
+    out: Packed = {}
+    if m >= 2:
+        _add_product(out, {stair - units[0]: m - 1}, _det(rows))
     for lcol in range(size):
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                s = mu[i] - (i + 1) + (j + 1)
-                if j == lcol:
-                    row.append(elementary(s - 1, reduced_vars))
-                else:
-                    row.append(elementary(s, zvars))
-            rows.append(row)
-        deriv_sum = deriv_sum + det_poly(rows)
-    return out + pref_full * deriv_sum
+        column = [_elementary(mu[i] - i + lcol - 1, units[1:]) for i in range(size)]
+        differentiated = [row[:lcol] + [column[i]] + row[lcol + 1:] for i, row in enumerate(rows)]
+        _add_product(out, {stair: 1}, _det(differentiated))
+    return to_poly(out)
 
 
 # -- loop elementary symmetric functions ----------------------------------
@@ -291,16 +319,18 @@ def loop_elementary_general(sizes: Sequence[int], var_of: VarTable, n_cols: int)
     total = sum(sizes)
     if total > n_cols:
         raise ValueError("cannot select %d positions out of %d" % (total, n_cols))
-    row_of_slot = []
-    for i, sz in enumerate(sizes, start=1):
-        row_of_slot.extend([i] * sz)
-    out = LaurentPoly.zero()
+    row_of_slot = [i for i, sz in enumerate(sizes, start=1) for _ in range(sz)]
+    atoms = {(i, k): var_of(i, k) for i in set(row_of_slot) for k in range(1, n_cols + 1)}
+    # var_of may send several positions to one variable, at most `total` times
+    alphabet = list(dict.fromkeys(atoms.values()))
+    units, to_poly = _alphabet(total, alphabet)
+    unit_of = dict(zip(alphabet, units))
+    key_of = {ik: unit_of[v] for ik, v in atoms.items()}
+    out: Packed = {}
     for chosen in combinations(range(1, n_cols + 1), total):
-        term = LaurentPoly.one()
-        for slot, pos in enumerate(chosen):
-            term = term * LaurentPoly.var(var_of(row_of_slot[slot], pos))
-        out = out + term
-    return out
+        key = sum(key_of[ik] for ik in zip(row_of_slot, chosen))
+        out[key] = out.get(key, 0) + 1
+    return to_poly(out)
 
 
 def loop_elementary(k_rows: int, var_of: VarTable, n_cols: int) -> LaurentPoly:

@@ -324,8 +324,8 @@ def check_schur_correspondence(n: int, blocks: Sequence[Tuple[int, int]]) -> Che
     factors as prod_k (block variables)^(m-k) times a Schur polynomial."""
     t0 = time.perf_counter()
     _check_schur_blocks(n, blocks)
-    got = vev(scalar_spec(n, _block_layout(blocks)[0]))
-    return _schur_report(n, blocks, got, t0)
+    layout = _block_layout(blocks)
+    return _schur_report(n, blocks, layout, vev(scalar_spec(n, layout[0])), t0)
 
 
 def _check_schur_blocks(n: int, blocks: Sequence[Tuple[int, int]]):
@@ -336,9 +336,9 @@ def _check_schur_blocks(n: int, blocks: Sequence[Tuple[int, int]]):
         raise ValueError("labels must sit in 0..n")
 
 
-def _schur_report(n: int, blocks: Sequence[Tuple[int, int]], got: LaurentPoly,
-                  t0: float) -> CheckReport:
-    _, var_groups, parts, prefactor = _block_layout(blocks)
+def _schur_report(n: int, blocks: Sequence[Tuple[int, int]], layout: tuple,
+                  got: LaurentPoly, t0: float) -> CheckReport:
+    _, var_groups, parts, prefactor = layout
     expected = prefactor * schur_jacobi_trudi(parts, [v for g in var_groups for v in g])
     passed = got == expected
     return _report("schur_correspondence",
@@ -351,9 +351,11 @@ def _schur_and_counting(n: int, blocks: Sequence[Tuple[int, int]]) -> List[Check
     of the stack: the count is the vev's counts summed."""
     t0 = time.perf_counter()
     _check_schur_blocks(n, blocks)
-    atoms, counts = _vev_counts(scalar_spec(n, _block_layout(blocks)[0]), CONVENTION)
-    schur = _schur_report(n, blocks, LaurentPoly.from_exponents(atoms, counts), t0)
-    return [schur, _counting_report(n, blocks, sum(counts.values()), time.perf_counter())]
+    layout = _block_layout(blocks)
+    atoms, counts = _vev_counts(scalar_spec(n, layout[0]), CONVENTION)
+    schur = _schur_report(n, blocks, layout, LaurentPoly.from_exponents(atoms, counts), t0)
+    return [schur, _counting_report(n, blocks, layout, sum(counts.values()),
+                                    time.perf_counter())]
 
 
 def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
@@ -426,25 +428,27 @@ def check_counting(n: int, blocks: Sequence[Tuple[int, int]]) -> CheckReport:
     for multiplicity-free labels also the pairwise product
     prod (i_k - i_l)/(l - k)."""
     t0 = time.perf_counter()
-    count = count_configurations(scalar_spec(n, _block_layout(blocks)[0]))
-    return _counting_report(n, blocks, count, t0)
+    layout = _block_layout(blocks)
+    count = count_configurations(scalar_spec(n, layout[0]))
+    return _counting_report(n, blocks, layout, count, t0)
 
 
-def _counting_report(n: int, blocks: Sequence[Tuple[int, int]], count: int,
-                     t0: float) -> CheckReport:
-    labels, _, parts, _ = _block_layout(blocks)
+def _counting_report(n: int, blocks: Sequence[Tuple[int, int]], layout: tuple,
+                     count: int, t0: float) -> CheckReport:
+    labels, _, parts, _ = layout
     expected = schur_at_one(parts, len(labels))
     passed = count == expected
     detail = None
     if passed and all(mult == 1 for _, mult in blocks):
-        prod = Fraction(1)
+        num = den = 1
         m = len(labels)
         for k in range(m):
             for l in range(k + 1, m):
-                prod *= Fraction(labels[k] - labels[l], l - k)
-        passed = prod == count
+                num *= labels[k] - labels[l]
+                den *= l - k
+        passed = num == count * den
         if not passed:
-            detail = {"count": count, "product": str(prod)}
+            detail = {"count": count, "product": str(Fraction(num, den))}
     elif not passed:
         detail = {"count": count, "expected": expected}
     return _report("counting", {"n": n, "blocks": [list(b) for b in blocks]},

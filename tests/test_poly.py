@@ -368,10 +368,10 @@ def test_str_rendering():
 
 
 def test_results_never_share_terms_with_an_operand():
-    # p * 1, 1 * p and p.substitute({}) equal p, but are new polynomials, so
-    # writing into a result's terms leaves p as it was
+    # p * 1, 1 * p, p.substitute({}) and p.derivative(X, 0) equal p, but are
+    # new polynomials, so writing into a result's terms leaves p as it was
     p = 3 * lp_var(X, 2) - lp_var(Y, -1)
-    for q in (p * 1, 1 * p, p.substitute({})):
+    for q in (p * 1, 1 * p, p.substitute({}), p.derivative(X, 0)):
         assert q == p and q is not p and q.terms is not p.terms
         q.terms[()] = 5
         assert p == 3 * lp_var(X, 2) - lp_var(Y, -1)

@@ -1,17 +1,19 @@
 """Symmetric-function oracles: three Schur routes, specializations, loops."""
 
 import random
+from itertools import combinations, groupby, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trivertex.poly import LaurentPoly, Var
+from trivertex.poly import LaurentPoly, Var, exact_divide
 from trivertex.symfunc import (
     conjugate,
     det_poly,
     elementary,
     loop_elementary,
     loop_elementary_general,
+    pair_product,
     schur_at_one,
     schur_bialternant,
     schur_derivative_oracle,
@@ -236,3 +238,111 @@ def test_loop_elementary_pascal_recursion(k, n):
     last = LaurentPoly.var(site(k, n))
     take = loop_elementary(k - 1, site, n - 1) if k - 1 <= n - 1 else LaurentPoly.zero()
     assert lhs == keep + last * take
+
+
+# -- the LaurentPoly routes the packed oracles replaced, kept as references --
+
+def ref_elementary(r, zvars):
+    if r < 0:
+        return LaurentPoly.zero()
+    out = LaurentPoly.zero()
+    for combo in combinations(zvars, r):
+        out = out + LaurentPoly.monomial({v: 1 for v in combo})
+    return out
+
+
+def ref_det(rows):
+    """Laplace expansion along rows, memoized on the remaining column set."""
+    size = len(rows)
+    memo = {}
+
+    def minor(r, mask):
+        if r == size:
+            return LaurentPoly.one()
+        if mask not in memo:
+            acc = LaurentPoly.zero()
+            sign = 1
+            for c in range(size):
+                if mask & (1 << c):
+                    contrib = rows[r][c] * minor(r + 1, mask ^ (1 << c))
+                    acc = acc + (contrib if sign > 0 else -contrib)
+                    sign = -sign
+            memo[mask] = acc
+        return memo[mask]
+
+    return minor(0, (1 << size) - 1)
+
+
+def ref_pair_product(vs):
+    out = LaurentPoly.one()
+    for a, b in combinations(vs, 2):
+        out = out * (LaurentPoly.var(a) - LaurentPoly.var(b))
+    return out
+
+
+def ref_pragacz(blocks, var_blocks):
+    """The redistribution sum: a redistribution is an assignment of a block
+    to each variable, with the block sizes kept."""
+    values = [part for part, _ in blocks]
+    sizes = [len(g) for g in var_blocks]
+    all_vars = [v for g in var_blocks for v in g]
+    later = [sum(sizes[k + 1:]) for k in range(len(sizes))]
+    total = LaurentPoly.zero()
+    for block_of in set(permutations([k for k, sz in enumerate(sizes) for _ in range(sz)])):
+        term = LaurentPoly.monomial(
+            {v: values[k] + later[k] for v, k in zip(all_vars, block_of)})
+        for (va, ka), (vb, kb) in combinations(zip(all_vars, block_of), 2):
+            if ka == kb:
+                term = term * (LaurentPoly.var(va) - LaurentPoly.var(vb))
+            elif ka > kb:
+                term = -term
+        total = total + term
+    return exact_divide(total, ref_pair_product(all_vars))
+
+
+# unsorted, and of every Var kind
+MIXED = [Var.aux(2), Var.site(1, 2, 1), Var.q(), Var.layer(3), Var.layer(1),
+         Var.site(2, 1, 1), Var.aux(1)]
+
+laurent = st.lists(
+    st.tuples(st.dictionaries(st.sampled_from(MIXED), st.integers(-3, 3), max_size=3),
+              st.integers(-3, 3)),
+    max_size=3).map(lambda terms: sum((LaurentPoly.monomial(m, c) for m, c in terms),
+                                      LaurentPoly.zero()))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(1, 10), max_size=5), st.permutations(MIXED[:5]), st.data())
+def test_packed_schur_routes_match_references(parts, alphabet, data):
+    # at most 5 variables, weight at most 10
+    lam = sorted(parts, reverse=True)
+    while sum(lam) > 10:
+        lam.pop(0)
+    nv = data.draw(st.integers(max(1, len(lam)), 5))
+    zvars = alphabet[:nv]
+    mu = conjugate(lam)
+    jt = ref_det([[ref_elementary(mu[i] - i + j, zvars) for j in range(len(mu))]
+                  for i in range(len(mu))])
+    assert schur_jacobi_trudi(lam, zvars) == jt
+    full = lam + [0] * (nv - len(lam))
+    numerator = ref_det([[LaurentPoly.var(v, full[j] + nv - 1 - j) for j in range(nv)]
+                         for v in zvars])
+    assert schur_bialternant(lam, zvars) == exact_divide(numerator, ref_pair_product(zvars))
+    blocks = [(value, len(list(run))) for value, run in groupby(full)]
+    groups = []
+    for _, mult in blocks:
+        groups.append(zvars[sum(len(g) for g in groups):][:mult])
+    assert schur_pragacz(blocks, groups) == ref_pragacz(blocks, groups) == jt
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.permutations(MIXED), st.data())
+def test_packed_det_and_pair_product_match_references(size, alphabet, data):
+    rows = data.draw(st.lists(st.lists(laurent, min_size=size, max_size=size),
+                              min_size=size, max_size=size))
+    assert det_poly(rows) == ref_det(rows)
+    # a 1 x 1 determinant reaches every exponent of its entry
+    for p in (p for row in rows for p in row):
+        assert det_poly([[p]]) == p
+    vs = alphabet[:data.draw(st.integers(0, len(alphabet)))]
+    assert pair_product(vs) == ref_pair_product(vs)
