@@ -26,7 +26,9 @@ the larger top degree of the two operands; sized by the dividend alone, a
 divisor of higher degree would overflow them.  The remainder is a dict keyed
 by packed int with a lazily pruned max-heap of its keys.  A quotient monomial
 is (lead | guard bits) - divisor lead, and a cleared guard bit there is a
-negative exponent: no exact quotient.
+negative exponent: no exact quotient.  No library route calls it: it is the
+public general division, and the reference the Schur oracles' division by the
+Vandermonde product (`symfunc._divide_pairs`) is tested against.
 """
 
 from __future__ import annotations

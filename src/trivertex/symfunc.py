@@ -13,7 +13,9 @@ Inside, a polynomial over one alphabet is a dict from an exponent vector
 packed by `poly.packing(reach, len(alphabet))` (reach bounds every exponent
 reached) to an int count, so a product of monomials is a sum of keys.  Each
 public function builds one exact LaurentPoly, at its return.  Determinants
-use a column-subset memo: rows * 2^rows products of packed dicts.
+use a column-subset memo: rows * 2^rows products of packed dicts.  The
+bialternant and redistribution routes divide their packed numerators by the
+Vandermonde product one linear factor at a time (`_divide_pairs`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .poly import InexactDivision, LaurentPoly, Var, exact_divide, packing
+from .poly import InexactDivision, LaurentPoly, Var, packing
 
 # packed exponent vector -> count; zero counts may linger until the end
 Packed = Dict[int, int]
@@ -130,6 +132,39 @@ def det_poly(rows: List[List[LaurentPoly]]) -> LaurentPoly:
                           for p in row] for row in rows]))
 
 
+def _divide_pairs(packed: Packed, units: Sequence[int]) -> Packed:
+    """packed / prod_{a<b} (x_a - x_b) over unit keys x_a, one factor at a
+    time by synthetic division in x_a: from the top x_a level down, c x^k puts
+    c x^k / x_a into the quotient and carries c x^k x_b / x_a to the level
+    below, and the lowest level must cancel (InexactDivision otherwise).  A
+    carry keeps e_a + e_b fixed, and the packing's reach should cover it."""
+    # units[s] is 1 << width * s; half of each field lifts negative fields
+    width = units[1].bit_length() - 1 if len(units) > 1 else 1
+    mask, zero = (1 << width) - 1, sum(units) << width - 1
+    for a, b in combinations(range(len(units)), 2):
+        down, shift = units[b] - units[a], width * a
+        levels: Dict[int, Packed] = {}
+        for key, c in packed.items():
+            if c:
+                levels.setdefault((key + zero) >> shift & mask, {})[key] = c
+        if not levels:
+            return {}
+        quotient: Packed = {}
+        low = min(levels)
+        for level in range(max(levels), low, -1):
+            below = levels.setdefault(level - 1, {})
+            get = below.get
+            for key, c in levels.pop(level).items():
+                if c:
+                    quotient[key - units[a]] = c
+                    key += down
+                    below[key] = get(key, 0) + c
+        if any(levels[low].values()):
+            raise InexactDivision("not divisible by a variable difference")
+        packed = quotient
+    return packed
+
+
 def _alternant(exps: Sequence[int], units: Sequence[int]) -> Packed:
     """det(x_a ** e_j) over unit keys x_a and exponents e_j: the pair
     product prod_{a<b} (x_a - x_b) for exps n-1, ..., 1, 0."""
@@ -154,16 +189,17 @@ def schur_jacobi_trudi(parts: Sequence[int], zvars: Sequence[Var]) -> LaurentPol
 
 def schur_bialternant(parts: Sequence[int], zvars: Sequence[Var]) -> LaurentPoly:
     """Schur polynomial as det(z_i^(lambda_j + n - j)) divided by the
-    Vandermonde product, via exact division."""
+    Vandermonde product, one linear factor at a time."""
     parts = validate_partition(parts)
     n = len(zvars)
     if len([p for p in parts if p > 0]) > n:
         raise ValueError("partition longer than variable list")
     lam = tuple(parts) + (0,) * (n - len(parts))
-    # variable i sits in row i only, with exponent at most lam_1 + n - 1
-    units, to_poly = _alphabet(lam[0] + n - 1 if n else 0, zvars)
+    # variable i sits in row i only, with exponent at most lam_1 + n - 1,
+    # doubled for the division's carries
+    units, to_poly = _alphabet(2 * (lam[0] + n - 1) if n else 0, zvars)
     numerator = _alternant([lam[j] + n - (j + 1) for j in range(n)], units)
-    return exact_divide(to_poly(numerator), pair_product(zvars))
+    return to_poly(_divide_pairs(numerator, units))
 
 
 def _ordered_set_partitions(items: Sequence, sizes: Sequence[int]):
@@ -242,15 +278,17 @@ def schur_pragacz(blocks: Sequence[Tuple[int, int]],
 
     # every variable in block k carries the part value plus the number of
     # variables sitting in later blocks (reduces to p_k + r - k when all
-    # multiplicities are 1), and a multiplier exponent below its block size
+    # multiplicities are 1), and a multiplier exponent below its block size;
+    # doubled for the division's carries
     later = [sum(sizes[k + 1:]) for k in range(len(blocks))]
-    units, to_poly = _alphabet(max(map(abs, values), default=0) + len(all_vars) - 1, all_vars)
+    reach = max(map(abs, values), default=0) + len(all_vars) - 1
+    units, to_poly = _alphabet(2 * reach, all_vars)
     total: Packed = {}
     for w, multiplier in _redistributions(units, sizes):
         shift = sum(units[i] * (values[k] + later[k]) for k, blk in enumerate(w) for i in blk)
         _add_product(total, multiplier, {shift: 1})
     try:
-        return exact_divide(to_poly(total), pair_product(all_vars))
+        return to_poly(_divide_pairs(total, units))
     except InexactDivision as exc:
         raise NonPolynomialResult(str(exc))
 

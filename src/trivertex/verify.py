@@ -688,9 +688,13 @@ def check_schur_oracles(samples: int = 50, seed: int = 20260823) -> CheckReport:
             groups.append(zvars[t:t + mult])
             t += mult
         pr = schur_pragacz(blocks, groups)
-        if not (jt == bi == pr):
+        wrong = [(route, value) for route, value in (("bialternant", bi), ("pragacz", pr))
+                 if value != jt]
+        if wrong:
             passed = False
-            detail = {"parts": list(parts), "vars": nv}
+            route, value = wrong[0]
+            detail = {"parts": list(parts), "vars": nv, "route": route,
+                      **_mismatch(value, jt)}
             break
         done += 1
     return _report("schur_oracles", {"samples": samples, "seed": seed},
@@ -716,7 +720,7 @@ def check_loop_recursion(samples: int = 50, seed: int = 977) -> CheckReport:
         expected = drop + shrink * LaurentPoly.var(var_of(r, c))
         if full != expected:
             passed = False
-            detail = {"rows": r, "cols": c}
+            detail = {"rows": r, "cols": c, **_mismatch(full, expected)}
             break
     return _report("loop_recursion", {"samples": samples, "seed": seed},
                    passed, detail, t0)

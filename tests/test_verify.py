@@ -272,6 +272,42 @@ def test_failing_report_carries_capped_diff(monkeypatch):
     json.dumps(r.to_obj())
 
 
+@pytest.mark.parametrize("route", ["bialternant", "pragacz"])
+def test_failing_oracle_reports_name_the_route(monkeypatch, route):
+    # a route off by ten extra terms is reported against Jacobi-Trudi
+    extra = LaurentPoly.zero()
+    for k in range(10):
+        extra = extra + LaurentPoly.monomial({Var.aux(k): 1})
+    oracle = getattr(verify, "schur_" + route)
+    monkeypatch.setattr(verify, "schur_" + route, lambda *args: oracle(*args) + extra)
+    r = check_schur_oracles(5)
+    assert not r.passed
+    assert r.detail["route"] == route
+    assert r.detail["diff"] == extra.to_obj()[:8]
+    assert r.detail["diff_terms"] == 10
+    assert set(r.detail) == {"parts", "vars", "route", "lhs", "rhs", "diff", "diff_terms"}
+    json.dumps(r.to_obj())
+
+
+def test_failing_loop_recursion_report_carries_capped_diff(monkeypatch):
+    # every loop function off by the same ten terms: where both terms of the
+    # recursion are loop functions (the first sample), the full value differs
+    # from the recursion by -extra times the last column's variable
+    extra = LaurentPoly.zero()
+    for k in range(10):
+        extra = extra + LaurentPoly.monomial({Var.aux(k): 1})
+    loop = verify.loop_elementary
+    monkeypatch.setattr(verify, "loop_elementary", lambda *args: loop(*args) + extra)
+    r = check_loop_recursion(5)
+    assert not r.passed
+    rows, cols = r.detail["rows"], r.detail["cols"]
+    diff = (-(extra * LaurentPoly.var(Var.site(cols, rows, 1)))).to_obj()
+    assert r.detail["diff"] == diff[:8]
+    assert r.detail["diff_terms"] == 10
+    assert set(r.detail) == {"rows", "cols", "lhs", "rhs", "diff", "diff_terms"}
+    json.dumps(r.to_obj())
+
+
 def test_zf_rejects_an_empty_ket_box():
     # cutoff c checks the kets with occupancies below c - 1: none for c < 2
     for cutoff in (1, 0, -2):
