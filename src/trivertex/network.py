@@ -20,7 +20,8 @@ operator is the same sweep over the slots of the column.
 Every operator product but one is contracted by one engine, `_contract`, on
 exact integers: each state carries exponent vector -> count, one exponent
 per binding variable, the vector packed into one int (`poly.packing`);
-`LaurentPoly`s are built only from its result.  It
+`LaurentPoly`s are built only from its result.  Its front end numbers the
+variables into exponent slots, sets the cutoff and checks the states.  It
 serves vacuum expectation values (`vev`, `count_configurations`, convention
 resolution), the configuration listing (one exponent slot per layer, so an
 exponent vector is a row), strip matrix elements (`strip_vev`) and the image
@@ -524,42 +525,44 @@ def _with_units(plan: LayerPlan, units: Tuple[int, ...]) -> LayerPlan:
         for step in steps), residual, order
 
 
-def _check_width(state: Tuple[int, ...], width: int):
-    if len(state) != width:
-        raise ValueError("state width %d != operator width %d" % (len(state), width))
-
-
 # -- the contraction engine -------------------------------------------------
 
 # A coefficient of the engine: exponent vector -> integer count, with one
-# exponent slot per distinct binding variable.
+# exponent slot per distinct variable of the product.
 Counts = Dict[Tuple[int, ...], int]
 # One operator of a product: its sweep plan; a function that builds the plan
-# of its transpose (`_reverse_plan`), or None for a strip; its weighing --
-# the slot of a scalar atom (an int; a move adds alpha there) or one slot per
-# occupancy index (a tuple; a move adds out_p - in_p at slot p); and the
-# derivative (slot, order) applied after it, or None.
+# of its transpose (`_reverse_plan`), or None for a strip; its variable, a
+# Var whose power a move raises by its alpha (a scalar layer) or one Var per
+# occupancy index p whose power a move raises by out_p - in_p (a per-site
+# layer or a strip); and the order of the derivative in that Var applied
+# after it, 0 for none.
 ContractStep = Tuple[LayerPlan, Optional[Callable[[], LayerPlan]],
-                     Union[int, Tuple[int, ...]], Optional[Tuple[int, int]]]
+                     Union[Var, Tuple[Var, ...]], int]
 
 
-def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteState],
-              cutoff: int, n_slots: int,
+def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
+              bra: Optional[Sequence[int]] = None,
               projections: Optional[Mapping[int, Tuple[int, int]]] = None
-              ) -> Dict[SiteState, Counts]:
-    """S_1 S_2 ... S_r |ket> for steps written left to right, as state ->
-    exponent vector -> count.
+              ) -> Tuple[List[Var], Dict[SiteState, Counts]]:
+    """S_1 S_2 ... S_r |ket> for steps written left to right: the distinct
+    variables of the steps in order of first appearance, one exponent slot
+    each, and state -> exponent vector over them -> count.
+
+    The ket, the bra and every operator must have one width, and every
+    occupancy must be a non-negative int (ValueError otherwise).  Each
+    operator changes each occupancy by at most one, so the cutoff is max(ket)
+    plus the number of steps.
 
     Without a `bra` every reached state is returned: the steps act on the
     ket right to left.  With one, only its entry is (if reached), and the
     product is contracted from both ends at once.  The ket side holds
     S_g ... S_r |ket> and sweeps forward plans; the bra side holds
     <bra| S_1 ... S_{g'} and sweeps the transposes (`_reverse_plan`), with
-    per-index shifts negated.  Each operator changes each occupancy by at
-    most one, so each side keeps only states within the number of steps
-    beyond it of the other end: the ket side sweeps toward `bra`, the bra
-    side toward `ket`.  When every step is on one side or the other, the
-    states both sides hold are joined by convolving their exponent vectors.
+    per-index shifts negated.  Each side keeps only states within the
+    number of steps beyond it of the other end: the ket side sweeps toward
+    `bra`, the bra side toward `ket`.  When every step is on one side or the
+    other, the states both sides hold are joined by convolving their
+    exponent vectors.
 
     Each round expands one side, chosen from what the loop has seen: the
     bra side only when it holds fewer states than the ket side and also
@@ -586,28 +589,45 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
     n(n-1)/2 slots of a per-site stack takes a few machine words where a
     tuple takes one per slot.
     """
+    ket, bra = tuple(ket), bra if bra is None else tuple(bra)
+    occupancies = ket if bra is None else ket + bra
+    # a scalar step weighs its moves at one slot, a per-index step at one
+    # slot per occupancy index
+    slots: Dict[Var, int] = {}
+    weighs: List[Union[int, Tuple[int, ...]]] = []
+    widths = {len(ket)} if bra is None else {len(ket), len(bra)}
+    for plan, _, var, _ in steps:
+        widths.add(len(plan[3]))
+        weighs.append(tuple([slots.setdefault(v, len(slots)) for v in var])
+                      if isinstance(var, tuple) else slots.setdefault(var, len(slots)))
+    # an occupancy's class must be int itself: a bool or a float is refused
+    if len(widths) > 1 or any(m.__class__ is not int or m < 0 for m in occupancies):
+        raise ValueError("ket %r, bra %r, widths %s over states and operators: need one"
+                         " width and non-negative int occupancies" % (ket, bra, sorted(widths)))
+
     # |e_s| is at most the sum of what every step can change at slot s: a
-    # scalar move's alpha is at most 2 per site, an index move is +-1
-    reach = [0] * n_slots
-    for plan, _, weigh, deriv in steps:
-        if isinstance(weigh, tuple):
+    # scalar move's alpha is at most 2 per site, an index move is +-1, and a
+    # derivative lowers its slot by its order
+    reach = [0] * len(slots)
+    for (plan, _, _, order), weigh in zip(steps, weighs):
+        if weigh.__class__ is tuple:
             for s in weigh:
                 reach[s] += 1
         else:
-            reach[weigh] += 2 * len(plan[1])
-        if deriv:
-            reach[deriv[0]] += deriv[1]
-    width, read, unpack = packing(max(reach, default=0), n_slots)
+            reach[weigh] += 2 * len(plan[1]) + order
+    width, read, unpack = packing(max(reach, default=0), len(slots))
+    cutoff = max(ket, default=0) + len(steps)
 
     # the bra side stops at the first step without a transpose or with a
     # derivative, and builds each transpose only when it gets there
     crossable = 0
     if bra is not None:
-        for _, transpose, _, deriv in steps:
-            if transpose is None or deriv:
+        for _, transpose, _, order in steps:
+            if transpose is None or order:
                 break
             crossable += 1
 
+    atoms = list(slots)
     kets: Dict[SiteState, Dict[int, int]] = {ket: {0: 1}}
     bras: Dict[SiteState, Dict[int, int]] = {bra: {0: 1}}
     ket_growth = bra_growth = 1.0
@@ -620,18 +640,19 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
         if on_bra:
             # the transpose's moves run from out-state to in-state, so its
             # per-index shifts are negated
-            _, transpose, weigh, deriv = steps[lo]
-            plan, sign, side, target, slack = transpose(), -1, bras, ket, len(steps) - lo - 1
+            _, transpose, _, order = steps[lo]
+            plan, weigh = transpose(), weighs[lo]
+            sign, side, target, slack = -1, bras, ket, len(steps) - lo - 1
             lo += 1
             gap = lo
         else:
             hi -= 1
-            plan, _, weigh, deriv = steps[hi]
-            sign, side, target, slack = 1, kets, bra, hi
+            plan, _, _, order = steps[hi]
+            weigh, sign, side, target, slack = weighs[hi], 1, kets, bra, hi
             gap = hi
         # a scalar move's alpha is shifted into its slot; a per-index plan
         # sweeps its moves' packed shifts already (`_with_units`)
-        if isinstance(weigh, tuple):
+        if weigh.__class__ is tuple:
             plan, offset = _with_units(plan, tuple(sign << (width * s) for s in weigh)), 0
         else:
             offset = width * weigh
@@ -639,22 +660,21 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
         onto = None if bra is None or lo < hi else kets if on_bra else bras
         out = _sweep_map(plan, side, cutoff, offset, target, slack, onto)
         growth = len(out) / len(side)
-        if deriv:
-            s, k = deriv
+        if order:
             for state, coeff in out.items():
                 lowered: Dict[int, int] = {}
                 for key, c in coeff.items():
-                    e = read(key, s)
-                    for j in range(k):
+                    e = read(key, weigh)
+                    for j in range(order):
                         c *= e - j
                     if c:
-                        lowered[key - (k << (width * s))] = c
+                        lowered[key - (order << (width * weigh))] = c
                 out[state] = lowered
         keep = projections.get(gap) if projections else None
         side = {state: coeff for state, coeff in out.items()
                 if coeff and (keep is None or state[keep[0]] == keep[1])}
         if not side:
-            return {}
+            return atoms, {}
         if on_bra:
             bras, bra_growth = side, growth
         else:
@@ -670,7 +690,8 @@ def _contract(steps: Sequence[ContractStep], ket: SiteState, bra: Optional[SiteS
                     key += key_b
                     joined[key] = joined.get(key, 0) + c * c_b
         kets = {bra: joined} if joined else {}
-    return {state: {unpack(key): c for key, c in coeff.items()} for state, coeff in kets.items()}
+    return atoms, {state: {unpack(key): c for key, c in coeff.items()}
+                   for state, coeff in kets.items()}
 
 
 # -- partition specifications ---------------------------------------------
@@ -767,31 +788,22 @@ def inhomogeneous_spec(n: int, labels: Sequence[int]) -> PartitionSpec:
 
 # -- convention resolution -------------------------------------------------
 
-def _layer_steps(spec: PartitionSpec, convention: Convention
-                 ) -> Tuple[List[Var], List[ContractStep]]:
-    """The binding variables of a stack, one exponent slot each, and its
-    engine steps."""
+def _layer_steps(spec: PartitionSpec, convention: Convention) -> List[ContractStep]:
+    """The engine steps of a stack; a site map becomes one Var per
+    occupancy index."""
     n = spec.n
-    slots: Dict[Var, int] = {}
-    steps: List[ContractStep] = []
-    for layer in spec.layers:
-        binding = layer.binding
-        if isinstance(binding, Var):
-            weigh: Union[int, Tuple[int, ...]] = slots.setdefault(binding, len(slots))
-        else:
-            weigh = tuple(slots.setdefault(binding[s], len(slots)) for s in sites(n))
-        steps.append((_layer_plan(n, layer.label, convention),
-                      functools.partial(_reverse_plan, n, layer.label, convention), weigh,
-                      (weigh, layer.deriv) if layer.deriv else None))
-    return list(slots), steps
+    return [(_layer_plan(n, layer.label, convention),
+             functools.partial(_reverse_plan, n, layer.label, convention),
+             layer.binding if isinstance(layer.binding, Var)
+             else tuple(map(layer.binding.__getitem__, sites(n))), layer.deriv)
+            for layer in spec.layers]
 
 
 def _vev_counts(spec: PartitionSpec, convention: Convention) -> Tuple[List[Var], Counts]:
     """The vev as binding variables and exponent vector -> count
     (`_contract`)."""
-    atoms, steps = _layer_steps(spec, convention)
     vac = vacuum_state(spec.n)
-    counts = _contract(steps, vac, vac, len(spec.layers), len(atoms))
+    atoms, counts = _contract(_layer_steps(spec, convention), vac, vac)
     return atoms, counts.get(vac, {})
 
 
@@ -845,8 +857,7 @@ def vev(spec: PartitionSpec, convention: Convention = CONVENTION) -> LaurentPoly
     The product is contracted from both vacua at once (`_contract`): the
     last layers act on the ket, the transposes of the first layers
     (`_reverse_plan`) on the bra, and the two sides are joined on the states
-    both reach.  The cutoff is the number of layers, since occupancies grow
-    by at most one per layer.
+    both reach.
     """
     return LaurentPoly.from_exponents(*_vev_counts(spec, convention))
 
@@ -898,15 +909,11 @@ def apply_stack(spec: PartitionSpec, convention: Convention, ket: SiteState) -> 
     A scalar binding z weighs each move by z**alpha; a site-map binding (the
     per-site-variable layer) by prod_s z^{(s)} ** (out_s - in_s).  A
     derivative layer differentiates the coefficient of the layers right of
-    it and itself, as in `vev`.  The cutoff is max(ket) plus the number of
-    layers, since occupancies grow by at most one per layer.  Raises
-    ValueError on a state of another width.
+    it and itself, as in `vev`.  Raises ValueError on a state of another
+    width or with an occupancy that is not a non-negative int.
     """
-    _check_width(ket, spec.n * (spec.n - 1) // 2)
-    atoms, steps = _layer_steps(spec, convention)
-    cutoff = max(ket, default=0) + len(spec.layers)
-    return {state: LaurentPoly.from_exponents(atoms, counts)
-            for state, counts in _contract(steps, tuple(ket), None, cutoff, len(atoms)).items()}
+    atoms, image = _contract(_layer_steps(spec, convention), ket)
+    return {state: LaurentPoly.from_exponents(atoms, counts) for state, counts in image.items()}
 
 
 # -- column strip operators ------------------------------------------------
@@ -945,17 +952,6 @@ def _column_plan(ell: int, m: int) -> LayerPlan:
 StripLayer = Tuple[int, Sequence[Var]]
 
 
-def _strip_steps(layers: Sequence[StripLayer], m: int) -> Tuple[List[Var], List[ContractStep]]:
-    """The row variables of width-m strip layers, one exponent slot each,
-    and their engine steps."""
-    slots: Dict[Var, int] = {}
-    steps: List[ContractStep] = []
-    for ell, row_vars in layers:
-        weigh = tuple(slots.setdefault(z, len(slots)) for z in row_vars)
-        steps.append((_column_plan(ell, m), None, weigh, None))
-    return list(slots), steps
-
-
 def strip_vev(layers: Sequence[StripLayer], bra: Tuple[int, ...],
               ket: Tuple[int, ...],
               projections: Optional[Mapping[int, Tuple[int, int]]] = None
@@ -971,21 +967,17 @@ def strip_vev(layers: Sequence[StripLayer], bra: Tuple[int, ...],
     `projections` optionally maps a gap index g (between L_g and L_{g+1},
     1-based) to (slot, value): after the layers right of the gap have acted,
     only states with that slot occupancy are kept.  Raises ValueError when
-    the bra, the ket and the layers differ in width, when a row variable is
-    not a Var, or when a projection's gap is outside 1..r-1 or its slot
-    outside 0..m-1.
+    the bra, the ket and the layers differ in width, when an occupancy is
+    not a non-negative int, when a row variable is not a Var, or when a
+    projection's gap is outside 1..r-1 or its slot outside 0..m-1.
     """
-    _check_width(bra, len(ket))
     for t, (_, row_vars) in enumerate(layers, start=1):
-        _check_width(ket, len(row_vars))
         if not all(isinstance(z, Var) for z in row_vars):
             raise ValueError("strip layer %d: every row variable must be a Var" % t)
     for gap, (slot, _) in (projections or {}).items():
         if not (0 < gap < len(layers) and 0 <= slot < len(ket)):
             raise ValueError("projection at gap %r, slot %r: need a gap in 1..%d and a slot"
                              " in 0..%d" % (gap, slot, len(layers) - 1, len(ket) - 1))
-    atoms, steps = _strip_steps(layers, len(ket))
-    cutoff = len(layers) + max(ket, default=0)
-    bra = tuple(bra)
-    counts = _contract(steps, tuple(ket), bra, cutoff, len(atoms), projections)
-    return LaurentPoly.from_exponents(atoms, counts.get(bra, {}))
+    atoms, counts = _contract([(_column_plan(ell, len(row_vars)), None, tuple(row_vars), 0)
+                               for ell, row_vars in layers], ket, bra, projections)
+    return LaurentPoly.from_exponents(atoms, counts.get(tuple(bra), {}))

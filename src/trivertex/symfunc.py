@@ -60,7 +60,12 @@ def conjugate(parts: Sequence[int]) -> Tuple[int, ...]:
 
 def _alphabet(reach: int, alphabet: Sequence[Var]):
     """The alphabet's unit keys under `poly.packing(reach, len(alphabet))`,
-    and the conversion of a packed dict over them to a LaurentPoly."""
+    and the conversion of a packed dict over them to a LaurentPoly.  Raises
+    ValueError on a repeated variable: its fields would be read back as
+    exponents of one variable, each overwriting the last."""
+    if len(set(alphabet)) < len(alphabet):
+        repeated = next(v for i, v in enumerate(alphabet) if v in alphabet[:i])
+        raise ValueError("variable %r appears more than once in an alphabet" % (repeated,))
     width, _, unpack = packing(reach, len(alphabet))
 
     def to_poly(packed: Packed) -> LaurentPoly:

@@ -26,7 +26,6 @@ from trivertex.network import (
     _layer_plan,
     _reverse_plan,
     _site_table,
-    _strip_steps,
     _sweep,
     _sweep_map,
     _with_units,
@@ -268,12 +267,11 @@ def term_apply_strip(terms, combo, cutoff):
     return {s: c for s, c in out.items() if not c.is_zero()}
 
 
-def strip_image(ell, rv, state, cutoff):
+def strip_image(ell, rv, state):
     """Y_ell with row variables `rv` on one basis state, by the engine:
-    `_contract` on the strip's steps, with no bra."""
-    atoms, steps = _strip_steps([(ell, rv)], len(rv))
-    return {new: LaurentPoly.from_exponents(atoms, counts)
-            for new, counts in _contract(steps, state, None, cutoff, len(atoms)).items()}
+    `_contract` on the strip's step, with no bra."""
+    atoms, image = _contract([(_column_plan(ell, len(rv)), None, tuple(rv), 0)], state)
+    return {new: LaurentPoly.from_exponents(atoms, counts) for new, counts in image.items()}
 
 
 def term_strip_vev(layers, bra, ket, projections=None):
@@ -478,6 +476,9 @@ def test_stack_argument_errors():
         PartitionSpec(2, [LayerSpec(0, {(1, 1): Z[0]}, 1)])
     with pytest.raises(ValueError, match="width"):
         apply_stack(scalar_spec(2, (0,)), CONVENTION, (0, 0))
+    for ket in ((-1, 0, 0), (0.5, 0, 0)):
+        with pytest.raises(ValueError, match="non-negative int"):
+            apply_stack(scalar_spec(3, (2,)), CONVENTION, ket)
 
 
 def test_bindings_are_checked_when_the_spec_is_built():
@@ -577,7 +578,7 @@ def test_column_operator_tables_width2():
         assert {ops: c for c, ops in term_Y(ell, 2, row_vars(1, 2))} == table
         terms = [(c, ops) for ops, c in table.items()]
         for state in itertools.product(range(3), repeat=2):
-            assert (strip_image(ell, row_vars(1, 2), state, 3)
+            assert (strip_image(ell, row_vars(1, 2), state)
                     == term_apply_strip(terms, {state: LaurentPoly.one()}, 3)), (ell, state)
 
 
@@ -615,7 +616,7 @@ def test_strip_sweep_matches_term_route():
             rv = row_vars(1, m)
             terms = term_Y(ell, m, rv)
             for state in itertools.product(range(3), repeat=m):
-                assert (strip_image(ell, rv, state, 3)
+                assert (strip_image(ell, rv, state)
                         == term_apply_strip(terms, {state: LaurentPoly.one()}, 3)), \
                     (m, ell, state)
     # two-layer stacks Y_ell1(z_1) Y_ell2(z_2) between bras and kets with
@@ -630,6 +631,16 @@ def test_strip_sweep_matches_term_route():
                         assert (strip_vev(layers, bra, ket, proj)
                                 == term_strip_vev(term_layers, bra, ket, proj)), \
                             (m, ell1, ell2, bra, ket, proj)
+    # two layers sharing their row variables, on both sides of one layer
+    # whose row variables are all one Var: several indices in one exponent slot
+    m, rv, w = 2, row_vars(1, 2), [col_var(2, 1)] * 2
+    for ells in itertools.product(range(m + 1), repeat=3):
+        layers = list(zip(ells, (rv, w, rv)))
+        term_layers = [term_Y(ell, m, vs) for ell, vs in layers]
+        for bra in itertools.product(range(3), repeat=m):
+            for ket in itertools.product(range(3), repeat=m):
+                assert (strip_vev(layers, bra, ket)
+                        == term_strip_vev(term_layers, bra, ket)), (ells, bra, ket)
 
 
 def test_strip_overflow_at_cutoff():
@@ -639,8 +650,9 @@ def test_strip_overflow_at_cutoff():
     with pytest.raises(CutoffOverflow):
         _sweep(_column_plan(2, 2), (0, 2), 2)
     # with slot 1 occupied t kills that branch after the raise: no overflow
+    assert _sweep(_column_plan(2, 2), (1, 2), 2) == {((1, 2), 0): 1, ((2, 2), 0): 1}
     z1 = LaurentPoly.var(rv[0])
-    assert strip_image(2, rv, (1, 2), 2) == {(1, 2): LaurentPoly.one(), (2, 2): z1}
+    assert strip_image(2, rv, (1, 2)) == {(1, 2): LaurentPoly.one(), (2, 2): z1}
     with pytest.raises(ValueError):
         _column_plan(3, 2)
 
@@ -655,6 +667,10 @@ def test_strip_width_mismatch():
         strip_vev([(1, [z]), (1, row_vars(2, 2))], (0,), (0,))
     with pytest.raises(ValueError, match="strip layer 2: every row variable must be a Var"):
         strip_vev([(1, [z]), (0, [LaurentPoly.var(z)])], (0,), (0,))
+    # an occupancy that is negative or not an int is refused too
+    for state in ((0, -1), (0.5, 0), (True, 0)):
+        with pytest.raises(ValueError, match="non-negative int"):
+            strip_vev([(1, row_vars(1, 2))], state, state)
 
 
 def test_strip_projections_are_checked():

@@ -129,6 +129,20 @@ def test_pragacz_validation():
         schur_pragacz([(1, 1), (2, 1)], [[Z[0]], [Z[1]]])
 
 
+def test_repeated_variables_are_refused():
+    # a repeated variable's fields would read back as one exponent, the last
+    # overwriting the first: s_(1)(z1, z1) came out as z1, not 2 z1
+    twice = [Z[0], Z[0]]
+    for call in (lambda: schur_jacobi_trudi((1,), twice), lambda: schur_bialternant((1,), twice),
+                 lambda: schur_pragacz([(1, 2)], [twice]), lambda: elementary(1, twice),
+                 lambda: pair_product(twice)):
+        with pytest.raises(ValueError, match=r"Var\(z1\) appears more than once"):
+            call()
+    # det_poly and loop_elementary_general de-duplicate their alphabets
+    assert det_poly([[zp(1), zp(1)], [zp(1), zp(2)]]) == zp(1) * zp(2) - zp(1, 2)
+    assert loop_elementary_general([1, 1], lambda i, k: Z[0], 3) == 3 * zp(1, 2)
+
+
 def test_pragacz_rejects_a_perturbed_total(monkeypatch):
     # the first redistribution counted twice: the sum is not a polynomial
     redistributions = symfunc._redistributions
