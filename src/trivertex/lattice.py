@@ -17,7 +17,8 @@ negates the q's produced by the operator action itself.
 The tetrahedron-equation check composes four such tensors on four color lines
 and two Fock lines, in both orders, and compares the resulting maps sector by
 sector.  Each factor's action is tabled once per check, and coefficients are
-exact integer counts keyed by packed exponent vectors (`_tables`).
+packed polynomials over one `poly.Alphabet`, multiplied by `poly.add_product`
+(`_tables`, `_apply`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple, Union
 
 from .fock import CutoffOverflow, LocalOp, apply_local, q_to_zero
-from .poly import LaurentPoly, Var, packing
+from .poly import Alphabet, LaurentPoly, Var, add_product
 
 
 class MissingVariable(Exception):
@@ -120,11 +121,11 @@ def _tables(factors, space):
     """Each factor's table on occupancies 0..space-1, (i, j, m) -> moves
     (a, b, m2, packed coefficient), built once through `local_tensor` and
     `apply_entry`; a move past the truncation stays as (a, b, None, message)
-    and raises CutoffOverflow when reached.  A packed coefficient maps the
-    exponent vector over the variables, packed by `poly.packing`, to its
-    count.  A side applies each factor once, so the reach is len(factors)
-    times the largest |e_s|: a product adds keys, and dict equality is
-    polynomial equality.  Also returns `decode`, packed side -> poly side.
+    and raises CutoffOverflow when reached.  The coefficients are packed over
+    one `poly.Alphabet` of their variables.  A side applies each factor once,
+    so the reach is len(factors) times the largest |e_s|: a product adds
+    keys, and dict equality is polynomial equality.  Also returns `decode`,
+    packed side -> poly side.
     """
     tables = [{key: [] for key in product((0, 1), (0, 1), range(space))} for _ in factors]
     for (kind, z), table in zip(factors, tables):
@@ -133,19 +134,15 @@ def _tables(factors, space):
                 table[i, j, m] += [(a, b, m2, c) for m2, c in apply_entry(kind, entry, m, space)]
             except CutoffOverflow as exc:
                 table[i, j, m].append((a, b, None, str(exc)))
-    polys = [c.terms for t in tables for ms in t.values() for _, _, m2, c in ms if m2 is not None]
-    atoms = sorted({v for p in polys for mono in p for v, _ in mono}, key=Var.sort_key)
-    top = max((abs(e) for p in polys for mono in p for _, e in mono), default=0)
-    width, _, unpack = packing(len(factors) * top, len(atoms))
-    shift = {v: width * s for s, v in enumerate(atoms)}
+    monos = [mono for t in tables for ms in t.values() for _, _, m2, c in ms if m2 is not None
+             for mono in c.terms]
+    alphabet = Alphabet(dict.fromkeys(v for mono in monos for v, _ in mono),
+                        len(factors) * max((abs(e) for mono in monos for _, e in mono), default=0))
     for moves in [moves for t in tables for moves in t.values()]:
-        moves[:] = [(a, b, m2, c if m2 is None else {
-            sum(e << shift[v] for v, e in mono): k for mono, k in c.terms.items()})
-            for a, b, m2, c in moves]
+        moves[:] = [(a, b, m2, c if m2 is None else alphabet.pack(c)) for a, b, m2, c in moves]
 
     def decode(side):
-        return {state: LaurentPoly.from_exponents(
-            atoms, {unpack(key): k for key, k in coeff.items()}) for state, coeff in side.items()}
+        return {state: alphabet.poly(coeff) for state, coeff in side.items()}
     return tables, decode
 
 
@@ -159,11 +156,7 @@ def _apply(states, line_a, line_b, fock, table):
                 raise CutoffOverflow(mc)
             nxt = list(state)
             nxt[line_a], nxt[line_b], nxt[fock] = a, b, m2
-            acc = out.setdefault(tuple(nxt), {})
-            for key, c in coeff.items():
-                for key2, c2 in mc.items():
-                    key2 += key
-                    acc[key2] = acc.get(key2, 0) + c * c2
+            add_product(out.setdefault(tuple(nxt), {}), coeff, mc)
     return {state: kept for state, coeff in out.items()
             if (kept := {key: c for key, c in coeff.items() if c})}
 

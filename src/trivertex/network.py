@@ -18,10 +18,10 @@ that agree on the sites swept so far share one branch.  A one-column strip
 operator is the same sweep over the slots of the column.
 
 Every operator product but one is contracted by one engine, `_contract`, on
-exact integers: each state carries exponent vector -> count, one exponent
-per binding variable, the vector packed into one int (`poly.packing`);
-`LaurentPoly`s are built only from its result.  Its front end numbers the
-variables into exponent slots, sets the cutoff and checks the states.  It
+exact integers: each state carries a packed polynomial over one
+`poly.Alphabet` of the binding variables, and its callers build
+`LaurentPoly`s from the result with `Alphabet.poly`.  Its front end numbers
+the variables into the alphabet, sets the cutoff and checks the states.  It
 serves vacuum expectation values (`vev`, `count_configurations`, convention
 resolution), the configuration listing (one exponent slot per layer, so an
 exponent vector is a row), strip matrix elements (`strip_vev`) and the image
@@ -31,9 +31,9 @@ ends: the ket side sweeps the layers, the bra side their transposes
 (`_reverse_plan`: R0 is its own transpose with the color flow reversed, so
 the transpose is the layer swept against the flow), each side dropping
 states that can no longer reach the other end, and the two are joined where
-they meet.  Each round expands the side whose map is smaller now and is
-predicted smaller after; the round that closes the gap sweeps the smaller
-side, onto the other side's states only.
+they meet (`poly.add_product`).  Each round expands the side whose map is
+smaller now and is predicted smaller after; the round that closes the gap
+sweeps the smaller side, onto the other side's states only.
 
 A move leaves the sweep with its exponent shift.  A scalar layer's move
 carries alpha, which the engine shifts into the layer's slot.  A per-index
@@ -66,7 +66,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
 
 from .fock import CutoffOverflow, LocalOp, apply_local
 from .lattice import TensorKind, local_tensor
-from .poly import LaurentPoly, Var, packing
+from .poly import Alphabet, LaurentPoly, Packed, Var, add_product
 
 
 class NoConventionFound(Exception):
@@ -527,9 +527,6 @@ def _with_units(plan: LayerPlan, units: Tuple[int, ...]) -> LayerPlan:
 
 # -- the contraction engine -------------------------------------------------
 
-# A coefficient of the engine: exponent vector -> integer count, with one
-# exponent slot per distinct variable of the product.
-Counts = Dict[Tuple[int, ...], int]
 # One operator of a product: its sweep plan; a function that builds the plan
 # of its transpose (`_reverse_plan`), or None for a strip; its variable, a
 # Var whose power a move raises by its alpha (a scalar layer) or one Var per
@@ -543,10 +540,10 @@ ContractStep = Tuple[LayerPlan, Optional[Callable[[], LayerPlan]],
 def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
               bra: Optional[Sequence[int]] = None,
               projections: Optional[Mapping[int, Tuple[int, int]]] = None
-              ) -> Tuple[List[Var], Dict[SiteState, Counts]]:
-    """S_1 S_2 ... S_r |ket> for steps written left to right: the distinct
-    variables of the steps in order of first appearance, one exponent slot
-    each, and state -> exponent vector over them -> count.
+              ) -> Tuple[Alphabet, Dict[SiteState, Packed]]:
+    """S_1 S_2 ... S_r |ket> for steps written left to right: the
+    `poly.Alphabet` of the steps' distinct variables in order of first
+    appearance, and state -> packed polynomial over it.
 
     The ket, the bra and every operator must have one width, and every
     occupancy must be a non-negative int (ValueError otherwise).  Each
@@ -583,9 +580,8 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
     S_g and S_{g+1}, 1-based) to (index, occupancy): only states with that
     occupancy pass the gap.
 
-    Inside, an exponent vector is one integer in the layout of
-    `poly.packing`, its width from the largest reach of a slot, so a move
-    shifts a vector by one integer addition, and a vector over the r
+    The alphabet's reach is the largest reach of a slot, so a move shifts
+    an exponent vector by one integer addition, and a vector over the r
     n(n-1)/2 slots of a per-site stack takes a few machine words where a
     tuple takes one per slot.
     """
@@ -615,7 +611,8 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
                 reach[s] += 1
         else:
             reach[weigh] += 2 * len(plan[1]) + order
-    width, read, unpack = packing(max(reach, default=0), len(slots))
+    alphabet = Alphabet(slots, max(reach, default=0))
+    units = alphabet.units
     cutoff = max(ket, default=0) + len(steps)
 
     # the bra side stops at the first step without a transpose or with a
@@ -627,9 +624,8 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
                 break
             crossable += 1
 
-    atoms = list(slots)
-    kets: Dict[SiteState, Dict[int, int]] = {ket: {0: 1}}
-    bras: Dict[SiteState, Dict[int, int]] = {bra: {0: 1}}
+    kets: Dict[SiteState, Packed] = {ket: {0: 1}}
+    bras: Dict[SiteState, Packed] = {bra: {0: 1}}
     ket_growth = bra_growth = 1.0
     lo, hi = 0, len(steps)  # the bra side holds S_1 .. S_lo, the ket side the rest
     while lo < hi:
@@ -653,45 +649,39 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
         # a scalar move's alpha is shifted into its slot; a per-index plan
         # sweeps its moves' packed shifts already (`_with_units`)
         if weigh.__class__ is tuple:
-            plan, offset = _with_units(plan, tuple(sign << (width * s) for s in weigh)), 0
+            plan, offset = _with_units(plan, tuple(sign * units[s] for s in weigh)), 0
         else:
-            offset = width * weigh
+            offset = alphabet.width * weigh
         # where the sides meet, only moves onto the other side's states count
         onto = None if bra is None or lo < hi else kets if on_bra else bras
         out = _sweep_map(plan, side, cutoff, offset, target, slack, onto)
         growth = len(out) / len(side)
         if order:
             for state, coeff in out.items():
-                lowered: Dict[int, int] = {}
+                lowered: Packed = {}
                 for key, c in coeff.items():
-                    e = read(key, weigh)
+                    e = alphabet.read(key, weigh)
                     for j in range(order):
                         c *= e - j
                     if c:
-                        lowered[key - (order << (width * weigh))] = c
+                        lowered[key - order * units[weigh]] = c
                 out[state] = lowered
         keep = projections.get(gap) if projections else None
         side = {state: coeff for state, coeff in out.items()
                 if coeff and (keep is None or state[keep[0]] == keep[1])}
         if not side:
-            return atoms, {}
+            return alphabet, {}
         if on_bra:
             bras, bra_growth = side, growth
         else:
             kets, ket_growth = side, growth
     if bra is not None:
-        joined: Dict[int, int] = {}
+        joined: Packed = {}
         for state, coeff in bras.items():
-            other = kets.get(state)
-            if other is None:
-                continue
-            for key_b, c_b in coeff.items():
-                for key, c in other.items():
-                    key += key_b
-                    joined[key] = joined.get(key, 0) + c * c_b
+            if state in kets:
+                add_product(joined, coeff, kets[state])
         kets = {bra: joined} if joined else {}
-    return atoms, {state: {unpack(key): c for key, c in coeff.items()}
-                   for state, coeff in kets.items()}
+    return alphabet, kets
 
 
 # -- partition specifications ---------------------------------------------
@@ -799,12 +789,12 @@ def _layer_steps(spec: PartitionSpec, convention: Convention) -> List[ContractSt
             for layer in spec.layers]
 
 
-def _vev_counts(spec: PartitionSpec, convention: Convention) -> Tuple[List[Var], Counts]:
-    """The vev as binding variables and exponent vector -> count
+def _vev_counts(spec: PartitionSpec, convention: Convention) -> Tuple[Alphabet, Packed]:
+    """The vev packed over the alphabet of its binding variables
     (`_contract`)."""
     vac = vacuum_state(spec.n)
-    atoms, counts = _contract(_layer_steps(spec, convention), vac, vac)
-    return atoms, counts.get(vac, {})
+    alphabet, counts = _contract(_layer_steps(spec, convention), vac, vac)
+    return alphabet, counts.get(vac, {})
 
 
 def _monomial_anchor(n: int, labels: Sequence[int], convention: Convention) -> bool:
@@ -859,7 +849,8 @@ def vev(spec: PartitionSpec, convention: Convention = CONVENTION) -> LaurentPoly
     (`_reverse_plan`) on the bra, and the two sides are joined on the states
     both reach.
     """
-    return LaurentPoly.from_exponents(*_vev_counts(spec, convention))
+    alphabet, counts = _vev_counts(spec, convention)
+    return alphabet.poly(counts)
 
 
 def count_configurations(spec: PartitionSpec,
@@ -889,10 +880,10 @@ def enumerate_configurations(spec: PartitionSpec,
         if layer.deriv:
             raise ValueError("configuration listing needs plain layers")
     # one variable, so one exponent slot, per layer: an exponent vector is a row
-    _, counts = _vev_counts(PartitionSpec(spec.n, [
+    alphabet, counts = _vev_counts(PartitionSpec(spec.n, [
         LayerSpec(layer.label, Var.aux(t)) for t, layer in enumerate(spec.layers)]), convention)
     rows: List[Tuple[Tuple[int, ...], LaurentPoly]] = []
-    for alphas, count in sorted(counts.items()):
+    for alphas, count in sorted((alphabet.unpack(key), c) for key, c in counts.items()):
         exps: Dict[Var, int] = {}
         for layer, a in zip(spec.layers, alphas):
             exps[layer.binding] = exps.get(layer.binding, 0) + a
@@ -912,8 +903,12 @@ def apply_stack(spec: PartitionSpec, convention: Convention, ket: SiteState) -> 
     it and itself, as in `vev`.  Raises ValueError on a state of another
     width or with an occupancy that is not a non-negative int.
     """
-    atoms, image = _contract(_layer_steps(spec, convention), ket)
-    return {state: LaurentPoly.from_exponents(atoms, counts) for state, counts in image.items()}
+    # the engine takes each width from an operator, and an empty stack has none
+    width = len(vacuum_state(spec.n))
+    if len(ket) != width:
+        raise ValueError("ket %r: need width %d for n = %d" % (ket, width, spec.n))
+    alphabet, image = _contract(_layer_steps(spec, convention), ket)
+    return {state: alphabet.poly(counts) for state, counts in image.items()}
 
 
 # -- column strip operators ------------------------------------------------
@@ -978,6 +973,6 @@ def strip_vev(layers: Sequence[StripLayer], bra: Tuple[int, ...],
         if not (0 < gap < len(layers) and 0 <= slot < len(ket)):
             raise ValueError("projection at gap %r, slot %r: need a gap in 1..%d and a slot"
                              " in 0..%d" % (gap, slot, len(layers) - 1, len(ket) - 1))
-    atoms, counts = _contract([(_column_plan(ell, len(row_vars)), None, tuple(row_vars), 0)
-                               for ell, row_vars in layers], ket, bra, projections)
-    return LaurentPoly.from_exponents(atoms, counts.get(tuple(bra), {}))
+    alphabet, counts = _contract([(_column_plan(ell, len(row_vars)), None, tuple(row_vars), 0)
+                                  for ell, row_vars in layers], ket, bra, projections)
+    return alphabet.poly(counts.get(tuple(bra), {}))

@@ -16,6 +16,13 @@ Serialization orders terms by graded lexicographic comparison (total degree
 first, then exponents read along increasing variable order), largest term
 first, which makes the output deterministic.
 
+Packed polynomials
+------------------
+The oracles, the engine and the tetrahedron check compute on dicts from an
+exponent vector packed into one int (`packing`) to an int count.  An
+`Alphabet` gives each of its distinct Vars one field and converts both ways
+(`pack`, `poly`); `add_product` is the one product.
+
 Exact division
 --------------
 `exact_divide` strips each operand's content (the per-variable minimum
@@ -161,6 +168,9 @@ Monomial = Tuple[Tuple[Var, int], ...]
 
 ONE_MONOMIAL: Monomial = ()
 
+# a packed polynomial: packed exponent vector -> count (`Alphabet`)
+Packed = Dict[int, int]
+
 
 def monomial_from_dict(exps: Mapping[Var, int]) -> Monomial:
     items = [(v, e) for v, e in exps.items() if e != 0]
@@ -210,7 +220,8 @@ def packing(reach: int, slots: int) -> tuple:
     packed into one int: entry s adds e_s << (width * s), so the zero vector
     packs to 0, and while every entry stays within reach a sum of packed
     vectors is the packed sum.  Returns (width, read, unpack): read(key, s)
-    is entry s, unpack(key) the vector for `LaurentPoly.from_exponents`."""
+    is entry s, unpack(key) the vector as a tuple.  `Alphabet` puts one
+    Var on each field."""
     width = reach.bit_length() + 1
     half, mask = 1 << (width - 1), (1 << width) - 1
     offsets = range(0, width * slots, width)
@@ -266,18 +277,6 @@ class LaurentPoly:
         if coeff == 0:
             return LaurentPoly({})
         return LaurentPoly({monomial_from_dict(exps): int(coeff)})
-
-    @staticmethod
-    def from_exponents(atoms: Sequence[Var],
-                       counts: Mapping[Tuple[int, ...], int]) -> "LaurentPoly":
-        """sum over exponent vectors e of counts[e] * prod_s atoms[s] ** e[s].
-
-        The atoms are distinct Vars, so distinct vectors give distinct
-        monomials.
-        """
-        slots = sorted(range(len(atoms)), key=lambda s: atoms[s].sort_key())
-        return LaurentPoly({tuple((atoms[s], exps[s]) for s in slots if exps[s]): c
-                            for exps, c in counts.items() if c})
 
     # -- predicates --------------------------------------------------------
 
@@ -525,6 +524,53 @@ class LaurentPoly:
         """JSON-ready list of terms in canonical order, integer coefficients."""
         return [{"monomial": {v.name: e for v, e in m}, "coeff": c}
                 for m, c in self.sorted_terms()]
+
+
+# -- packed polynomials ----------------------------------------------------
+
+class Alphabet:
+    """Distinct Vars, one field each of `packing(reach, len(atoms))`: a
+    packed polynomial over them maps a packed exponent vector to its count,
+    so a product of monomials is a sum of keys (`add_product`)."""
+
+    def __init__(self, atoms: Sequence[Var], reach: int):
+        atoms = tuple(atoms)
+        self.atoms, self.reach = atoms, reach
+        self.width, self.read, self.unpack = packing(reach, len(atoms))
+        self.units = tuple(1 << self.width * s for s in range(len(atoms)))
+        self._unit = dict(zip(atoms, self.units))
+        if len(self._unit) < len(atoms):
+            # its fields would be read back as one exponent, the last winning
+            repeated = next(v for i, v in enumerate(atoms) if v in atoms[:i])
+            raise ValueError("variable %r appears more than once in an alphabet" % (repeated,))
+        self._slots = sorted(range(len(atoms)), key=lambda s: atoms[s].sort_key())
+
+    def pack(self, p: LaurentPoly) -> Packed:
+        """p packed; its variables are atoms, its exponents within reach."""
+        unit = self._unit
+        return {sum(unit[v] * e for v, e in m): c for m, c in p.terms.items()}
+
+    def poly(self, packed: Packed) -> LaurentPoly:
+        """The LaurentPoly of a packed dict; zero counts are dropped."""
+        atoms, slots, unpack = self.atoms, self._slots, self.unpack
+        out = {}
+        for key, c in packed.items():
+            if c:
+                exps = unpack(key)
+                out[tuple((atoms[s], exps[s]) for s in slots if exps[s])] = c
+        return LaurentPoly(out)
+
+
+def add_product(acc: Packed, a: Packed, b: Packed, scale: int = 1) -> Packed:
+    """acc += scale * a * b over packed polynomials, in place; cancelled keys
+    stay with count 0."""
+    get = acc.get
+    for ka, ca in a.items():
+        ca *= scale
+        for kb, cb in b.items():
+            key = ka + kb
+            acc[key] = get(key, 0) + ca * cb
+    return acc
 
 
 # -- exact division --------------------------------------------------------

@@ -9,13 +9,13 @@ i-th selected variable carries its own alphabet), the all-ones
 specialization, and the closed form for the first-variable derivative of a
 Schur polynomial.
 
-Inside, a polynomial over one alphabet is a dict from an exponent vector
-packed by `poly.packing(reach, len(alphabet))` (reach bounds every exponent
-reached) to an int count, so a product of monomials is a sum of keys.  Each
-public function builds one exact LaurentPoly, at its return.  Determinants
-use a column-subset memo: rows * 2^rows products of packed dicts.  The
-bialternant and redistribution routes divide their packed numerators by the
-Vandermonde product one linear factor at a time (`_divide_pairs`).
+Inside, each function computes on packed polynomials over one
+`poly.Alphabet`, whose reach bounds every exponent reached, multiplies them
+with `poly.add_product` and builds one exact LaurentPoly, at its return.
+Determinants use a column-subset memo: rows * 2^rows products of packed
+dicts.  The bialternant and redistribution routes divide their packed
+numerators by the Vandermonde product one linear factor at a time
+(`_divide_pairs`).
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .poly import InexactDivision, LaurentPoly, Var, packing
-
-# packed exponent vector -> count; zero counts may linger until the end
-Packed = Dict[int, int]
+from .poly import Alphabet, InexactDivision, LaurentPoly, Packed, Var, add_product
 
 
 class NonPolynomialResult(Exception):
@@ -56,36 +53,6 @@ def conjugate(parts: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sum(1 for p in nonzero if p >= c) for c in range(1, nonzero[0] + 1))
 
 
-# -- packed polynomials ----------------------------------------------------
-
-def _alphabet(reach: int, alphabet: Sequence[Var]):
-    """The alphabet's unit keys under `poly.packing(reach, len(alphabet))`,
-    and the conversion of a packed dict over them to a LaurentPoly.  Raises
-    ValueError on a repeated variable: its fields would be read back as
-    exponents of one variable, each overwriting the last."""
-    if len(set(alphabet)) < len(alphabet):
-        repeated = next(v for i, v in enumerate(alphabet) if v in alphabet[:i])
-        raise ValueError("variable %r appears more than once in an alphabet" % (repeated,))
-    width, _, unpack = packing(reach, len(alphabet))
-
-    def to_poly(packed: Packed) -> LaurentPoly:
-        return LaurentPoly.from_exponents(
-            alphabet, {unpack(key): c for key, c in packed.items()})
-
-    return [1 << width * s for s in range(len(alphabet))], to_poly
-
-
-def _add_product(acc: Packed, a: Packed, b: Packed, scale: int = 1) -> Packed:
-    """acc += scale * a * b, in place; cancelled keys stay with count 0."""
-    get = acc.get
-    for ka, ca in a.items():
-        ca *= scale
-        for kb, cb in b.items():
-            key = ka + kb
-            acc[key] = get(key, 0) + ca * cb
-    return acc
-
-
 # -- elementary symmetric polynomials -------------------------------------
 
 def _elementary(r: int, units: Sequence[int]) -> Packed:
@@ -95,8 +62,8 @@ def _elementary(r: int, units: Sequence[int]) -> Packed:
 
 def elementary(r: int, zvars: Sequence[Var]) -> LaurentPoly:
     """e_r over the given variables: 1 for r=0, 0 for r<0 or r>#vars."""
-    units, to_poly = _alphabet(1, zvars)
-    return to_poly(_elementary(r, units))
+    alphabet = Alphabet(zvars, 1)
+    return alphabet.poly(_elementary(r, alphabet.units))
 
 
 # -- determinants ----------------------------------------------------------
@@ -116,7 +83,7 @@ def _det(rows: List[List[Packed]]) -> Packed:
             for c in range(size):
                 if mask >> c & 1:
                     if rows[r][c]:
-                        _add_product(acc, rows[r][c], minor(r + 1, mask ^ 1 << c), sign)
+                        add_product(acc, rows[r][c], minor(r + 1, mask ^ 1 << c), sign)
                     sign = -sign
             cached = memo[mask] = {key: v for key, v in acc.items() if v}
         return cached
@@ -129,29 +96,24 @@ def det_poly(rows: List[List[LaurentPoly]]) -> LaurentPoly:
     entries' joint alphabet: a term multiplies `size` entries, so every
     exponent stays within size times the largest |exponent| of an entry."""
     monomials = [m for row in rows for p in row for m in p.terms]
-    alphabet = list(dict.fromkeys(v for m in monomials for v, _ in m))
-    reach = len(rows) * max((abs(e) for m in monomials for _, e in m), default=0)
-    units, to_poly = _alphabet(reach, alphabet)
-    unit_of = dict(zip(alphabet, units))
-    return to_poly(_det([[{sum(unit_of[v] * e for v, e in m): c for m, c in p.terms.items()}
-                          for p in row] for row in rows]))
+    alphabet = Alphabet(dict.fromkeys(v for m in monomials for v, _ in m),
+                        len(rows) * max((abs(e) for m in monomials for _, e in m), default=0))
+    return alphabet.poly(_det([[alphabet.pack(p) for p in row] for row in rows]))
 
 
-def _divide_pairs(packed: Packed, units: Sequence[int]) -> Packed:
-    """packed / prod_{a<b} (x_a - x_b) over unit keys x_a, one factor at a
-    time by synthetic division in x_a: from the top x_a level down, c x^k puts
-    c x^k / x_a into the quotient and carries c x^k x_b / x_a to the level
-    below, and the lowest level must cancel (InexactDivision otherwise).  A
-    carry keeps e_a + e_b fixed, and the packing's reach should cover it."""
-    # units[s] is 1 << width * s; half of each field lifts negative fields
-    width = units[1].bit_length() - 1 if len(units) > 1 else 1
-    mask, zero = (1 << width) - 1, sum(units) << width - 1
+def _divide_pairs(packed: Packed, alphabet: Alphabet) -> Packed:
+    """packed / prod_{a<b} (x_a - x_b) over the alphabet's atoms x_a, one
+    factor at a time by synthetic division in x_a: from the top x_a level
+    down, c x^k puts c x^k / x_a into the quotient and carries c x^k x_b / x_a
+    to the level below, and the lowest level must cancel (InexactDivision
+    otherwise).  A carry keeps e_a + e_b fixed, and the reach should cover it."""
+    units, read = alphabet.units, alphabet.read
     for a, b in combinations(range(len(units)), 2):
-        down, shift = units[b] - units[a], width * a
+        down = units[b] - units[a]
         levels: Dict[int, Packed] = {}
         for key, c in packed.items():
             if c:
-                levels.setdefault((key + zero) >> shift & mask, {})[key] = c
+                levels.setdefault(read(key, a), {})[key] = c
         if not levels:
             return {}
         quotient: Packed = {}
@@ -188,8 +150,8 @@ def schur_jacobi_trudi(parts: Sequence[int], zvars: Sequence[Var]) -> LaurentPol
     conjugate partition mu; division-free."""
     mu = conjugate(parts)
     # every entry has exponents at most 1, and a term multiplies len(mu)
-    units, to_poly = _alphabet(len(mu), zvars)
-    return to_poly(_det(_jacobi_trudi_rows(mu, units)))
+    alphabet = Alphabet(zvars, len(mu))
+    return alphabet.poly(_det(_jacobi_trudi_rows(mu, alphabet.units)))
 
 
 def schur_bialternant(parts: Sequence[int], zvars: Sequence[Var]) -> LaurentPoly:
@@ -202,9 +164,9 @@ def schur_bialternant(parts: Sequence[int], zvars: Sequence[Var]) -> LaurentPoly
     lam = tuple(parts) + (0,) * (n - len(parts))
     # variable i sits in row i only, with exponent at most lam_1 + n - 1,
     # doubled for the division's carries
-    units, to_poly = _alphabet(2 * (lam[0] + n - 1) if n else 0, zvars)
-    numerator = _alternant([lam[j] + n - (j + 1) for j in range(n)], units)
-    return to_poly(_divide_pairs(numerator, units))
+    alphabet = Alphabet(zvars, 2 * (lam[0] + n - 1) if n else 0)
+    numerator = _alternant([lam[j] + n - (j + 1) for j in range(n)], alphabet.units)
+    return alphabet.poly(_divide_pairs(numerator, alphabet))
 
 
 def _ordered_set_partitions(items: Sequence, sizes: Sequence[int]):
@@ -225,8 +187,8 @@ def _ordered_set_partitions(items: Sequence, sizes: Sequence[int]):
 
 def pair_product(vs: Sequence[Var]) -> LaurentPoly:
     """Product of (v_a - v_b) over all pairs a < b in the given order."""
-    units, to_poly = _alphabet(max(len(vs) - 1, 0), vs)
-    return to_poly(_alternant(range(len(vs) - 1, -1, -1), units))
+    alphabet = Alphabet(vs, max(len(vs) - 1, 0))
+    return alphabet.poly(_alternant(range(len(vs) - 1, -1, -1), alphabet.units))
 
 
 def _redistributions(units: Sequence[int], sizes: Sequence[int]):
@@ -239,7 +201,7 @@ def _redistributions(units: Sequence[int], sizes: Sequence[int]):
         multiplier = {0: -1 if crossed & 1 else 1}
         for blk in w:
             # a block lists its indices in increasing order
-            multiplier = _add_product({}, multiplier, _alternant(
+            multiplier = add_product({}, multiplier, _alternant(
                 range(len(blk) - 1, -1, -1), [units[i] for i in blk]))
         yield w, multiplier
 
@@ -255,9 +217,9 @@ def redistributions(all_vars: Sequence[Var], sizes: Sequence[int]):
     later block (the denominator then holds (b - a) instead of (a - b)).
     """
     # an exponent stays below its block's size
-    units, to_poly = _alphabet(max(sizes, default=1) - 1, all_vars)
-    for w, multiplier in _redistributions(units, sizes):
-        yield [tuple(all_vars[i] for i in blk) for blk in w], to_poly(multiplier)
+    alphabet = Alphabet(all_vars, max(sizes, default=1) - 1)
+    for w, multiplier in _redistributions(alphabet.units, sizes):
+        yield [tuple(all_vars[i] for i in blk) for blk in w], alphabet.poly(multiplier)
 
 
 def schur_pragacz(blocks: Sequence[Tuple[int, int]],
@@ -287,13 +249,14 @@ def schur_pragacz(blocks: Sequence[Tuple[int, int]],
     # doubled for the division's carries
     later = [sum(sizes[k + 1:]) for k in range(len(blocks))]
     reach = max(map(abs, values), default=0) + len(all_vars) - 1
-    units, to_poly = _alphabet(2 * reach, all_vars)
+    alphabet = Alphabet(all_vars, 2 * reach)
+    units = alphabet.units
     total: Packed = {}
     for w, multiplier in _redistributions(units, sizes):
         shift = sum(units[i] * (values[k] + later[k]) for k, blk in enumerate(w) for i in blk)
-        _add_product(total, multiplier, {shift: 1})
+        add_product(total, multiplier, {shift: 1})
     try:
-        return to_poly(_divide_pairs(total, units))
+        return alphabet.poly(_divide_pairs(total, alphabet))
     except InexactDivision as exc:
         raise NonPolynomialResult(str(exc))
 
@@ -333,17 +296,18 @@ def schur_derivative_oracle(parts: Sequence[int], m: int) -> LaurentPoly:
     size = len(mu)
     # s_lambda sits under z_1^(m-2), and the determinant of column l, of
     # exponent at most size - 1 in z_1, under z_1^(m-1) z_2^(m-2) ...
-    units, to_poly = _alphabet(max(size + m - 2, 0), zvars)
+    alphabet = Alphabet(zvars, max(size + m - 2, 0))
+    units = alphabet.units
     rows = _jacobi_trudi_rows(mu, units)
     stair = sum(u * (m - 1 - k) for k, u in enumerate(units))
     out: Packed = {}
     if m >= 2:
-        _add_product(out, {stair - units[0]: m - 1}, _det(rows))
+        add_product(out, {stair - units[0]: m - 1}, _det(rows))
     for lcol in range(size):
         column = [_elementary(mu[i] - i + lcol - 1, units[1:]) for i in range(size)]
         differentiated = [row[:lcol] + [column[i]] + row[lcol + 1:] for i, row in enumerate(rows)]
-        _add_product(out, {stair: 1}, _det(differentiated))
-    return to_poly(out)
+        add_product(out, {stair: 1}, _det(differentiated))
+    return alphabet.poly(out)
 
 
 # -- loop elementary symmetric functions ----------------------------------
@@ -365,15 +329,14 @@ def loop_elementary_general(sizes: Sequence[int], var_of: VarTable, n_cols: int)
     row_of_slot = [i for i, sz in enumerate(sizes, start=1) for _ in range(sz)]
     atoms = {(i, k): var_of(i, k) for i in set(row_of_slot) for k in range(1, n_cols + 1)}
     # var_of may send several positions to one variable, at most `total` times
-    alphabet = list(dict.fromkeys(atoms.values()))
-    units, to_poly = _alphabet(total, alphabet)
-    unit_of = dict(zip(alphabet, units))
+    alphabet = Alphabet(dict.fromkeys(atoms.values()), total)
+    unit_of = dict(zip(alphabet.atoms, alphabet.units))
     key_of = {ik: unit_of[v] for ik, v in atoms.items()}
     out: Packed = {}
     for chosen in combinations(range(1, n_cols + 1), total):
         key = sum(key_of[ik] for ik in zip(row_of_slot, chosen))
         out[key] = out.get(key, 0) + 1
-    return to_poly(out)
+    return alphabet.poly(out)
 
 
 def loop_elementary(k_rows: int, var_of: VarTable, n_cols: int) -> LaurentPoly:

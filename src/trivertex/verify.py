@@ -352,8 +352,8 @@ def _schur_and_counting(n: int, blocks: Sequence[Tuple[int, int]]) -> List[Check
     t0 = time.perf_counter()
     _check_schur_blocks(n, blocks)
     layout = _block_layout(blocks)
-    atoms, counts = _vev_counts(scalar_spec(n, layout[0]), CONVENTION)
-    schur = _schur_report(n, blocks, layout, LaurentPoly.from_exponents(atoms, counts), t0)
+    alphabet, counts = _vev_counts(scalar_spec(n, layout[0]), CONVENTION)
+    schur = _schur_report(n, blocks, layout, alphabet.poly(counts), t0)
     return [schur, _counting_report(n, blocks, layout, sum(counts.values()),
                                     time.perf_counter())]
 

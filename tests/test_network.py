@@ -270,8 +270,8 @@ def term_apply_strip(terms, combo, cutoff):
 def strip_image(ell, rv, state):
     """Y_ell with row variables `rv` on one basis state, by the engine:
     `_contract` on the strip's step, with no bra."""
-    atoms, image = _contract([(_column_plan(ell, len(rv)), None, tuple(rv), 0)], state)
-    return {new: LaurentPoly.from_exponents(atoms, counts) for new, counts in image.items()}
+    alphabet, image = _contract([(_column_plan(ell, len(rv)), None, tuple(rv), 0)], state)
+    return {new: alphabet.poly(counts) for new, counts in image.items()}
 
 
 def term_strip_vev(layers, bra, ket, projections=None):
@@ -474,8 +474,11 @@ def test_invalid_labels():
 def test_stack_argument_errors():
     with pytest.raises(ValueError, match="layer 1: derivative"):
         PartitionSpec(2, [LayerSpec(0, {(1, 1): Z[0]}, 1)])
-    with pytest.raises(ValueError, match="width"):
-        apply_stack(scalar_spec(2, (0,)), CONVENTION, (0, 0))
+    # an empty stack has no operator to take a width from
+    for spec, ket in ((scalar_spec(2, (0,)), (0, 0)), (scalar_spec(3, ()), (0, 0)),
+                      (scalar_spec(2, ()), ())):
+        with pytest.raises(ValueError, match="width"):
+            apply_stack(spec, CONVENTION, ket)
     for ket in ((-1, 0, 0), (0.5, 0, 0)):
         with pytest.raises(ValueError, match="non-negative int"):
             apply_stack(scalar_spec(3, (2,)), CONVENTION, ket)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trivertex.poly import (
+    Alphabet,
     DivisionByZero,
     InexactDivision,
     LaurentPoly,
@@ -15,6 +16,7 @@ from trivertex.poly import (
     NegativeExponentSubstitution,
     PolyError,
     Var,
+    add_product,
     exact_divide,
     monomial_degree,
     monomial_invert,
@@ -308,6 +310,38 @@ def test_packing_roundtrip_sum_and_read(case):
         assert unpack(key) == tuple(vec)
         assert [read(key, s) for s in range(len(vec))] == vec
     assert unpack(0) == (0,) * len(a)
+
+
+MIXED = [Q, X, Z, Var.site(1, 1, 1), Var.site(2, 1, 2), Var.aux(0), Var.aux(3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.permutations(MIXED), st.integers(min_value=0, max_value=9), st.data())
+def test_alphabet_pack_poly_and_product(pool, reach, data):
+    # over a permuted alphabet of mixed Var kinds, pack and poly invert each
+    # other, and add_product multiplies while every exponent stays in reach
+    atoms = pool[:data.draw(st.integers(min_value=0, max_value=len(pool)))]
+    alphabet = Alphabet(atoms, reach)
+
+    def draw_poly(bounds):
+        exps = st.tuples(*[st.integers(min_value=lo, max_value=hi) for lo, hi in bounds])
+        terms = data.draw(st.lists(st.tuples(exps, st.integers(-5, 5)), max_size=4))
+        return sum((LaurentPoly.monomial(dict(zip(atoms, e)), c) for e, c in terms),
+                   LaurentPoly.zero())
+
+    a = draw_poly([(-reach, reach)] * len(atoms))
+    # b's exponents stay within reach, and so do their sums with a's
+    cols = [[dict(m).get(v, 0) for m in a.terms] or [0] for v in atoms]
+    b = draw_poly([(max(-reach, -reach - min(col)), min(reach, reach - max(col)))
+                   for col in cols])
+    for p in (a, b):
+        assert alphabet.poly(alphabet.pack(p)) == p
+    assert alphabet.poly(add_product({}, alphabet.pack(a), alphabet.pack(b))) == a * b
+    if atoms:
+        at = data.draw(st.integers(min_value=0, max_value=len(atoms)))
+        twice = atoms[:at] + [data.draw(st.sampled_from(atoms))] + atoms[at:]
+        with pytest.raises(ValueError, match="appears more than once"):
+            Alphabet(twice, reach)
 
 
 # -- ordering and serialization -------------------------------------------

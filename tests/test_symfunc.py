@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trivertex import symfunc
-from trivertex.poly import InexactDivision, LaurentPoly, Var, exact_divide, packing
+from trivertex.poly import Alphabet, InexactDivision, LaurentPoly, Var, exact_divide
 from trivertex.symfunc import (
     NonPolynomialResult,
     conjugate,
@@ -161,9 +161,11 @@ def test_pragacz_rejects_a_perturbed_total(monkeypatch):
 def test_divide_pairs_rejects_a_perturbed_alternant():
     # s_(3,1) in three variables is the alternant of exponents 5, 2, 0 over
     # the Vandermonde product, packed at twice the exponent reach 5
-    units, to_poly = symfunc._alphabet(10, Z[:3])
+    alphabet = Alphabet(Z[:3], 10)
+    units = alphabet.units
     alternant = symfunc._alternant((5, 2, 0), units)
-    assert to_poly(symfunc._divide_pairs(alternant, units)) == schur_bialternant((3, 1), Z[:3])
+    assert alphabet.poly(symfunc._divide_pairs(alternant, alphabet)) == schur_bialternant(
+        (3, 1), Z[:3])
     # x_1^5 x_2^5 carries down to x_2^10, past what a field at reach 5 holds
     # (-8..7); a lone constant or x_3 leaves a remainder at once
     for extra in ({5 * units[0] + 5 * units[1]: 1}, {0: 7}, {units[2]: -1}):
@@ -171,9 +173,9 @@ def test_divide_pairs_rejects_a_perturbed_alternant():
         for key, c in extra.items():
             perturbed[key] = perturbed.get(key, 0) + c
         with pytest.raises(InexactDivision):
-            symfunc._divide_pairs(perturbed, units)
+            symfunc._divide_pairs(perturbed, alphabet)
         with pytest.raises(InexactDivision):
-            exact_divide(to_poly(perturbed), pair_product(Z[:3]))
+            exact_divide(alphabet.poly(perturbed), pair_product(Z[:3]))
 
 
 def test_routes_pack_numerators_wide_enough_for_carries(monkeypatch):
@@ -182,11 +184,10 @@ def test_routes_pack_numerators_wide_enough_for_carries(monkeypatch):
     divide_pairs = symfunc._divide_pairs
     calls = []
 
-    def checked(packed, units):
-        reach = (1 << units[1].bit_length() - 2) - 1
-        _, _, unpack = packing(reach, len(units))
-        calls.append(max(sum(sorted(unpack(key))[-2:]) for key in packed) <= reach)
-        return divide_pairs(packed, units)
+    def checked(packed, alphabet):
+        calls.append(max(sum(sorted(alphabet.unpack(key))[-2:]) for key in packed)
+                     <= alphabet.reach)
+        return divide_pairs(packed, alphabet)
 
     monkeypatch.setattr(symfunc, "_divide_pairs", checked)
     for parts in ((5,), (7, 2), (3, 3, 1)):
@@ -418,32 +419,26 @@ def test_packed_det_and_pair_product_match_references(size, alphabet, data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.permutations(MIXED[:5]), st.data())
-def test_divide_pairs_matches_exact_divide(alphabet, data):
+def test_divide_pairs_matches_exact_divide(pool, data):
     # Q times the Vandermonde product divides back to Q, and one more term
     # leaves a remainder; at most 5 variables, coefficients -9..9
-    vs = alphabet[:data.draw(st.integers(1, 5))]
-    counts = {}
-    for exps, c in data.draw(st.lists(st.tuples(
-            st.tuples(*[st.integers(-2, 2)] * len(vs)), st.integers(-9, 9)), max_size=4)):
-        counts[exps] = counts.get(exps, 0) + c
-    q = LaurentPoly.from_exponents(vs, counts)
+    vs = pool[:data.draw(st.integers(1, 5))]
+    terms = data.draw(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * len(vs)),
+                                         st.integers(-9, 9)), max_size=4))
+    q = sum((LaurentPoly.monomial(dict(zip(vs, exps)), c) for exps, c in terms),
+            LaurentPoly.zero())
     vandermonde = ref_pair_product(vs)
     numerator = q * vandermonde
     # a carry keeps e_a + e_b: pack at twice the largest |exponent|
     top = max((abs(e) for m in numerator.terms for _, e in m), default=0)
-    units, to_poly = symfunc._alphabet(2 * top, vs)
-    unit_of = dict(zip(vs, units))
-
-    def pack(p):
-        return {sum(unit_of[v] * e for v, e in m): c for m, c in p.terms.items()}
-
-    assert to_poly(symfunc._divide_pairs(pack(numerator), units)) == q
+    alphabet = Alphabet(vs, 2 * top)
+    assert alphabet.poly(symfunc._divide_pairs(alphabet.pack(numerator), alphabet)) == q
     assert exact_divide(numerator, vandermonde) == q
     if len(vs) > 1:
         exps = data.draw(st.tuples(*[st.integers(-top, top)] * len(vs)))
         c = data.draw(st.integers(-9, 9).filter(bool))
-        perturbed = numerator + LaurentPoly.from_exponents(vs, {exps: c})
+        perturbed = numerator + LaurentPoly.monomial(dict(zip(vs, exps)), c)
         with pytest.raises(InexactDivision):
-            symfunc._divide_pairs(pack(perturbed), units)
+            symfunc._divide_pairs(alphabet.pack(perturbed), alphabet)
         with pytest.raises(InexactDivision):
             exact_divide(perturbed, vandermonde)
