@@ -27,7 +27,6 @@ from .poly import (
     LaurentPoly,
     NegativeExponentSubstitution,
     Var,
-    exact_divide,
     parse_var_name,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "Var",
     "count_configurations",
     "enumerate_configurations",
-    "exact_divide",
     "inhomogeneous_spec",
     "parse_var_name",
     "resolve_convention",

@@ -32,8 +32,12 @@ ends: the ket side sweeps the layers, the bra side their transposes
 the transpose is the layer swept against the flow), each side dropping
 states that can no longer reach the other end, and the two are joined where
 they meet (`poly.add_product`).  Each round expands the side whose map is
-smaller now and is predicted smaller after; the round that closes the gap
-sweeps the smaller side, onto the other side's states only.
+smaller now and is predicted smaller after.  The gap closes by sweeping the
+smaller side onto the other side's states only: when the last two steps are
+layers without derivatives, through both in one walk over their shared
+frame (`_sweep_pair`), so the map between them is never built, and the
+round before, with three such steps left, expands the smaller side;
+otherwise through the last step alone.
 
 A move leaves the sweep with its exponent shift.  A scalar layer's move
 carries alpha, which the engine shifts into the layer's slot.  A per-index
@@ -490,6 +494,93 @@ def _sweep_map(plan: LayerPlan, states: Mapping[SiteState, Mapping[int, int]], c
     return image
 
 
+def _sweep_pair(first: Tuple[LayerPlan, int], second: Tuple[LayerPlan, int],
+                states: Mapping[SiteState, Mapping[int, int]], cutoff: int,
+                onto: Iterable[SiteState]) -> Dict[SiteState, Dict[int, int]]:
+    """The image of `states` under the first plan and then the second, kept
+    on `onto` only: `_sweep_map` of the second plan, with `onto`, over that
+    of the first, without building the map in between.  Each plan comes
+    with the offset of its alpha.
+
+    The two plans must share one `_plan_frame` (one n, reading and
+    direction), so one walk over its steps carries the edge colors of both
+    layers: it branches over the pairs of colors at a free stub, and at a
+    site applies the first table and then the second to the occupancy in
+    between.  A branch ends where either layer kills it or the final
+    occupancy leaves the trie of `onto`.  Raises CutoffOverflow if a
+    surviving move of either layer raises an occupancy past `cutoff`.
+    """
+    (colors0, first_steps, residual, order), offset = first
+    (second_colors, second_steps, _, _), second_offset = second
+    colors, colors2 = list(colors0), list(second_colors)
+    steps = tuple(step if step[0] < 0 else step + (step2[5],)
+                  for step, step2 in zip(first_steps, second_steps))
+    last = len(steps)
+    pairs = [(a, b) for a in residual for b in residual]
+    tree = _trie(order, states)
+    image: Dict[SiteState, Dict[int, int]] = {}
+
+    # as in `_sweep_map`: no undo on return, `node` and `into` the tries
+    # below the sites swept so far, or the one state left below them
+    def visit(t: int, node, into, alpha: int, alpha2: int, over: bool):
+        while t < last:
+            step = steps[t]
+            t += 1
+            if step[0] < 0:
+                slot = step[1]
+                for colors[slot], colors2[slot] in pairs[1:]:
+                    visit(t, node, into, alpha, alpha2, over)
+                colors[slot], colors2[slot] = pairs[0]
+                continue
+            idx, h_in, v_in, h_out, v_out, table, table2 = step
+            if node.__class__ is dict:
+                if len(node) > 1:
+                    t -= 1
+                    for m, below in node.items():
+                        visit(t, {m: below}, into, alpha, alpha2, over)
+                    return
+                [(m, node)] = node.items()
+            else:
+                m = node[idx]
+            hit = table[4 * colors[h_in] + 2 * colors[v_in] + (m > 0)]
+            if hit is None:
+                return
+            colors[h_out], colors[v_out], delta, d_alpha = hit
+            if delta:
+                if delta > 0 and m >= cutoff:
+                    over = True
+                m += delta
+            hit = table2[4 * colors2[h_in] + 2 * colors2[v_in] + (m > 0)]
+            if hit is None:
+                return
+            colors2[h_out], colors2[v_out], delta, d_alpha2 = hit
+            if delta:
+                if delta > 0 and m >= cutoff:
+                    over = True
+                m += delta
+            if into.__class__ is dict:
+                into = into.get(m)
+                if into is None:
+                    return
+            elif into[idx] != m:
+                return
+            alpha += d_alpha
+            alpha2 += d_alpha2
+        if over:
+            raise CutoffOverflow("internal: occupancy exceeded the layer budget")
+        acc = image.get(into)
+        if acc is None:
+            acc = image[into] = {}
+        shift = (alpha << offset) + (alpha2 << second_offset)
+        for key, c in states[node].items():
+            key += shift
+            acc[key] = acc.get(key, 0) + c
+
+    if tree:
+        visit(0, tree, _trie(order, onto), 0, 0, False)
+    return image
+
+
 def _trie(order: Sequence[int], states: Iterable[SiteState]) -> dict:
     """The states as nested dicts keyed by their occupancies at the indices
     in `order`, down to where a state is the only one below: that key maps
@@ -567,13 +658,25 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
     state in; 1 before its first); otherwise the ket side.  Growth, not
     moves per state: on the n = 10 staircase moves per state sent a third
     layer to the bra side just as the ket side's prune began to shrink its
-    map.  The round that closes the gap sweeps the side with fewer states
-    (the bra side when it may), and only onto states the other side holds:
-    the sweep follows their trie and ends a branch as soon as it leaves it,
-    so that round costs about the states it sweeps.  The bra side stops at
-    the first step without a transpose (a strip) or with a derivative, so a
-    strip product, and every contraction without a bra, runs on the ket
-    side alone.
+    map.  The bra side stops at the first step without a transpose (a strip)
+    or with a derivative, so a strip product, and every contraction without
+    a bra, runs on the ket side alone.
+
+    The round that closes the gap sweeps the side with fewer states (the
+    bra side when it may), and only onto states the other side holds: the
+    sweep follows their trie and ends a branch as soon as it leaves it, so
+    that round costs about the states it sweeps.  When the last two steps
+    can both cross (each has a transpose and no derivative) and no
+    projection sits between them, they close in one round (`_sweep_pair`):
+    the forward plans from the ket side, or the transposes from the bra
+    side, swept together site by site, so the map between the two layers,
+    which the other side would mostly not meet, is never built.  With three
+    such steps left, the round before expands the side with fewer states,
+    not the one the growth rule picks: on (6; 6,4,4,2,2,0) that rule would
+    take the ket side from 126 to 448 states before the close, where the
+    bra side goes from 32 to 126.  Anything else (a single step, a strip, a
+    derivative, a projection between the two) closes through the last step
+    alone.
 
     A derivative of order k maps exponent e at its slot to e - k with the
     count times e (e-1) ... (e-k+1).  `projections` maps a gap g (between
@@ -615,47 +718,57 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
     units = alphabet.units
     cutoff = max(ket, default=0) + len(steps)
 
-    # the bra side stops at the first step without a transpose or with a
-    # derivative, and builds each transpose only when it gets there
-    crossable = 0
-    if bra is not None:
-        for _, transpose, _, order in steps:
-            if transpose is None or order:
-                break
-            crossable += 1
+    # a step can cross when it has a transpose and no derivative; the bra
+    # side stops at the first step that cannot, and builds each transpose
+    # only when it gets there
+    cross = [transpose is not None and not order for _, transpose, _, order in steps]
+    crossable = 0 if bra is None else (cross + [False]).index(False)
 
     kets: Dict[SiteState, Packed] = {ket: {0: 1}}
     bras: Dict[SiteState, Packed] = {bra: {0: 1}}
     ket_growth = bra_growth = 1.0
     lo, hi = 0, len(steps)  # the bra side holds S_1 .. S_lo, the ket side the rest
     while lo < hi:
-        # the closing round sweeps onto the other side's states only, so its
-        # cost is about the states it sweeps
+        # the last two steps close in one sweep when both can cross and no
+        # projection sits between them; with three such steps left, the
+        # round before expands the smaller side
+        pairable = bra is not None and hi - lo <= 3 and all(cross[lo:hi]) and not (
+            projections and any(g in projections for g in range(lo + 1, hi)))
         on_bra = lo < crossable and len(bras) < len(kets) and (
-            hi - lo == 1 or len(bras) * bra_growth < len(kets) * ket_growth)
+            hi - lo == 1 or pairable or len(bras) * bra_growth < len(kets) * ket_growth)
+        take = 2 if pairable and hi - lo == 2 else 1
         if on_bra:
             # the transpose's moves run from out-state to in-state, so its
             # per-index shifts are negated
-            _, transpose, _, order = steps[lo]
-            plan, weigh = transpose(), weighs[lo]
-            sign, side, target, slack = -1, bras, ket, len(steps) - lo - 1
-            lo += 1
-            gap = lo
+            swept = range(lo, lo + take)
+            lo += take
+            sign, side, target, slack, gap = -1, bras, ket, len(steps) - lo, lo
         else:
-            hi -= 1
-            plan, _, _, order = steps[hi]
-            weigh, sign, side, target, slack = weighs[hi], 1, kets, bra, hi
-            gap = hi
-        # a scalar move's alpha is shifted into its slot; a per-index plan
-        # sweeps its moves' packed shifts already (`_with_units`)
-        if weigh.__class__ is tuple:
-            plan, offset = _with_units(plan, tuple(sign * units[s] for s in weigh)), 0
-        else:
-            offset = alphabet.width * weigh
-        # where the sides meet, only moves onto the other side's states count
+            hi -= take
+            swept = range(hi + take - 1, hi - 1, -1)
+            sign, side, target, slack, gap = 1, kets, bra, hi, hi
+        moves = []
+        for g in swept:
+            plan, transpose, _, order = steps[g]
+            weigh = weighs[g]
+            if on_bra:
+                plan = transpose()
+            # a scalar move's alpha is shifted into its slot; a per-index plan
+            # sweeps its moves' packed shifts already (`_with_units`)
+            if weigh.__class__ is tuple:
+                moves.append((_with_units(plan, tuple(sign * units[s] for s in weigh)), 0))
+            else:
+                moves.append((plan, alphabet.width * weigh))
+        # where the sides meet, only moves onto the other side's states count,
+        # so the closing round costs about the states it sweeps
         onto = None if bra is None or lo < hi else kets if on_bra else bras
-        out = _sweep_map(plan, side, cutoff, offset, target, slack, onto)
+        if take == 2:
+            out = _sweep_pair(moves[0], moves[1], side, cutoff, onto)
+        else:
+            [(plan, offset)] = moves
+            out = _sweep_map(plan, side, cutoff, offset, target, slack, onto)
         growth = len(out) / len(side)
+        # a pair has no derivative, so `order` and `weigh` are the one step's
         if order:
             for state, coeff in out.items():
                 lowered: Packed = {}

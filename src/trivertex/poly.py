@@ -22,20 +22,6 @@ The oracles, the engine and the tetrahedron check compute on dicts from an
 exponent vector packed into one int (`packing`) to an int count.  An
 `Alphabet` gives each of its distinct Vars one field and converts both ways
 (`pack`, `poly`); `add_product` is the one product.
-
-Exact division
---------------
-`exact_divide` strips each operand's content (the per-variable minimum
-exponent) and packs every monomial into one int: the total degree in the top
-field, then the exponents in variable order, each field with a guard bit on
-top, so integer comparison is the graded-lex order.  The fields are as wide as
-the larger top degree of the two operands; sized by the dividend alone, a
-divisor of higher degree would overflow them.  The remainder is a dict keyed
-by packed int with a lazily pruned max-heap of its keys.  A quotient monomial
-is (lead | guard bits) - divisor lead, and a cleared guard bit there is a
-negative exponent: no exact quotient.  No library route calls it: it is the
-public general division, and the reference the Schur oracles' division by the
-Vandermonde product (`symfunc._divide_pairs`) is tested against.
 """
 
 from __future__ import annotations
@@ -66,8 +52,8 @@ class DivisionByZero(PolyError):
 
 
 class InexactDivision(PolyError):
-    """exact_divide was called on operands whose quotient is not a Laurent
-    polynomial with integer coefficients."""
+    """A division whose quotient is not a Laurent polynomial with integer
+    coefficients."""
 
 
 class Var:
@@ -571,80 +557,3 @@ def add_product(acc: Packed, a: Packed, b: Packed, scale: int = 1) -> Packed:
             key = ka + kb
             acc[key] = get(key, 0) + ca * cb
     return acc
-
-
-# -- exact division --------------------------------------------------------
-
-
-def exact_divide(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Quotient a / b, which must be exact (a == q * b for a Laurent q).
-
-    Raises DivisionByZero if b is zero and InexactDivision if no Laurent
-    polynomial quotient with integer coefficients exists.
-    """
-    import heapq
-
-    if b.is_zero():
-        raise DivisionByZero("exact_divide by the zero polynomial")
-    if a.is_zero():
-        return LaurentPoly.zero()
-    universe = tuple(sorted(set(a.variables()) | set(b.variables()), key=Var.sort_key))
-    pos = {v: i for i, v in enumerate(universe)}
-
-    def stripped(p: LaurentPoly):
-        vecs = [[0] * len(universe) for _ in p.terms]
-        for vec, m in zip(vecs, p.terms):
-            for v, e in m:
-                vec[pos[v]] = e
-        content = [min(col) for col in zip(*vecs)]
-        return content, [[e - c for e, c in zip(vec, content)] for vec in vecs]
-
-    ca, vecs_a = stripped(a)
-    cb, vecs_b = stripped(b)
-    width = max(sum(vec) for vec in vecs_a + vecs_b).bit_length()
-    field = width + 1
-    guard = sum(1 << (width + i * field) for i in range(len(universe) + 1))
-
-    def pack(vec: Sequence[int]) -> int:
-        key = sum(vec)
-        for e in vec:
-            key = key << field | e
-        return key
-
-    rem = {pack(vec): c for vec, c in zip(vecs_a, a.terms.values())}
-    b_terms = sorted(zip(map(pack, vecs_b), b.terms.values()), reverse=True)
-    (lead_b, lead_b_coeff), rest_b = b_terms[0], b_terms[1:]
-    heap = [-key for key in rem]
-    heapq.heapify(heap)
-    quot: Dict[int, int] = {}
-    while heap:
-        lead_r = -heapq.heappop(heap)
-        coeff_r = rem.pop(lead_r, 0)
-        if not coeff_r:
-            continue  # cancelled after it was pushed
-        if coeff_r % lead_b_coeff != 0:
-            raise InexactDivision("leading coefficient %d not divisible by %d" % (coeff_r, lead_b_coeff))
-        qm = (lead_r | guard) - lead_b
-        if qm & guard != guard:
-            raise InexactDivision("no exact Laurent quotient")
-        qm ^= guard
-        qc = coeff_r // lead_b_coeff
-        quot[qm] = qc
-        for mb, cb_ in rest_b:
-            m = qm + mb
-            s = rem.get(m, 0) - qc * cb_
-            if not s:
-                rem.pop(m, None)
-                continue
-            if m not in rem:
-                heapq.heappush(heap, -m)
-            rem[m] = s
-    # unpack, restoring the monomial quotient of the two contents
-    mask = (1 << width) - 1
-    fields = [(v, field * (len(universe) - 1 - i), ca[i] - cb[i]) for i, v in enumerate(universe)]
-
-    def unpack(key: int) -> Monomial:
-        exps = ((v, (key >> off & mask) + shift) for v, off, shift in fields)
-        return tuple((v, e) for v, e in exps if e)
-
-    return LaurentPoly({unpack(key): c for key, c in quot.items()})

@@ -91,16 +91,6 @@ def _det(rows: List[List[Packed]]) -> Packed:
     return minor(0, (1 << size) - 1)
 
 
-def det_poly(rows: List[List[LaurentPoly]]) -> LaurentPoly:
-    """Determinant of a square matrix of polynomials, packed once over the
-    entries' joint alphabet: a term multiplies `size` entries, so every
-    exponent stays within size times the largest |exponent| of an entry."""
-    monomials = [m for row in rows for p in row for m in p.terms]
-    alphabet = Alphabet(dict.fromkeys(v for m in monomials for v, _ in m),
-                        len(rows) * max((abs(e) for m in monomials for _, e in m), default=0))
-    return alphabet.poly(_det([[alphabet.pack(p) for p in row] for row in rows]))
-
-
 def _divide_pairs(packed: Packed, alphabet: Alphabet) -> Packed:
     """packed / prod_{a<b} (x_a - x_b) over the alphabet's atoms x_a, one
     factor at a time by synthetic division in x_a: from the top x_a level

@@ -28,6 +28,7 @@ from trivertex.network import (
     _site_table,
     _sweep,
     _sweep_map,
+    _sweep_pair,
     _with_units,
     all_conventions,
     apply_stack,
@@ -776,6 +777,48 @@ def test_sweep_map_matches_one_state_at_a_time(data):
         out: dict(acc) for out, acc in expected.items()}
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sweep_pair_is_two_sweeps_onto_the_other_side(data):
+    # the two-layer close against two one-layer sweeps and the `onto`
+    # filter: forward plans or transposes, each scalar (alpha at an offset)
+    # or per-index (`_with_units`, units negated on transposes as in
+    # `_contract`), on states and `onto` states reached from the vacuum
+    n = data.draw(st.integers(2, 4), label="n")
+    conv = data.draw(st.sampled_from(all_conventions()), label="conv")
+    reverse = data.draw(st.booleans(), label="reverse")
+    width = n * (n - 1) // 2
+    units = tuple((-1 if reverse else 1) << (6 * p) for p in range(width))
+    plan_of = _reverse_plan if reverse else _layer_plan
+
+    def moves(label):
+        plan = plan_of(n, data.draw(st.integers(0, n), label=label), conv)
+        if data.draw(st.booleans(), label=label + " per index"):
+            return _with_units(plan, units), 0
+        return plan, data.draw(st.sampled_from((0, 5, 40)), label=label + " offset")
+
+    reached = {vacuum_state(n): {0: 1}}
+    for _ in range(data.draw(st.integers(0, 2), label="depth")):
+        reached = _sweep_map(plan_of(n, data.draw(st.integers(0, n), label="prefix"), conv),
+                             reached, 4) or reached
+    pool = sorted(reached)
+    states = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True),
+                       label="states")
+    counts = st.dictionaries(st.integers(-8, 8), st.integers(1, 3), min_size=1, max_size=3)
+    side = {state: data.draw(counts, label="counts") for state in states}
+    first, second = moves("first"), moves("second")
+    cutoff = max(map(max, side)) + 2
+    full = _sweep_map(second[0], _sweep_map(first[0], side, cutoff, first[1]), cutoff,
+                      second[1])
+    # some of the states both layers reach, and some they may not
+    onto = set(data.draw(st.lists(st.sampled_from(pool), max_size=4), label="onto"))
+    if full:
+        onto.update(data.draw(st.lists(st.sampled_from(sorted(full)), min_size=1),
+                              label="onto reached"))
+    assert _sweep_pair(first, second, side, cutoff, onto) == {
+        state: coeff for state, coeff in full.items() if state in onto}
+
+
 TRANSPOSE = {LocalOp.B_PLUS: LocalOp.B_MINUS, LocalOp.B_MINUS: LocalOp.B_PLUS,
              LocalOp.T_PROJ: LocalOp.T_PROJ, LocalOp.ID_B: LocalOp.ID_B,
              LocalOp.ID_R: LocalOp.ID_R}
@@ -978,6 +1021,15 @@ def test_sweep_overflow_at_cutoff():
         _sweep(_layer_plan(2, 0, CONVENTION), (2,), 2)
     # label 2 only lowers or keeps, so a full site is fine
     assert _sweep(_layer_plan(2, 2, CONVENTION), (2,), 2)
+    # the two-layer close raises for a surviving move of either layer, and
+    # only for one that reaches the other side
+    raises, keeps = (_layer_plan(2, 0, CONVENTION), 0), (_layer_plan(2, 2, CONVENTION), 0)
+    full = {(2,): {0: 1}}
+    for first, second in ((raises, raises), (raises, keeps), (keeps, raises)):
+        with pytest.raises(CutoffOverflow):
+            _sweep_pair(first, second, full, 2, [(2,), (3,), (4,)])
+    assert _sweep_pair(raises, raises, full, 2, [(2,)]) == {(2,): {0: 1}}
+    assert _sweep_pair(keeps, keeps, full, 2, [(0,), (1,), (2,)])
 
 
 def test_derivative_reads_its_field_over_negative_lower_fields():
@@ -1069,10 +1121,20 @@ def test_stack_vev_matches_term_route(spec, conv):
 
 @settings(max_examples=40, deadline=None)
 @given(small_stacks(max_n=6), st.sampled_from(all_conventions()))
-# Schur-rich and staircase stacks, where the bra side sweeps several layers
+# Schur-rich and staircase stacks, where the bra side sweeps several layers,
+# closed by one sweep of the last two: from the ket side, after the
+# three-left round expanded the smaller bra side
 @example(scalar_spec(6, (5, 5, 3, 3)), RESOLVED)
 @example(scalar_spec(5, (4, 3, 2, 1)), RESOLVED)
+@example(scalar_spec(6, (6, 4, 4, 2, 2, 0)), RESOLVED)
+@example(scalar_spec(5, (4, 4, 2, 2, 0)), RESOLVED)
+# from the bra side, on scalar and on per-site layers
+@example(scalar_spec(7, (6, 5, 3, 2, 1)), RESOLVED)
+@example(inhomogeneous_spec(4, (3, 3, 0, 0)), RESOLVED)
+# per-site layers from the ket side
 @example(inhomogeneous_spec(4, (4, 3, 0, 0)), RESOLVED)
+# a derivative in the last two steps: no pair, two one-layer rounds
+@example(scalar_spec(5, (4, 4, 2, 2, 0), derivs=(0, 0, 0, 1, 0)), RESOLVED)
 def test_two_sided_vev_is_the_vacuum_entry_of_the_ket_side(spec, conv):
     # `vev` contracts from the ket and the bra at once; `apply_stack` has no
     # bra, so it sweeps every layer from the ket

@@ -1,6 +1,7 @@
 """Laurent polynomial core: ring axioms, calculus, substitution, division."""
 
 import copy
+import heapq
 import pickle
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from trivertex.poly import (
     PolyError,
     Var,
     add_product,
-    exact_divide,
     monomial_degree,
     monomial_invert,
     monomial_mul,
@@ -142,6 +142,92 @@ def test_evaluate_fractions():
 
 
 # -- exact division --------------------------------------------------------
+
+def exact_divide(a, b):
+    """Quotient a / b, which must be exact (a == q * b for a Laurent q).
+
+    Strips each operand's content (the per-variable minimum exponent) and
+    packs every monomial into one int: the total degree in the top field,
+    then the exponents in variable order, each field with a guard bit on
+    top, so integer comparison is the graded-lex order.  The fields are as
+    wide as the larger top degree of the two operands; sized by the
+    dividend alone, a divisor of higher degree would overflow them.  The
+    remainder is a dict keyed by packed int with a lazily pruned max-heap of
+    its keys.  A quotient monomial is (lead | guard bits) - divisor lead, and
+    a cleared guard bit there is a negative exponent: no exact quotient.
+
+    No library route divides a general pair of polynomials: this is the
+    reference the Schur oracles' division by the Vandermonde product
+    (`symfunc._divide_pairs`) is checked against, itself checked against the
+    term route below.  Raises DivisionByZero if b is zero and
+    InexactDivision if no Laurent polynomial quotient with integer
+    coefficients exists.
+    """
+    if b.is_zero():
+        raise DivisionByZero("exact_divide by the zero polynomial")
+    if a.is_zero():
+        return LaurentPoly.zero()
+    universe = tuple(sorted(set(a.variables()) | set(b.variables()), key=Var.sort_key))
+    pos = {v: i for i, v in enumerate(universe)}
+
+    def stripped(p):
+        vecs = [[0] * len(universe) for _ in p.terms]
+        for vec, m in zip(vecs, p.terms):
+            for v, e in m:
+                vec[pos[v]] = e
+        content = [min(col) for col in zip(*vecs)]
+        return content, [[e - c for e, c in zip(vec, content)] for vec in vecs]
+
+    ca, vecs_a = stripped(a)
+    cb, vecs_b = stripped(b)
+    width = max(sum(vec) for vec in vecs_a + vecs_b).bit_length()
+    field = width + 1
+    guard = sum(1 << (width + i * field) for i in range(len(universe) + 1))
+
+    def pack(vec):
+        key = sum(vec)
+        for e in vec:
+            key = key << field | e
+        return key
+
+    rem = {pack(vec): c for vec, c in zip(vecs_a, a.terms.values())}
+    b_terms = sorted(zip(map(pack, vecs_b), b.terms.values()), reverse=True)
+    (lead_b, lead_b_coeff), rest_b = b_terms[0], b_terms[1:]
+    heap = [-key for key in rem]
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        lead_r = -heapq.heappop(heap)
+        coeff_r = rem.pop(lead_r, 0)
+        if not coeff_r:
+            continue  # cancelled after it was pushed
+        if coeff_r % lead_b_coeff != 0:
+            raise InexactDivision("leading coefficient %d not divisible by %d" % (coeff_r, lead_b_coeff))
+        qm = (lead_r | guard) - lead_b
+        if qm & guard != guard:
+            raise InexactDivision("no exact Laurent quotient")
+        qm ^= guard
+        qc = coeff_r // lead_b_coeff
+        quot[qm] = qc
+        for mb, cb_ in rest_b:
+            m = qm + mb
+            s = rem.get(m, 0) - qc * cb_
+            if not s:
+                rem.pop(m, None)
+                continue
+            if m not in rem:
+                heapq.heappush(heap, -m)
+            rem[m] = s
+    # unpack, restoring the monomial quotient of the two contents
+    mask = (1 << width) - 1
+    fields = [(v, field * (len(universe) - 1 - i), ca[i] - cb[i]) for i, v in enumerate(universe)]
+
+    def unpack(key):
+        exps = ((v, (key >> off & mask) + shift) for v, off, shift in fields)
+        return tuple((v, e) for v, e in exps if e)
+
+    return LaurentPoly({unpack(key): c for key, c in quot.items()})
+
 
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys())

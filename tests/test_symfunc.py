@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trivertex import symfunc
-from trivertex.poly import Alphabet, InexactDivision, LaurentPoly, Var, exact_divide
+from trivertex.poly import Alphabet, InexactDivision, LaurentPoly, Var
 from trivertex.symfunc import (
     NonPolynomialResult,
     conjugate,
-    det_poly,
     elementary,
     loop_elementary,
     loop_elementary_general,
@@ -23,6 +22,7 @@ from trivertex.symfunc import (
     schur_pragacz,
     validate_partition,
 )
+from test_poly import exact_divide
 
 Z = [Var.layer(t) for t in range(1, 8)]
 
@@ -310,6 +310,17 @@ def test_loop_elementary_pascal_recursion(k, n):
 
 
 # -- the LaurentPoly routes the packed oracles replaced, kept as references --
+
+def det_poly(rows):
+    """The packed determinant `symfunc._det` of a square matrix of
+    polynomials, packed once over the entries' joint alphabet: a term
+    multiplies `size` entries, so every exponent stays within size times the
+    largest |exponent| of an entry.  A repeated variable is one atom."""
+    monomials = [m for row in rows for p in row for m in p.terms]
+    alphabet = Alphabet(dict.fromkeys(v for m in monomials for v, _ in m),
+                        len(rows) * max((abs(e) for m in monomials for _, e in m), default=0))
+    return alphabet.poly(symfunc._det([[alphabet.pack(p) for p in row] for row in rows]))
+
 
 def ref_elementary(r, zvars):
     if r < 0:
