@@ -34,10 +34,10 @@ states that can no longer reach the other end, and the two are joined where
 they meet (`poly.add_product`).  Each round expands the side whose map is
 smaller now and is predicted smaller after.  The gap closes by sweeping the
 smaller side onto the other side's states only: when the last two steps are
-layers without derivatives, through both in one walk over their shared
-frame (`_sweep_pair`), so the map between them is never built, and the
-round before, with three such steps left, expands the smaller side;
-otherwise through the last step alone.
+layers without derivatives, through both in one sweep (`_sweep_map` of two
+plans, one walk over their shared frame), so the map between them is never
+built, and the round before, with three such steps left, expands the
+smaller side; otherwise through the last step alone.
 
 A move leaves the sweep with its exponent shift.  A scalar layer's move
 carries alpha, which the engine shifts into the layer's slot.  A per-index
@@ -65,8 +65,8 @@ battery's `convention` check and in the tests.
 from __future__ import annotations
 
 import functools
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Collection, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from .fock import CutoffOverflow, LocalOp, apply_local
 from .lattice import TensorKind, local_tensor
@@ -253,12 +253,14 @@ Binding = Union[Var, Mapping[Site, Var]]
 
 # One step of a site sweep (of a layer, its transpose or a column strip): a
 # branch over the colors of a free stub the sweep reads, (-1, slot), or a
-# site, (occupancy index, h_in, v_in, h_out, v_out slots, table).  The site
-# table is indexed by 4 h_in + 2 v_in + (occupancy > 0) and holds (h_out
+# site, (occupancy index, h_in, v_in, h_out, v_out slots, table, None).  The
+# site table is indexed by 4 h_in + 2 v_in + (occupancy > 0) and holds (h_out
 # color, v_out color, occupancy change, alpha increment), or None where no R0
 # entry survives; `_with_units` turns the increment into a packed exponent
-# shift.  A plan is (initial colors by slot, steps, the colors a free stub is
-# summed over, the occupancy indices in the order its sites read them).
+# shift.  The last field is where a two-plan `_sweep_map` puts the second
+# layer's table.  A plan is (initial colors by slot, steps, the colors a free
+# stub is summed over, the occupancy indices in the order its sites read
+# them).
 LayerPlan = Tuple[Tuple[int, ...], Tuple[tuple, ...], Tuple[int, ...], Tuple[int, ...]]
 
 
@@ -327,7 +329,7 @@ def _layer_plan(n: int, i: int, convention: Convention, reverse: bool = False) -
         colors[slots[e]] = c
     return tuple(colors), tuple(
         step if step[0] < 0 else step[:5] + (table(pinned.get(step[5]), pinned.get(step[6]),
-                                                   step[7], step[8]),)
+                                                   step[7], step[8]), None)
         for step in steps), residual, order
 
 
@@ -396,17 +398,20 @@ def _sweep(plan: LayerPlan, state: SiteState, cutoff: int
     """(out_state, alpha) -> multiplicity for one plan acting on `state`
     (`_sweep_map` of one state)."""
     return {(new, alpha): mult
-            for new, coeff in _sweep_map(plan, {state: {0: 1}}, cutoff).items()
+            for new, coeff in _sweep_map([(plan, 0)], {state: {0: 1}}, cutoff).items()
             for alpha, mult in coeff.items()}
 
 
-def _sweep_map(plan: LayerPlan, states: Mapping[SiteState, Mapping[int, int]], cutoff: int,
-               offset: int = 0, target: Optional[SiteState] = None, slack: int = 0,
-               onto: Optional[Iterable[SiteState]] = None) -> Dict[SiteState, Dict[int, int]]:
-    """The image of `states`, state -> (key -> count), under one plan: each
-    move adds alpha << `offset` to the keys of its state's counts, alpha the
-    sum of the site increments along the move (its weighted output colors
-    for a layer plan, its packed exponent shift for a plan from
+def _sweep_map(layers: Sequence[Tuple[LayerPlan, int]],
+               states: Mapping[SiteState, Mapping[int, int]], cutoff: int,
+               target: Optional[SiteState] = None, slack: int = 0,
+               onto: Optional[Collection[SiteState]] = None
+               ) -> Dict[SiteState, Dict[int, int]]:
+    """The image of `states`, distinct states -> (key -> count), under one
+    or two plans, each with an offset, the second acting after the first:
+    each move adds alpha << offset to the keys of its state's counts, alpha
+    the sum of the site increments along the move (its weighted output
+    colors for a layer plan, its packed exponent shift for a plan from
     `_with_units`).
 
     A depth-first sweep over the sites: each site's operator acts on the
@@ -418,13 +423,36 @@ def _sweep_map(plan: LayerPlan, states: Mapping[SiteState, Mapping[int, int]], c
     not once per state.  With a `target` only moves onto states within
     `slack` of it in every index are kept: a branch also ends at the first
     site whose (final) occupancy is farther from the target than that.  With
-    `onto` only moves onto those states are kept, and a branch ends at the
-    first site whose occupancy leaves their trie.  Raises CutoffOverflow if a
-    surviving move raises an occupancy past `cutoff`.
+    `onto`, distinct states, only moves onto those states are kept, and a
+    branch ends at the first site whose occupancy leaves their trie.  Raises
+    CutoffOverflow if a surviving move raises an occupancy past `cutoff`.
+
+    Two plans must share one `_plan_frame` (one n, reading and direction),
+    and need `onto` (ValueError otherwise): they are the close of two
+    layers onto the other side's states.  One walk over the frame's steps
+    carries the edge colors of both layers, the second layer's in slots
+    after the first's: it branches over each color of a free stub for
+    either layer, and at a site applies the first table and then the second
+    to the occupancy in between, so the map between the two layers is never
+    built.  A plan's site steps leave the second table's field None; the
+    two-plan walk fills it in on a copy of the first plan's steps.
     """
-    colors0, steps, residual, order = plan
-    colors = list(colors0)
+    (colors0, steps, residual, order), offset = layers[0]
+    colors, gap, second_offset = list(colors0), len(colors0), 0
+    if len(layers) > 1:
+        if onto is None:
+            raise ValueError("a two-plan sweep keeps only moves onto given states")
+        (second_colors, second_steps, _, _), second_offset = layers[1]
+        colors += second_colors
+        # each free-stub branch is followed by its copy on the second
+        # layer's slot, so the walk branches over every pair of colors
+        paired: List[tuple] = []
+        for step, step2 in zip(steps, second_steps):
+            paired += ((step, (-1, step[1] + gap)) if step[0] < 0
+                       else (step[:6] + (step2[5],),))
+        steps = tuple(paired)
     last = len(steps)
+    first_color, other_colors = residual[0], residual[1:]
     tree = _trie(order, states)
     occ = [0] * len(order)
     image: Dict[SiteState, Dict[int, int]] = {}
@@ -433,108 +461,20 @@ def _sweep_map(plan: LayerPlan, states: Mapping[SiteState, Mapping[int, int]], c
     # steps, and every slot is written before it is read, so returning from
     # a branch needs no undo.  `node` is the input trie below the sites swept
     # so far, or the one state left below them; `into` likewise for `onto`.
-    def visit(t: int, node, into, alpha: int, over: bool):
-        while t < last:
-            step = steps[t]
-            t += 1
-            if step[0] < 0:
-                for hv in residual[1:]:
-                    colors[step[1]] = hv
-                    visit(t, node, into, alpha, over)
-                colors[step[1]] = residual[0]
-                continue
-            idx, h_in, v_in, h_out, v_out, table = step
-            if node.__class__ is dict:
-                if len(node) > 1:
-                    # the input states part here
-                    t -= 1
-                    for m, below in node.items():
-                        visit(t, {m: below}, into, alpha, over)
-                    return
-                [(m, node)] = node.items()
-            else:
-                m = node[idx]
-            hit = table[4 * colors[h_in] + 2 * colors[v_in] + (m > 0)]
-            if hit is None:
-                return
-            colors[h_out], colors[v_out], delta, d_alpha = hit
-            if delta:
-                if delta > 0 and m >= cutoff:
-                    over = True
-                m += delta
-            occ[idx] = m
-            # each occupancy index belongs to one step, so m is final here
-            if into is not None:
-                if into.__class__ is dict:
-                    into = into.get(m)
-                    if into is None:
-                        return
-                elif into[idx] != m:
-                    return
-            elif target is not None and not -slack <= m - target[idx] <= slack:
-                return
-            alpha += d_alpha
-        if over:
-            raise CutoffOverflow("internal: occupancy exceeded the layer budget")
-        new = into if into is not None else tuple(occ)
-        # share the input tuple when nothing moved, so a state the engine
-        # keeps is held by one tuple, not two
-        if new == node:
-            new = node
-        acc = image.get(new)
-        if acc is None:
-            acc = image[new] = {}
-        shift = alpha << offset
-        for key, c in states[node].items():
-            key += shift
-            acc[key] = acc.get(key, 0) + c
-
-    if tree:
-        visit(0, tree, None if onto is None else _trie(order, onto), 0, False)
-    return image
-
-
-def _sweep_pair(first: Tuple[LayerPlan, int], second: Tuple[LayerPlan, int],
-                states: Mapping[SiteState, Mapping[int, int]], cutoff: int,
-                onto: Iterable[SiteState]) -> Dict[SiteState, Dict[int, int]]:
-    """The image of `states` under the first plan and then the second, kept
-    on `onto` only: `_sweep_map` of the second plan, with `onto`, over that
-    of the first, without building the map in between.  Each plan comes
-    with the offset of its alpha.
-
-    The two plans must share one `_plan_frame` (one n, reading and
-    direction), so one walk over its steps carries the edge colors of both
-    layers: it branches over the pairs of colors at a free stub, and at a
-    site applies the first table and then the second to the occupancy in
-    between.  A branch ends where either layer kills it or the final
-    occupancy leaves the trie of `onto`.  Raises CutoffOverflow if a
-    surviving move of either layer raises an occupancy past `cutoff`.
-    """
-    (colors0, first_steps, residual, order), offset = first
-    (second_colors, second_steps, _, _), second_offset = second
-    colors, colors2 = list(colors0), list(second_colors)
-    steps = tuple(step if step[0] < 0 else step + (step2[5],)
-                  for step, step2 in zip(first_steps, second_steps))
-    last = len(steps)
-    pairs = [(a, b) for a in residual for b in residual]
-    tree = _trie(order, states)
-    image: Dict[SiteState, Dict[int, int]] = {}
-
-    # as in `_sweep_map`: no undo on return, `node` and `into` the tries
-    # below the sites swept so far, or the one state left below them
+    # `alpha2` sums the second plan's increments.
     def visit(t: int, node, into, alpha: int, alpha2: int, over: bool):
         while t < last:
             step = steps[t]
             t += 1
             if step[0] < 0:
-                slot = step[1]
-                for colors[slot], colors2[slot] in pairs[1:]:
+                for colors[step[1]] in other_colors:
                     visit(t, node, into, alpha, alpha2, over)
-                colors[slot], colors2[slot] = pairs[0]
+                colors[step[1]] = first_color
                 continue
-            idx, h_in, v_in, h_out, v_out, table, table2 = step
+            idx, h_in, v_in, h_out, v_out, table, second = step
             if node.__class__ is dict:
                 if len(node) > 1:
+                    # the input states part here
                     t -= 1
                     for m, below in node.items():
                         visit(t, {m: below}, into, alpha, alpha2, over)
@@ -550,41 +490,59 @@ def _sweep_pair(first: Tuple[LayerPlan, int], second: Tuple[LayerPlan, int],
                 if delta > 0 and m >= cutoff:
                     over = True
                 m += delta
-            hit = table2[4 * colors2[h_in] + 2 * colors2[v_in] + (m > 0)]
-            if hit is None:
-                return
-            colors2[h_out], colors2[v_out], delta, d_alpha2 = hit
-            if delta:
-                if delta > 0 and m >= cutoff:
-                    over = True
-                m += delta
-            if into.__class__ is dict:
-                into = into.get(m)
-                if into is None:
+            if into is None:
+                # each occupancy index belongs to one step, so m is final here
+                occ[idx] = m
+                if target is not None and not -slack <= m - target[idx] <= slack:
                     return
-            elif into[idx] != m:
-                return
+            else:
+                # only a sweep onto `onto` has a second table, so a sweep
+                # without one never tests for it; m is final after it
+                if second is not None:
+                    hit = second[4 * colors[h_in + gap] + 2 * colors[v_in + gap] + (m > 0)]
+                    if hit is None:
+                        return
+                    colors[h_out + gap], colors[v_out + gap], delta, d_alpha2 = hit
+                    if delta:
+                        if delta > 0 and m >= cutoff:
+                            over = True
+                        m += delta
+                    alpha2 += d_alpha2
+                if into.__class__ is dict:
+                    into = into.get(m)
+                    if into is None:
+                        return
+                elif into[idx] != m:
+                    return
             alpha += d_alpha
-            alpha2 += d_alpha2
         if over:
             raise CutoffOverflow("internal: occupancy exceeded the layer budget")
-        acc = image.get(into)
+        new = into
+        if new is None:
+            new = tuple(occ)
+            # share the input tuple when nothing moved, so a state the
+            # engine keeps is held by one tuple, not two
+            if new == node:
+                new = node
+        acc = image.get(new)
         if acc is None:
-            acc = image[into] = {}
-        shift = (alpha << offset) + (alpha2 << second_offset)
+            acc = image[new] = {}
+        shift = alpha << offset
+        if alpha2:
+            shift += alpha2 << second_offset
         for key, c in states[node].items():
             key += shift
             acc[key] = acc.get(key, 0) + c
 
     if tree:
-        visit(0, tree, _trie(order, onto), 0, 0, False)
+        visit(0, tree, None if onto is None else _trie(order, onto), 0, 0, False)
     return image
 
 
-def _trie(order: Sequence[int], states: Iterable[SiteState]) -> dict:
-    """The states as nested dicts keyed by their occupancies at the indices
-    in `order`, down to where a state is the only one below: that key maps
-    to the state itself."""
+def _trie(order: Sequence[int], states: Collection[SiteState]) -> dict:
+    """Distinct states as nested dicts keyed by their occupancies at the
+    indices in `order`, down to where a state is the only one below: that
+    key maps to the state itself."""
     root: dict = {}
     for state in states:
         node, d = root, 0
@@ -612,7 +570,7 @@ def _with_units(plan: LayerPlan, units: Tuple[int, ...]) -> LayerPlan:
     colors, steps, residual, order = plan
     return colors, tuple(
         step if step[0] < 0 else step[:5] + (tuple(
-            hit and hit[:3] + (hit[2] * units[step[0]],) for hit in step[5]),)
+            hit and hit[:3] + (hit[2] * units[step[0]],) for hit in step[5]), None)
         for step in steps), residual, order
 
 
@@ -667,16 +625,16 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
     sweep follows their trie and ends a branch as soon as it leaves it, so
     that round costs about the states it sweeps.  When the last two steps
     can both cross (each has a transpose and no derivative) and no
-    projection sits between them, they close in one round (`_sweep_pair`):
-    the forward plans from the ket side, or the transposes from the bra
-    side, swept together site by site, so the map between the two layers,
-    which the other side would mostly not meet, is never built.  With three
-    such steps left, the round before expands the side with fewer states,
-    not the one the growth rule picks: on (6; 6,4,4,2,2,0) that rule would
-    take the ket side from 126 to 448 states before the close, where the
-    bra side goes from 32 to 126.  Anything else (a single step, a strip, a
-    derivative, a projection between the two) closes through the last step
-    alone.
+    projection sits between them, they close in one round: the forward
+    plans from the ket side, or the transposes from the bra side, swept
+    together site by site in one `_sweep_map`, so the map between the two
+    layers, which the other side would mostly not meet, is never built.
+    With three such steps left, the round before expands the side with
+    fewer states, not the one the growth rule picks: on (6; 6,4,4,2,2,0)
+    that rule would take the ket side from 126 to 448 states before the
+    close, where the bra side goes from 32 to 126.  Anything else (a single
+    step, a strip, a derivative, a projection between the two) closes
+    through the last step alone.  Every round is one `_sweep_map` call.
 
     A derivative of order k maps exponent e at its slot to e - k with the
     count times e (e-1) ... (e-k+1).  `projections` maps a gap g (between
@@ -762,11 +720,7 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
         # where the sides meet, only moves onto the other side's states count,
         # so the closing round costs about the states it sweeps
         onto = None if bra is None or lo < hi else kets if on_bra else bras
-        if take == 2:
-            out = _sweep_pair(moves[0], moves[1], side, cutoff, onto)
-        else:
-            [(plan, offset)] = moves
-            out = _sweep_map(plan, side, cutoff, offset, target, slack, onto)
+        out = _sweep_map(moves, side, cutoff, target, slack, onto)
         growth = len(out) / len(side)
         # a pair has no derivative, so `order` and `weigh` are the one step's
         if order:
@@ -1053,7 +1007,7 @@ def _column_plan(ell: int, m: int) -> LayerPlan:
             colors[m + p] = 1
         h_out = 0 if full or p <= ell else 1
         steps.append((p - 1, m + p, p, 2 * m + p, p - 1,
-                      _site_table(h_out, None, False, False)))
+                      _site_table(h_out, None, False, False), None))
     return tuple(colors), tuple(steps), (0, 1), _site_order(steps)
 
 

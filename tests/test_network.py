@@ -28,7 +28,6 @@ from trivertex.network import (
     _site_table,
     _sweep,
     _sweep_map,
-    _sweep_pair,
     _with_units,
     all_conventions,
     apply_stack,
@@ -773,7 +772,7 @@ def test_sweep_map_matches_one_state_at_a_time(data):
             acc = expected.setdefault(out, Counter())
             for key, c in coeff.items():
                 acc[key + (alpha << offset)] += c * mult
-    assert _sweep_map(plan, side, 4, offset, target, slack, onto) == {
+    assert _sweep_map([(plan, offset)], side, 4, target, slack, onto) == {
         out: dict(acc) for out, acc in expected.items()}
 
 
@@ -799,8 +798,8 @@ def test_sweep_pair_is_two_sweeps_onto_the_other_side(data):
 
     reached = {vacuum_state(n): {0: 1}}
     for _ in range(data.draw(st.integers(0, 2), label="depth")):
-        reached = _sweep_map(plan_of(n, data.draw(st.integers(0, n), label="prefix"), conv),
-                             reached, 4) or reached
+        reached = _sweep_map([(plan_of(n, data.draw(st.integers(0, n), label="prefix"), conv),
+                              0)], reached, 4) or reached
     pool = sorted(reached)
     states = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True),
                        label="states")
@@ -808,15 +807,38 @@ def test_sweep_pair_is_two_sweeps_onto_the_other_side(data):
     side = {state: data.draw(counts, label="counts") for state in states}
     first, second = moves("first"), moves("second")
     cutoff = max(map(max, side)) + 2
-    full = _sweep_map(second[0], _sweep_map(first[0], side, cutoff, first[1]), cutoff,
-                      second[1])
+    full = _sweep_map([second], _sweep_map([first], side, cutoff), cutoff)
     # some of the states both layers reach, and some they may not
     onto = set(data.draw(st.lists(st.sampled_from(pool), max_size=4), label="onto"))
     if full:
         onto.update(data.draw(st.lists(st.sampled_from(sorted(full)), min_size=1),
                               label="onto reached"))
-    assert _sweep_pair(first, second, side, cutoff, onto) == {
+    assert _sweep_map([first, second], side, cutoff, onto=onto) == {
         state: coeff for state, coeff in full.items() if state in onto}
+
+
+def test_sweep_pair_reads_the_occupancy_between_the_layers():
+    # every state of the box {0,1,2}^w at once, every reading, both
+    # directions and every label pair: the second table must read the
+    # occupancy the first leaves, also where that is still 2 or more.  At
+    # n = 2 labels 2 then 1 take (2,) through (1,) and kill it there, so a
+    # second table read at min(m, 1) + delta would keep (1,)
+    for n in (2, 3):
+        width = n * (n - 1) // 2
+        box = list(itertools.product(range(3), repeat=width))
+        side = {state: {j << 10: 1} for j, state in enumerate(box)}
+        onto = set(box)
+        for conv in all_conventions():
+            for plan_of in (_layer_plan, _reverse_plan):
+                for a, b in itertools.product(range(n + 1), repeat=2):
+                    first, second = (plan_of(n, a, conv), 0), (plan_of(n, b, conv), 5)
+                    full = _sweep_map([second], _sweep_map([first], side, 4), 4)
+                    assert _sweep_map([first, second], side, 4, onto=onto) == {
+                        state: coeff for state, coeff in full.items() if state in onto
+                    }, (n, conv, plan_of, a, b)
+    # two plans sweep only onto given states
+    with pytest.raises(ValueError):
+        _sweep_map([first, second], side, 4)
 
 
 TRANSPOSE = {LocalOp.B_PLUS: LocalOp.B_MINUS, LocalOp.B_MINUS: LocalOp.B_PLUS,
@@ -1027,9 +1049,9 @@ def test_sweep_overflow_at_cutoff():
     full = {(2,): {0: 1}}
     for first, second in ((raises, raises), (raises, keeps), (keeps, raises)):
         with pytest.raises(CutoffOverflow):
-            _sweep_pair(first, second, full, 2, [(2,), (3,), (4,)])
-    assert _sweep_pair(raises, raises, full, 2, [(2,)]) == {(2,): {0: 1}}
-    assert _sweep_pair(keeps, keeps, full, 2, [(0,), (1,), (2,)])
+            _sweep_map([first, second], full, 2, onto=[(2,), (3,), (4,)])
+    assert _sweep_map([raises, raises], full, 2, onto=[(2,)]) == {(2,): {0: 1}}
+    assert _sweep_map([keeps, keeps], full, 2, onto=[(0,), (1,), (2,)])
 
 
 def test_derivative_reads_its_field_over_negative_lower_fields():
