@@ -15,7 +15,8 @@ state or disagrees with a fixed output stub.  The site tables are read off
 whose relations `fock.check_q0_relations` proves.  It branches over the
 colors of free input stubs and over the states, read as a trie, so states
 that agree on the sites swept so far share one branch.  A one-column strip
-operator is the same sweep over the slots of the column.
+operator and its transpose are the same sweep over the slots of the
+column.
 
 Every operator product but one is contracted by one engine, `_contract`, on
 exact integers: each state carries a packed polynomial over one
@@ -27,17 +28,18 @@ resolution), the configuration listing (one exponent slot per layer, so an
 exponent vector is a row), strip matrix elements (`strip_vev`) and the image
 of a basis state under a whole stack (`apply_stack`).  Without a bra it
 returns every state the ket reaches.  Given one, it contracts from both
-ends: the ket side sweeps the layers, the bra side their transposes
-(`_reverse_plan`: R0 is its own transpose with the color flow reversed, so
-the transpose is the layer swept against the flow), each side dropping
-states that can no longer reach the other end, and the two are joined where
-they meet (`poly.add_product`).  Each round expands the side whose map is
-smaller now and is predicted smaller after.  The gap closes by sweeping the
-smaller side onto the other side's states only: when the last two steps are
-layers without derivatives, through both in one sweep (`_sweep_map` of two
-plans, one walk over their shared frame), so the map between them is never
-built, and the round before, with three such steps left, expands the
-smaller side; otherwise through the last step alone.
+ends: the ket side sweeps the layers or strips, the bra side their
+transposes (`_reverse_plan`, `_column_plan` with `reverse`: R0 is its own
+transpose with the color flow reversed, so the transpose is the operator
+swept against the flow), each side dropping states that can no longer reach
+the other end, and the two are joined where they meet (`poly.add_product`).
+Each round expands the side whose map is smaller now and is predicted
+smaller after.  The gap closes by sweeping the smaller side onto the other
+side's states only: when the last two steps have no derivatives, through
+both in one sweep (`_sweep_map` of two plans, one walk over their shared
+site steps), so the map between them is never built, and the round before,
+with three such steps left, expands the smaller side; otherwise through the
+last step alone.
 
 A move leaves the sweep with its exponent shift.  A scalar layer's move
 carries alpha, which the engine shifts into the layer's slot.  A per-index
@@ -427,29 +429,45 @@ def _sweep_map(layers: Sequence[Tuple[LayerPlan, int]],
     branch ends at the first site whose occupancy leaves their trie.  Raises
     CutoffOverflow if a surviving move raises an occupancy past `cutoff`.
 
-    Two plans must share one `_plan_frame` (one n, reading and direction),
-    and need `onto` (ValueError otherwise): they are the close of two
-    layers onto the other side's states.  One walk over the frame's steps
-    carries the edge colors of both layers, the second layer's in slots
-    after the first's: it branches over each color of a free stub for
-    either layer, and at a site applies the first table and then the second
-    to the occupancy in between, so the map between the two layers is never
-    built.  A plan's site steps leave the second table's field None; the
-    two-plan walk fills it in on a copy of the first plan's steps.
+    Two plans need `onto` (ValueError otherwise): they are the close of two
+    operators onto the other side's states.  Their site steps must agree,
+    the same occupancy index and four slots in the same order, and so must
+    their residual colors (ValueError otherwise), as for two layer plans of
+    one `_plan_frame` or two column plans of one width and direction; their
+    free stubs may differ.  One walk over the site steps carries the edge
+    colors of both operators, the second's in slots after the first's: it
+    branches over each color of a free stub of either, and at a site
+    applies the first table and then the second to the occupancy in
+    between, so the map between the two operators is never built.  A plan's
+    site steps leave the second table's field None; the two-plan walk fills
+    it in on a copy of the first plan's steps.
     """
     (colors0, steps, residual, order), offset = layers[0]
     colors, gap, second_offset = list(colors0), len(colors0), 0
     if len(layers) > 1:
         if onto is None:
             raise ValueError("a two-plan sweep keeps only moves onto given states")
-        (second_colors, second_steps, _, _), second_offset = layers[1]
+        (second_colors, second_steps, second_residual, _), second_offset = layers[1]
         colors += second_colors
-        # each free-stub branch is followed by its copy on the second
-        # layer's slot, so the walk branches over every pair of colors
+        # the second plan's free-stub branches go on its slots just before
+        # the site they precede, after the first plan's, so the walk
+        # branches over every color pair
         paired: List[tuple] = []
-        for step, step2 in zip(steps, second_steps):
-            paired += ((step, (-1, step[1] + gap)) if step[0] < 0
-                       else (step[:6] + (step2[5],),))
+        j, end = 0, len(second_steps)
+        for step in steps:
+            if step[0] < 0:
+                paired.append(step)
+                continue
+            while j < end and second_steps[j][0] < 0:
+                paired.append((-1, second_steps[j][1] + gap))
+                j += 1
+            if j == end or second_steps[j][:5] != step[:5]:
+                raise ValueError("two plans pair only where their site steps agree")
+            paired.append(step[:6] + (second_steps[j][5],))
+            j += 1
+        if j < end or second_residual != residual:
+            raise ValueError("two plans pair only where their site steps and residual"
+                             " colors agree")
         steps = tuple(paired)
     last = len(steps)
     first_color, other_colors = residual[0], residual[1:]
@@ -577,12 +595,12 @@ def _with_units(plan: LayerPlan, units: Tuple[int, ...]) -> LayerPlan:
 # -- the contraction engine -------------------------------------------------
 
 # One operator of a product: its sweep plan; a function that builds the plan
-# of its transpose (`_reverse_plan`), or None for a strip; its variable, a
-# Var whose power a move raises by its alpha (a scalar layer) or one Var per
-# occupancy index p whose power a move raises by out_p - in_p (a per-site
-# layer or a strip); and the order of the derivative in that Var applied
-# after it, 0 for none.
-ContractStep = Tuple[LayerPlan, Optional[Callable[[], LayerPlan]],
+# of its transpose (`_reverse_plan`, or `_column_plan` with `reverse`); its
+# variable, a Var whose power a move raises by its alpha (a scalar layer) or
+# one Var per occupancy index p whose power a move raises by out_p - in_p (a
+# per-site layer or a strip); and the order of the derivative in that Var
+# applied after it, 0 for none.
+ContractStep = Tuple[LayerPlan, Callable[[], LayerPlan],
                      Union[Var, Tuple[Var, ...]], int]
 
 
@@ -603,8 +621,9 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
     ket right to left.  With one, only its entry is (if reached), and the
     product is contracted from both ends at once.  The ket side holds
     S_g ... S_r |ket> and sweeps forward plans; the bra side holds
-    <bra| S_1 ... S_{g'} and sweeps the transposes (`_reverse_plan`), with
-    per-index shifts negated.  Each side keeps only states within the
+    <bra| S_1 ... S_{g'} and sweeps the transposes (`_reverse_plan` for a
+    layer, `_column_plan` with `reverse` for a strip), with per-index shifts
+    negated.  Each side keeps only states within the
     number of steps beyond it of the other end: the ket side sweeps toward
     `bra`, the bra side toward `ket`.  When every step is on one side or the
     other, the states both sides hold are joined by convolving their
@@ -616,25 +635,24 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
     state in; 1 before its first); otherwise the ket side.  Growth, not
     moves per state: on the n = 10 staircase moves per state sent a third
     layer to the bra side just as the ket side's prune began to shrink its
-    map.  The bra side stops at the first step without a transpose (a strip)
-    or with a derivative, so a strip product, and every contraction without
-    a bra, runs on the ket side alone.
+    map.  The bra side stops at the first step with a derivative, so a
+    contraction without a bra runs on the ket side alone.
 
     The round that closes the gap sweeps the side with fewer states (the
     bra side when it may), and only onto states the other side holds: the
     sweep follows their trie and ends a branch as soon as it leaves it, so
     that round costs about the states it sweeps.  When the last two steps
-    can both cross (each has a transpose and no derivative) and no
-    projection sits between them, they close in one round: the forward
-    plans from the ket side, or the transposes from the bra side, swept
-    together site by site in one `_sweep_map`, so the map between the two
-    layers, which the other side would mostly not meet, is never built.
+    can both cross (neither has a derivative) and no projection sits between
+    them, they close in one round: the forward plans from the ket side, or
+    the transposes from the bra side, swept together site by site in one
+    `_sweep_map` (two layers, or two strips of any ells), so the map between
+    the two, which the other side would mostly not meet, is never built.
     With three such steps left, the round before expands the side with
     fewer states, not the one the growth rule picks: on (6; 6,4,4,2,2,0)
     that rule would take the ket side from 126 to 448 states before the
     close, where the bra side goes from 32 to 126.  Anything else (a single
-    step, a strip, a derivative, a projection between the two) closes
-    through the last step alone.  Every round is one `_sweep_map` call.
+    step, a derivative, a projection between the two) closes through the
+    last step alone.  Every round is one `_sweep_map` call.
 
     A derivative of order k maps exponent e at its slot to e - k with the
     count times e (e-1) ... (e-k+1).  `projections` maps a gap g (between
@@ -676,10 +694,10 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
     units = alphabet.units
     cutoff = max(ket, default=0) + len(steps)
 
-    # a step can cross when it has a transpose and no derivative; the bra
-    # side stops at the first step that cannot, and builds each transpose
-    # only when it gets there
-    cross = [transpose is not None and not order for _, transpose, _, order in steps]
+    # a step can cross when it has no derivative; the bra side stops at the
+    # first step that cannot, and builds each transpose only when it gets
+    # there
+    cross = [not order for _, _, _, order in steps]
     crossable = 0 if bra is None else (cross + [False]).index(False)
 
     kets: Dict[SiteState, Packed] = {ket: {0: 1}}
@@ -981,7 +999,7 @@ def apply_stack(spec: PartitionSpec, convention: Convention, ket: SiteState) -> 
 # -- column strip operators ------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _column_plan(ell: int, m: int) -> LayerPlan:
+def _column_plan(ell: int, m: int, reverse: bool = False) -> LayerPlan:
     """The site sweep of the column operator Y_ell on a width-m strip.
 
     Slots run bottom (m) to top (1): the vertical color enters at the bottom
@@ -992,14 +1010,27 @@ def _column_plan(ell: int, m: int) -> LayerPlan:
     on occupancy index p-1.  Edge slots: the vertical edge below slot p is p
     (0 is the top output), the horizontal input of slot p is m+p and its
     output 2m+p.
+
+    With `reverse` it is the sweep of the transpose, built as
+    `_layer_plan`'s (R0 is its own transpose against the color flow): top to
+    bottom on `_reverse_table`s, branching over the free top edge, with the
+    pinned horizontal inputs and the bottom input as filters.
     """
     if not 0 <= ell <= m:
         raise ValueError("need 0 <= ell <= m")
     full = ell == m
     n_free = m if full else ell + 1
+    bottom = 0 if full else 1
     colors = [-1] * (3 * m + 1)
-    colors[m] = 0 if full else 1
     steps: List[tuple] = []
+    if reverse:
+        steps.append((-1, 0))
+        for p in range(1, m + 1):
+            colors[2 * m + p] = 0 if full or p <= ell else 1
+            steps.append((p - 1, 2 * m + p, p - 1, m + p, p, _reverse_table(
+                None if p <= n_free else 1, bottom if p == m else None, False, False), None))
+        return tuple(colors), tuple(steps), (0, 1), _site_order(steps)
+    colors[m] = bottom
     for p in range(m, 0, -1):
         if p <= n_free:
             steps.append((-1, m + p))
@@ -1019,7 +1050,8 @@ def strip_vev(layers: Sequence[StripLayer], bra: Tuple[int, ...],
               projections: Optional[Mapping[int, Tuple[int, int]]] = None
               ) -> LaurentPoly:
     """<bra| L_1 L_2 ... L_r |ket> for strip layers written left to right,
-    contracted by `_contract`.
+    contracted from both ends by `_contract`: the ket side sweeps the column
+    plans, the bra side their transposes (`_column_plan` with `reverse`).
 
     Each layer is an (ell, row_vars) pair standing for the column operator
     Y_ell on the width-m strip, m = len(row_vars).  Slot p carries the q=0
@@ -1031,15 +1063,20 @@ def strip_vev(layers: Sequence[StripLayer], bra: Tuple[int, ...],
     only states with that slot occupancy are kept.  Raises ValueError when
     the bra, the ket and the layers differ in width, when an occupancy is
     not a non-negative int, when a row variable is not a Var, or when a
-    projection's gap is outside 1..r-1 or its slot outside 0..m-1.
+    projection's gap is outside 1..r-1, its slot outside 0..m-1 or its
+    occupancy not a non-negative int.
     """
     for t, (_, row_vars) in enumerate(layers, start=1):
         if not all(isinstance(z, Var) for z in row_vars):
             raise ValueError("strip layer %d: every row variable must be a Var" % t)
-    for gap, (slot, _) in (projections or {}).items():
-        if not (0 < gap < len(layers) and 0 <= slot < len(ket)):
-            raise ValueError("projection at gap %r, slot %r: need a gap in 1..%d and a slot"
-                             " in 0..%d" % (gap, slot, len(layers) - 1, len(ket) - 1))
-    alphabet, counts = _contract([(_column_plan(ell, len(row_vars)), None, tuple(row_vars), 0)
-                                  for ell, row_vars in layers], ket, bra, projections)
+    for gap, (slot, value) in (projections or {}).items():
+        # an occupancy's class must be int itself, as in `_contract`
+        if not (0 < gap < len(layers) and 0 <= slot < len(ket)
+                and value.__class__ is int and value >= 0):
+            raise ValueError("projection at gap %r, slot %r, occupancy %r: need a gap in 1..%d,"
+                             " a slot in 0..%d and a non-negative int occupancy"
+                             % (gap, slot, value, len(layers) - 1, len(ket) - 1))
+    alphabet, counts = _contract([
+        (_column_plan(ell, len(zs)), functools.partial(_column_plan, ell, len(zs), True),
+         tuple(zs), 0) for ell, zs in layers], ket, bra, projections)
     return alphabet.poly(counts.get(tuple(bra), {}))

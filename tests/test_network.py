@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trivertex import verify
+from trivertex import network, verify
 from trivertex.fock import CutoffOverflow, LocalOp
 from trivertex.lattice import TensorKind, local_tensor
 from trivertex.network import (
@@ -267,11 +267,24 @@ def term_apply_strip(terms, combo, cutoff):
     return {s: c for s, c in out.items() if not c.is_zero()}
 
 
+def strip_steps(layers):
+    """The engine steps of strip layers, as `strip_vev` builds them."""
+    return [(_column_plan(ell, len(rv)), functools.partial(_column_plan, ell, len(rv), True),
+             tuple(rv), 0) for ell, rv in layers]
+
+
 def strip_image(ell, rv, state):
     """Y_ell with row variables `rv` on one basis state, by the engine:
     `_contract` on the strip's step, with no bra."""
-    alphabet, image = _contract([(_column_plan(ell, len(rv)), None, tuple(rv), 0)], state)
+    alphabet, image = _contract(strip_steps([(ell, rv)]), state)
     return {new: alphabet.poly(counts) for new, counts in image.items()}
+
+
+def one_sided_strip_vev(layers, bra, ket, projections=None):
+    """<bra| L_1 ... L_r |ket> on the ket side alone: the bra entry of the
+    whole image `_contract` returns with no bra."""
+    alphabet, image = _contract(strip_steps(layers), ket, None, projections)
+    return alphabet.poly(image.get(tuple(bra), {}))
 
 
 def term_strip_vev(layers, bra, ket, projections=None):
@@ -684,10 +697,75 @@ def test_strip_projections_are_checked():
                  {1: (-1, 0)}):
         with pytest.raises(ValueError, match="projection"):
             strip_vev(layers, (0, 0), (0, 0), proj)
+    # so is an occupancy that is negative or whose class is not int: 1.0 and
+    # True would read as 1, -1 and "1" would match no state
+    for m in (1.0, True, -1, "1"):
+        with pytest.raises(ValueError, match="projection at gap 1, slot 0, occupancy"):
+            strip_vev(verify._column_layers(3, 4), (0, 0, 0), (0, 0, 0), {1: (0, m)})
     for slot in (0, 1):
         proj = {1: (slot, 1)}
         assert strip_vev(layers, (0, 0), (0, 1), proj) == term_strip_vev(
             [term_Y(ell, 2, rv) for ell, rv in layers], (0, 0), (0, 1), proj)
+
+
+@st.composite
+def strip_products(draw):
+    """(layers, bra, ket, projections): widths 1-5, 1-7 layers of any ells
+    on three row-variable families, states in {0,1,2}^m, and up to two
+    projections onto occupancies 0-2."""
+    m = draw(st.integers(1, 5), label="m")
+    r = draw(st.integers(1, 7), label="r")
+    layers = [(draw(st.integers(0, m), label="ell"), row_vars(draw(st.integers(1, 3)), m))
+              for _ in range(r)]
+    state = st.tuples(*[st.integers(0, 2)] * m)
+    projections = draw(st.dictionaries(
+        st.integers(1, max(r - 1, 1)), st.tuples(st.integers(0, m - 1), st.integers(0, 2)),
+        max_size=2 if r > 1 else 0), label="projections")
+    return layers, draw(state, label="bra"), draw(state, label="ket"), projections or None
+
+
+@settings(max_examples=100, deadline=None)
+@given(strip_products())
+# ells 1 and 3 at width 5: the bra side closes their transposes in one sweep
+@example(([(1, row_vars(1, 5)), (3, row_vars(2, 5)), (5, row_vars(3, 5))],
+          (0, 1, 0, 0, 0), (0,) * 5, None))
+@example(([(2, row_vars(1, 3)), (0, row_vars(2, 3)), (3, row_vars(1, 3)), (1, row_vars(3, 3))],
+          (1, 0, 2), (0, 1, 1), {2: (1, 1)}))
+def test_two_sided_strip_vev_is_the_bra_entry_of_the_ket_side(product):
+    # the two-sided contraction against the ket side alone, which sweeps no
+    # transpose (`test_strip_sweep_matches_term_route` checks both against
+    # the term lists)
+    layers, bra, ket, projections = product
+    assert strip_vev(layers, bra, ket, projections) == one_sided_strip_vev(
+        layers, bra, ket, projections)
+
+
+def test_strips_cross_and_close_two_ells_in_one_sweep(monkeypatch):
+    # a strip product with a bra runs rounds on both sides, and its last two
+    # steps close in one two-plan sweep even where one plan branches on a
+    # stub the other pins: at width 5, Y_3 sums the horizontal inputs of
+    # slots 1-4, Y_1 only those of slots 1-2.  Plans are told apart by
+    # their initial colors, which `_with_units` keeps
+    m = 5
+    known = {_column_plan(ell, m, reverse)[0]: (ell, reverse)
+             for ell in range(m + 1) for reverse in (False, True)}
+    sweep_map, calls = network._sweep_map, []
+
+    def recording(layers, *args):
+        calls.append([known[plan[0]] for plan, _ in layers])
+        return sweep_map(layers, *args)
+
+    monkeypatch.setattr(network, "_sweep_map", recording)
+    vac = (0,) * m
+    for ells, bra, rounds in (
+            ((1, 3), vac, [[(3, False), (1, False)]]),
+            ((1, 3, 5), vac, [[(5, False)], [(1, True), (3, True)]]),
+            ((3, 1, 5), (0, 1, 0, 0, 0), [[(5, False)], [(3, True), (1, True)]])):
+        layers = [(ell, row_vars(t, m)) for t, ell in enumerate(ells, start=1)]
+        calls.clear()
+        got = strip_vev(layers, bra, vac)
+        assert calls == rounds, ells
+        assert got == one_sided_strip_vev(layers, bra, vac) != 0, ells
 
 
 # -- the site sweep against the term route ---------------------------------
@@ -836,9 +914,72 @@ def test_sweep_pair_reads_the_occupancy_between_the_layers():
                     assert _sweep_map([first, second], side, 4, onto=onto) == {
                         state: coeff for state, coeff in full.items() if state in onto
                     }, (n, conv, plan_of, a, b)
+    # column plans of one width and direction, any two ells: one plan may
+    # branch on a horizontal input the other pins
+    for m in (1, 2, 3, 4):
+        box = list(itertools.product(range(3), repeat=m))
+        side = {state: {j << 20: 1} for j, state in enumerate(box)}
+        onto = set(box)
+        for reverse in (False, True):
+            units = tuple((-1 if reverse else 1) << (4 * p) for p in range(m))
+            for a, b in itertools.product(range(m + 1), repeat=2):
+                first, second = ((_with_units(_column_plan(ell, m, reverse), units), 0)
+                                 for ell in (a, b))
+                full = _sweep_map([second], _sweep_map([first], side, 4), 4)
+                assert _sweep_map([first, second], side, 4, onto=onto) == {
+                    state: coeff for state, coeff in full.items() if state in onto
+                }, (m, reverse, a, b)
     # two plans sweep only onto given states
     with pytest.raises(ValueError):
         _sweep_map([first, second], side, 4)
+
+
+def test_sweep_pair_refuses_plans_whose_site_steps_differ():
+    # two plans pair only where their site steps agree in occupancy index
+    # and all four slots, in one order, with no site left over on either
+    # side, and where their residual colors agree: a forward and a reverse
+    # layer plan, a layer and a column plan, a plan and itself with one
+    # site field bent or one site cut off, and one layer of the same frame
+    # under residual "sum" and "zero"
+    box = list(itertools.product(range(2), repeat=3))
+    side, onto = {state: {0: 1} for state in box}, set(box)
+    fwd, rev = _layer_plan(3, 2, CONVENTION), _reverse_plan(3, 1, CONVENTION)
+    column = _column_plan(1, 3)
+    cut = column[:1] + (column[1][:-1],) + column[2:]
+    colors, steps, residual, order = fwd
+    site = next(k for k, step in enumerate(steps) if step[0] >= 0)
+    bent = []
+    for field in range(5):
+        step = list(steps[site])
+        step[field] += 1
+        bent.append((colors, steps[:site] + (tuple(step),) + steps[site + 1:], residual, order))
+    summed, pinned = (_layer_plan(3, 1, Convention("we", "staircase", residual, "north"))
+                      for residual in ("sum", "zero"))
+    pairs = [(fwd, rev), (rev, fwd), (fwd, column), (column, fwd), (column, cut), (cut, column),
+             (summed, pinned), (pinned, summed)]
+    for first, second in pairs + [(fwd, plan) for plan in bent]:
+        with pytest.raises(ValueError, match="two plans pair only where their site steps"):
+            _sweep_map([(first, 0), (second, 4)], side, 5, onto=onto)
+    # without the check the first pair gave {}, where two one-plan sweeps
+    # reach the box
+    two = _sweep_map([(rev, 4)], _sweep_map([(fwd, 0)], side, 5), 5)
+    assert {state: coeff for state, coeff in two.items() if state in onto} == {
+        (0, 0, 0): {18: 1, 17: 1}}
+
+
+def test_column_reverse_plan_sweeps_the_transpose():
+    # for every 0 <= ell <= m <= 4, on the box {0,1,2}^m, the reverse column
+    # plan's moves are the forward moves turned around, with multiplicity,
+    # and nothing else; with negated units (`_with_units`) they sum the same
+    # packed shift from the out-state back to the in-state
+    for m in range(1, 5):
+        box = list(itertools.product(range(3), repeat=m))
+        units = tuple(1 << (8 * p) for p in range(m))
+        for ell in range(m + 1):
+            for fwd_units, back_units in ((None, None), (units, tuple(-u for u in units))):
+                fwd = transposed_moves(_column_plan(ell, m), box, 3, fwd_units)
+                back = transposed_moves(_column_plan(ell, m, True), box, 3, back_units)
+                assert {(s, out, a): mult for (out, s, a), mult in back.items()} == fwd, (m, ell)
 
 
 TRANSPOSE = {LocalOp.B_PLUS: LocalOp.B_MINUS, LocalOp.B_MINUS: LocalOp.B_PLUS,
