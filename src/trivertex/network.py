@@ -14,9 +14,10 @@ state or disagrees with a fixed output stub.  The site tables are read off
 `fock.apply_local` (`_site_table`), so the sweep runs on the operator action
 whose relations `fock.check_q0_relations` proves.  It branches over the
 colors of free input stubs and over the states, read as a trie, so states
-that agree on the sites swept so far share one branch.  A one-column strip
-operator and its transpose are the same sweep over the slots of the
-column.
+that agree on the sites swept so far share one branch.  Every plan comes
+from one builder: `_frame` lays out the steps over a set of sites and
+`_fill` puts in the colors and tables.  A one-column strip operator Y_ell
+is column 1 of a triangle, built by the same two.
 
 Every operator product but one is contracted by one engine, `_contract`, on
 exact integers: each state carries a packed polynomial over one
@@ -29,10 +30,10 @@ exponent vector is a row), strip matrix elements (`strip_vev`) and the image
 of a basis state under a whole stack (`apply_stack`).  Without a bra it
 returns every state the ket reaches.  Given one, it contracts from both
 ends: the ket side sweeps the layers or strips, the bra side their
-transposes (`_reverse_plan`, `_column_plan` with `reverse`: R0 is its own
+transposes (`_layer_plan` and `_column_plan` with `reverse`: R0 is its own
 transpose with the color flow reversed, so the transpose is the operator
-swept against the flow), each side dropping states that can no longer reach
-the other end, and the two are joined where they meet (`poly.add_product`).
+swept against the flow), and the two are joined where they meet
+(`poly.add_product`).
 Each round expands the side whose map is smaller now and is predicted
 smaller after.  The gap closes by sweeping the smaller side onto the other
 side's states only: when the last two steps have no derivatives, through
@@ -49,8 +50,8 @@ hold each occupancy change times the packed unit of its index
 sites where they happen.
 
 The exception is the exchange-relation check `verify.check_zf`, which needs
-every state a two-layer product reaches from every ket of a box.  Without a
-target `_sweep` reads an occupancy only through whether it is positive, so
+every state a two-layer product reaches from every ket of a box.  `_sweep`
+reads an occupancy only through whether it is positive, so
 the check sweeps a layer once per occupied set (`verify._pattern_moves`),
 keeps the moves as packed occupancy changes in a bounded memo shared by the
 checks of a grid, and contracts one ket per class: the `zf` group sweeps
@@ -264,6 +265,9 @@ Binding = Union[Var, Mapping[Site, Var]]
 # stub is summed over, the occupancy indices in the order its sites read
 # them).
 LayerPlan = Tuple[Tuple[int, ...], Tuple[tuple, ...], Tuple[int, ...], Tuple[int, ...]]
+# What a plan is built on (`_frame`): its steps before the tables go in, the
+# slot of each edge, and its occupancy indices in site order.
+Frame = Tuple[Tuple[tuple, ...], Dict[Edge, int], Tuple[int, ...]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,48 +307,38 @@ def _reverse_table(h_fixed: Optional[int], v_fixed: Optional[int], h_weighted: b
 
 @functools.lru_cache(maxsize=None)
 def _layer_plan(n: int, i: int, convention: Convention, reverse: bool = False) -> LayerPlan:
-    """The site sweep of the layer with label i (a `LayerPlan`), the initial
-    edge colors -1 where not fixed.
+    """The site sweep of the layer with label i (a `LayerPlan`).
 
     Sites come bottom row first and along the flow, so both inputs of a
     site are known when it is reached.  Each site table is already filtered
     against the fixed output stubs.
 
-    With `reverse` (`_reverse_plan`) it is the sweep of the transpose, which
-    takes a move's out-state to its in-state with the same alpha and
-    multiplicity.  R0 is its own transpose once the color flow is reversed
-    (b+ and b- swap, t and the identities stay), so the transpose is the
-    layer read against the flow on the same site tables: each site reads
-    the colors of its forward outputs and produces those of its forward
-    inputs (`_reverse_table`).  The free output stubs are branched over both
-    colors; the fixed input stubs, and under residual "zero" the free ones
-    too, filter.  Sites go column by column against the flow, top row first
-    within a column, so a branch on a column's north stub meets the fixed
-    staircase stub at the column's foot within that column.
+    With `reverse` it is the sweep of the transpose, which takes a move's
+    out-state to its in-state with the same alpha and multiplicity.  R0 is
+    its own transpose once the color flow is reversed (b+ and b- swap, t and
+    the identities stay), so the transpose is the layer read against the
+    flow on the same site tables: each site reads the colors of its forward
+    outputs and produces those of its forward inputs (`_reverse_table`).
+    The free output stubs are branched over both colors; the fixed input
+    stubs, and under residual "zero" the free ones too, filter.  Sites go
+    column by column against the flow, top row first within a column, so a
+    branch on a column's north stub meets the fixed staircase stub at the
+    column's foot within that column.
     """
-    steps, slots, table, residual, zeros, order = _plan_frame(n, convention, reverse)
+    frame, zeros, residual = _plan_frame(n, convention, reverse)
     fixed = fixed_colors(n, i, convention)
     pinned = dict.fromkeys(zeros, 0)
     pinned.update(fixed)
-    colors = [-1] * len(slots)
-    for e, c in fixed.items():
-        colors[slots[e]] = c
-    return tuple(colors), tuple(
-        step if step[0] < 0 else step[:5] + (table(pinned.get(step[5]), pinned.get(step[6]),
-                                                   step[7], step[8]), None)
-        for step in steps), residual, order
+    return _fill(frame, fixed, pinned, reverse, residual)
 
 
 @functools.lru_cache(maxsize=None)
 def _plan_frame(n: int, convention: Convention, reverse: bool):
-    """What the plans of every label share: the steps, a site's as (index,
-    its four edge slots, its two output edges and whether each is
-    weighted), the slot of each edge, the table builder, the residual
-    colors, the free stubs pinned to 0 and the site order.  The fixed
-    boundary stubs are the same for every label; only their colors vary."""
+    """What the plans of every label share: the `_frame` of the triangle,
+    the free stubs pinned to 0 and the residual colors.  The fixed boundary
+    stubs are the same for every label; only their colors vary."""
     fixed = {e for stubs in boundary_positions(n, convention) for e in stubs}
     inputs = input_stubs(n, convention)
-    weighted = set(weighted_stubs(n, convention))
     west_flow = convention.flow == "we"
     zeros: List[Edge] = []
     if reverse:
@@ -353,14 +347,27 @@ def _plan_frame(n: int, convention: Convention, reverse: bool):
         free = {e for e in output_stubs(n, convention) if e not in fixed}
         order = [(k, l) for l in (range(n - 1, 0, -1) if west_flow else range(1, n))
                  for k in range(1, n - l + 1)]
-        table, residual = _reverse_table, (0, 1)
+        residual = (0, 1)
     else:
         free = {e for e in inputs if e not in fixed}
         order = [(k, l) for k in range(n - 1, 0, -1)
                  for l in (range(1, n - k + 1) if west_flow else range(n - k, 0, -1))]
-        table = _site_table
         residual = (0, 1) if convention.residual == "sum" else (0,)
     index = {s: j for j, s in enumerate(sites(n))}
+    return (_frame(order, index, fixed, free, set(weighted_stubs(n, convention)), west_flow,
+                   reverse), zeros, residual)
+
+
+def _frame(order: Sequence[Site], index: Mapping[Site, int], fixed: Collection[Edge],
+           free: Collection[Edge], weighted: Collection[Edge], west_flow: bool,
+           reverse: bool) -> Frame:
+    """The steps of a sweep over the sites in `order`, with the flow west to
+    east or east to west, forward or against the flow (`reverse`): a branch
+    over each `free` stub just before the first site that reads it, and a
+    site as (its occupancy index, its four edge slots, its two output edges
+    and whether each forward output is `weighted`).  The `fixed` stubs are
+    known from the start.  Also returns the slot of each edge and the
+    occupancy indices in the order the sites read them."""
     slots: Dict[Edge, int] = {}
 
     def slot(e: Edge) -> int:
@@ -385,14 +392,24 @@ def _plan_frame(n: int, convention: Convention, reverse: bool):
         steps.append((index[(k, l)], slot(h_in), slot(v_in), slot(h_out), slot(v_out),
                       h_out, v_out, h_weighted, v_weighted))
         known.update((h_out, v_out))
-    return tuple(steps), slots, table, residual, zeros, _site_order(steps)
+    return tuple(steps), slots, tuple(step[0] for step in steps if step[0] >= 0)
 
 
-_reverse_plan = functools.partial(_layer_plan, reverse=True)
-
-
-def _site_order(steps: Sequence[tuple]) -> Tuple[int, ...]:
-    return tuple(step[0] for step in steps if step[0] >= 0)
+def _fill(frame: Frame, colors: Mapping[Edge, int], pinned: Mapping[Edge, int], reverse: bool,
+          residual: Tuple[int, ...]) -> LayerPlan:
+    """The plan of a `_frame`: the initial colors by slot, -1 where not in
+    `colors`, and each site's table (`_site_table`, or `_reverse_table` with
+    `reverse`) filtered against the `pinned` colors of the edges it
+    produces; a free stub is summed over the `residual` colors."""
+    steps, slots, order = frame
+    table = _reverse_table if reverse else _site_table
+    initial = [-1] * len(slots)
+    for e, c in colors.items():
+        initial[slots[e]] = c
+    return tuple(initial), tuple(
+        step if step[0] < 0 else step[:5] + (table(pinned.get(step[5]), pinned.get(step[6]),
+                                                   step[7], step[8]), None)
+        for step in steps), residual, order
 
 
 def _sweep(plan: LayerPlan, state: SiteState, cutoff: int
@@ -406,7 +423,6 @@ def _sweep(plan: LayerPlan, state: SiteState, cutoff: int
 
 def _sweep_map(layers: Sequence[Tuple[LayerPlan, int]],
                states: Mapping[SiteState, Mapping[int, int]], cutoff: int,
-               target: Optional[SiteState] = None, slack: int = 0,
                onto: Optional[Collection[SiteState]] = None
                ) -> Dict[SiteState, Dict[int, int]]:
     """The image of `states`, distinct states -> (key -> count), under one
@@ -422,12 +438,10 @@ def _sweep_map(layers: Sequence[Tuple[LayerPlan, int]],
     branches over the colors of free input stubs and over the input states,
     which it reads as a trie (`_trie`): states that agree on the sites swept
     so far share one branch, so a site is applied once per distinct prefix,
-    not once per state.  With a `target` only moves onto states within
-    `slack` of it in every index are kept: a branch also ends at the first
-    site whose (final) occupancy is farther from the target than that.  With
-    `onto`, distinct states, only moves onto those states are kept, and a
-    branch ends at the first site whose occupancy leaves their trie.  Raises
-    CutoffOverflow if a surviving move raises an occupancy past `cutoff`.
+    not once per state.  With `onto`, distinct states, only moves onto those
+    states are kept, and a branch ends at the first site whose occupancy
+    leaves their trie.  Raises CutoffOverflow if a surviving move raises an
+    occupancy past `cutoff`.
 
     Two plans need `onto` (ValueError otherwise): they are the close of two
     operators onto the other side's states.  Their site steps must agree,
@@ -511,8 +525,6 @@ def _sweep_map(layers: Sequence[Tuple[LayerPlan, int]],
             if into is None:
                 # each occupancy index belongs to one step, so m is final here
                 occ[idx] = m
-                if target is not None and not -slack <= m - target[idx] <= slack:
-                    return
             else:
                 # only a sweep onto `onto` has a second table, so a sweep
                 # without one never tests for it; m is final after it
@@ -594,14 +606,13 @@ def _with_units(plan: LayerPlan, units: Tuple[int, ...]) -> LayerPlan:
 
 # -- the contraction engine -------------------------------------------------
 
-# One operator of a product: its sweep plan; a function that builds the plan
-# of its transpose (`_reverse_plan`, or `_column_plan` with `reverse`); its
-# variable, a Var whose power a move raises by its alpha (a scalar layer) or
-# one Var per occupancy index p whose power a move raises by out_p - in_p (a
-# per-site layer or a strip); and the order of the derivative in that Var
-# applied after it, 0 for none.
-ContractStep = Tuple[LayerPlan, Callable[[], LayerPlan],
-                     Union[Var, Tuple[Var, ...]], int]
+# One operator of a product: `plan_of`, which builds its sweep plan, and
+# with `reverse` that of its transpose (a partial of `_layer_plan` or
+# `_column_plan`); its variable, a Var whose power a move raises by its
+# alpha (a scalar layer) or one Var per occupancy index p whose power a move
+# raises by out_p - in_p (a per-site layer or a strip); and the order of the
+# derivative in that Var applied after it, 0 for none.
+ContractStep = Tuple[Callable[..., LayerPlan], Union[Var, Tuple[Var, ...]], int]
 
 
 def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
@@ -614,29 +625,27 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
 
     The ket, the bra and every operator must have one width, and every
     occupancy must be a non-negative int (ValueError otherwise).  Each
-    operator changes each occupancy by at most one, so the cutoff is max(ket)
-    plus the number of steps.
+    operator changes each occupancy by at most one, and the bra side starts
+    from the bra, so the cutoff is the largest occupancy of the ket and the
+    bra plus the number of steps.
 
     Without a `bra` every reached state is returned: the steps act on the
     ket right to left.  With one, only its entry is (if reached), and the
     product is contracted from both ends at once.  The ket side holds
     S_g ... S_r |ket> and sweeps forward plans; the bra side holds
-    <bra| S_1 ... S_{g'} and sweeps the transposes (`_reverse_plan` for a
-    layer, `_column_plan` with `reverse` for a strip), with per-index shifts
-    negated.  Each side keeps only states within the
-    number of steps beyond it of the other end: the ket side sweeps toward
-    `bra`, the bra side toward `ket`.  When every step is on one side or the
-    other, the states both sides hold are joined by convolving their
-    exponent vectors.
+    <bra| S_1 ... S_{g'} and sweeps the transposes (each step's `plan_of`
+    with `reverse`, built only when the bra side reaches it), with per-index
+    shifts negated.  When every step is on one side or the other, the states
+    both sides hold are joined by convolving their exponent vectors.
 
     Each round expands one side, chosen from what the loop has seen: the
     bra side only when it holds fewer states than the ket side and also
     fewer states times the growth of its previous expansion (states out per
     state in; 1 before its first); otherwise the ket side.  Growth, not
     moves per state: on the n = 10 staircase moves per state sent a third
-    layer to the bra side just as the ket side's prune began to shrink its
-    map.  The bra side stops at the first step with a derivative, so a
-    contraction without a bra runs on the ket side alone.
+    layer to the bra side just as the ket side's map began to shrink.  The
+    bra side stops at the first step with a derivative, so a contraction
+    without a bra runs on the ket side alone.
 
     The round that closes the gap sweeps the side with fewer states (the
     bra side when it may), and only onto states the other side holds: the
@@ -671,7 +680,8 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
     slots: Dict[Var, int] = {}
     weighs: List[Union[int, Tuple[int, ...]]] = []
     widths = {len(ket)} if bra is None else {len(ket), len(bra)}
-    for plan, _, var, _ in steps:
+    plans = [plan_of() for plan_of, _, _ in steps]
+    for plan, (_, var, _) in zip(plans, steps):
         widths.add(len(plan[3]))
         weighs.append(tuple([slots.setdefault(v, len(slots)) for v in var])
                       if isinstance(var, tuple) else slots.setdefault(var, len(slots)))
@@ -684,7 +694,7 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
     # scalar move's alpha is at most 2 per site, an index move is +-1, and a
     # derivative lowers its slot by its order
     reach = [0] * len(slots)
-    for (plan, _, _, order), weigh in zip(steps, weighs):
+    for plan, (_, _, order), weigh in zip(plans, steps, weighs):
         if weigh.__class__ is tuple:
             for s in weigh:
                 reach[s] += 1
@@ -692,12 +702,11 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
             reach[weigh] += 2 * len(plan[1]) + order
     alphabet = Alphabet(slots, max(reach, default=0))
     units = alphabet.units
-    cutoff = max(ket, default=0) + len(steps)
+    cutoff = max(occupancies, default=0) + len(steps)
 
     # a step can cross when it has no derivative; the bra side stops at the
-    # first step that cannot, and builds each transpose only when it gets
-    # there
-    cross = [not order for _, _, _, order in steps]
+    # first step that cannot
+    cross = [not order for _, _, order in steps]
     crossable = 0 if bra is None else (cross + [False]).index(False)
 
     kets: Dict[SiteState, Packed] = {ket: {0: 1}}
@@ -718,17 +727,16 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
             # per-index shifts are negated
             swept = range(lo, lo + take)
             lo += take
-            sign, side, target, slack, gap = -1, bras, ket, len(steps) - lo, lo
+            sign, side, gap = -1, bras, lo
         else:
             hi -= take
             swept = range(hi + take - 1, hi - 1, -1)
-            sign, side, target, slack, gap = 1, kets, bra, hi, hi
+            sign, side, gap = 1, kets, hi
         moves = []
         for g in swept:
-            plan, transpose, _, order = steps[g]
+            plan_of, _, order = steps[g]
+            plan = plan_of(True) if on_bra else plans[g]
             weigh = weighs[g]
-            if on_bra:
-                plan = transpose()
             # a scalar move's alpha is shifted into its slot; a per-index plan
             # sweeps its moves' packed shifts already (`_with_units`)
             if weigh.__class__ is tuple:
@@ -738,7 +746,7 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
         # where the sides meet, only moves onto the other side's states count,
         # so the closing round costs about the states it sweeps
         onto = None if bra is None or lo < hi else kets if on_bra else bras
-        out = _sweep_map(moves, side, cutoff, target, slack, onto)
+        out = _sweep_map(moves, side, cutoff, onto)
         growth = len(out) / len(side)
         # a pair has no derivative, so `order` and `weigh` are the one step's
         if order:
@@ -867,8 +875,7 @@ def _layer_steps(spec: PartitionSpec, convention: Convention) -> List[ContractSt
     """The engine steps of a stack; a site map becomes one Var per
     occupancy index."""
     n = spec.n
-    return [(_layer_plan(n, layer.label, convention),
-             functools.partial(_reverse_plan, n, layer.label, convention),
+    return [(functools.partial(_layer_plan, n, layer.label, convention),
              layer.binding if isinstance(layer.binding, Var)
              else tuple(map(layer.binding.__getitem__, sites(n))), layer.deriv)
             for layer in spec.layers]
@@ -930,9 +937,8 @@ def vev(spec: PartitionSpec, convention: Convention = CONVENTION) -> LaurentPoly
     """Vacuum expectation value of the layer product, exactly.
 
     The product is contracted from both vacua at once (`_contract`): the
-    last layers act on the ket, the transposes of the first layers
-    (`_reverse_plan`) on the bra, and the two sides are joined on the states
-    both reach.
+    last layers act on the ket, the transposes of the first layers on the
+    bra, and the two sides are joined on the states both reach.
     """
     alphabet, counts = _vev_counts(spec, convention)
     return alphabet.poly(counts)
@@ -1000,46 +1006,34 @@ def apply_stack(spec: PartitionSpec, convention: Convention, ket: SiteState) -> 
 
 @functools.lru_cache(maxsize=None)
 def _column_plan(ell: int, m: int, reverse: bool = False) -> LayerPlan:
-    """The site sweep of the column operator Y_ell on a width-m strip.
+    """The site sweep of the column operator Y_ell on a width-m strip, or
+    with `reverse` of its transpose, built as `_layer_plan`'s: the strip is
+    column 1 of a triangle under flow "we", site (p, 1) acting on occupancy
+    index p-1.
 
-    Slots run bottom (m) to top (1): the vertical color enters at the bottom
-    and leaves, free, at the top.  For ell < m the horizontal outputs are
-    0^ell 1^(m-ell), the bottom input is 1, the first ell+1 horizontal inputs
-    are summed and the rest pinned to 1; for ell = m the outputs are all 0,
-    the bottom input is 0 and every horizontal input is summed.  Slot p acts
-    on occupancy index p-1.  Edge slots: the vertical edge below slot p is p
-    (0 is the top output), the horizontal input of slot p is m+p and its
-    output 2m+p.
-
-    With `reverse` it is the sweep of the transpose, built as
-    `_layer_plan`'s (R0 is its own transpose against the color flow): top to
-    bottom on `_reverse_table`s, branching over the free top edge, with the
+    The vertical color enters at the bottom and leaves, free, at the top.
+    For ell < m the horizontal outputs are 0^ell 1^(m-ell), the bottom input
+    is 1, the first ell+1 horizontal inputs are summed and the rest pinned
+    to 1; for ell = m the outputs are all 0, the bottom input is 0 and every
+    horizontal input is summed.  Forward the sites go bottom to top; the
+    transpose goes top to bottom, branching over the free top edge, with the
     pinned horizontal inputs and the bottom input as filters.
     """
-    if not 0 <= ell <= m:
-        raise ValueError("need 0 <= ell <= m")
+    if not 0 <= ell <= m or m < 1:
+        raise ValueError("need a width m >= 1 and 0 <= ell <= m, got ell = %r, m = %r"
+                         % (ell, m))
     full = ell == m
     n_free = m if full else ell + 1
-    bottom = 0 if full else 1
-    colors = [-1] * (3 * m + 1)
-    steps: List[tuple] = []
+    fixed = {("h", p, 1): 0 if p <= ell else 1 for p in range(1, m + 1)}
+    fixed[("v", m, 1)] = 0 if full else 1
+    fixed.update(dict.fromkeys([("h", p, 0) for p in range(n_free + 1, m + 1)], 1))
+    column = [(p, 1) for p in range(1, m + 1)]
     if reverse:
-        steps.append((-1, 0))
-        for p in range(1, m + 1):
-            colors[2 * m + p] = 0 if full or p <= ell else 1
-            steps.append((p - 1, 2 * m + p, p - 1, m + p, p, _reverse_table(
-                None if p <= n_free else 1, bottom if p == m else None, False, False), None))
-        return tuple(colors), tuple(steps), (0, 1), _site_order(steps)
-    colors[m] = bottom
-    for p in range(m, 0, -1):
-        if p <= n_free:
-            steps.append((-1, m + p))
-        else:
-            colors[m + p] = 1
-        h_out = 0 if full or p <= ell else 1
-        steps.append((p - 1, m + p, p, 2 * m + p, p - 1,
-                      _site_table(h_out, None, False, False), None))
-    return tuple(colors), tuple(steps), (0, 1), _site_order(steps)
+        free, order = [("v", 0, 1)], column
+    else:
+        free, order = [("h", p, 0) for p in range(1, n_free + 1)], column[::-1]
+    frame = _frame(order, {s: s[0] - 1 for s in column}, fixed, free, (), True, reverse)
+    return _fill(frame, fixed, fixed, reverse, (0, 1))
 
 
 StripLayer = Tuple[int, Sequence[Var]]
@@ -1076,7 +1070,6 @@ def strip_vev(layers: Sequence[StripLayer], bra: Tuple[int, ...],
             raise ValueError("projection at gap %r, slot %r, occupancy %r: need a gap in 1..%d,"
                              " a slot in 0..%d and a non-negative int occupancy"
                              % (gap, slot, value, len(layers) - 1, len(ket) - 1))
-    alphabet, counts = _contract([
-        (_column_plan(ell, len(zs)), functools.partial(_column_plan, ell, len(zs), True),
-         tuple(zs), 0) for ell, zs in layers], ket, bra, projections)
+    alphabet, counts = _contract([(functools.partial(_column_plan, ell, len(zs)), tuple(zs), 0)
+                                  for ell, zs in layers], ket, bra, projections)
     return alphabet.poly(counts.get(tuple(bra), {}))

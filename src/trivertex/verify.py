@@ -119,9 +119,9 @@ def _pattern_moves(plan: LayerPlan, mask: int, width: int) -> Tuple[PatternMove,
     """The moves of `plan` on every state of `width` indices whose occupied
     indices are the set `mask`, by one sweep of its 0/1 pattern.
 
-    Without a target `_sweep` reads an occupancy only through m > 0, and a
-    move changes each occupancy by -1, 0 or +1, so the moves on any such
-    state are the moves on its pattern, shifted by the same changes.  They
+    `_sweep` reads an occupancy only through m > 0, and a move changes each
+    occupancy by -1, 0 or +1, so the moves on any such state are the moves
+    on its pattern, shifted by the same changes.  They
     are `_sweep`'s moves wherever it would not overflow; the cutoff is the
     caller's to keep (`check_zf` takes kets at most cutoff-2, from which
     two layers never pass the cutoff).
