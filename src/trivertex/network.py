@@ -34,13 +34,12 @@ transposes (`_layer_plan` and `_column_plan` with `reverse`: R0 is its own
 transpose with the color flow reversed, so the transpose is the operator
 swept against the flow), and the two are joined where they meet
 (`poly.add_product`).
-Each round expands the side whose map is smaller now and is predicted
-smaller after.  The gap closes by sweeping the smaller side onto the other
-side's states only: when the last two steps have no derivatives, through
-both in one sweep (`_sweep_map` of two plans, one walk over their shared
-site steps), so the map between them is never built, and the round before,
-with three such steps left, expands the smaller side; otherwise through the
-last step alone.
+Each round expands the side whose next map is predicted smaller, from its
+growth and the zero state's fan-out under its plans (`_fanout`).  The gap
+closes by sweeping the smaller side onto the other side's states only:
+when the last two steps have no derivatives, through both in one sweep
+(`_sweep_map` of two plans, one walk over their shared site steps), so the
+map between them is never built; otherwise through the last step alone.
 
 A move leaves the sweep with its exponent shift.  A scalar layer's move
 carries alpha, which the engine shifts into the layer's slot.  A per-index
@@ -68,6 +67,7 @@ battery's `convention` check and in the tests.
 from __future__ import annotations
 
 import functools
+import math
 from typing import (Callable, Collection, Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
@@ -124,7 +124,8 @@ class Convention:
         stubs ("north"), north plus the top lateral stub ("north_lateral"),
         or every output stub ("all").
 
-    Immutable, and equal and hashed by its four fields.
+    Immutable, and equal and hashed by its four fields; the hash is computed
+    once, as every plan lookup hashes the reading.
     """
 
     def __init__(self, flow: str, boundary: str, residual: str, weighted: str):
@@ -137,7 +138,7 @@ class Convention:
         if weighted not in ("north", "north_lateral", "all"):
             raise ValueError("weighted must be 'north', 'north_lateral' or 'all'")
         self.__dict__.update(flow=flow, boundary=boundary, residual=residual,
-                             weighted=weighted)
+                             weighted=weighted, _hash=hash((flow, boundary, residual, weighted)))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to Convention.%s" % name)
@@ -154,7 +155,11 @@ class Convention:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields, so that another process hashes it afresh
+        return Convention, self._fields()
 
     def __repr__(self) -> str:
         return ("Convention(flow=%r, boundary=%r, residual=%r, weighted=%r)"
@@ -606,6 +611,7 @@ def _with_units(plan: LayerPlan, units: Tuple[int, ...]) -> LayerPlan:
 
 # -- the contraction engine -------------------------------------------------
 
+_FANOUT: Dict[tuple, int] = {}  # (plan_of.func, plan_of.args, reverse) -> `_fanout`
 # One operator of a product: `plan_of`, which builds its sweep plan, and
 # with `reverse` that of its transpose (a partial of `_layer_plan` or
 # `_column_plan`); its variable, a Var whose power a move raises by its
@@ -613,6 +619,16 @@ def _with_units(plan: LayerPlan, units: Tuple[int, ...]) -> LayerPlan:
 # raises by out_p - in_p (a per-site layer or a strip); and the order of the
 # derivative in that Var applied after it, 0 for none.
 ContractStep = Tuple[Callable[..., LayerPlan], Union[Var, Tuple[Var, ...]], int]
+
+
+def _fanout(plan_of: Callable[..., LayerPlan], reverse: bool) -> int:
+    """How many states `plan_of`'s plan, or its transpose, takes the zero state to."""
+    key = plan_of.func, plan_of.args, reverse
+    f = _FANOUT.get(key)
+    if f is None:
+        plan = plan_of(True) if reverse else plan_of()
+        f = _FANOUT[key] = len(_sweep_map([(plan, 0)], {(0,) * len(plan[3]): {0: 1}}, 1))
+    return f
 
 
 def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
@@ -638,14 +654,14 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
     shifts negated.  When every step is on one side or the other, the states
     both sides hold are joined by convolving their exponent vectors.
 
-    Each round expands one side, chosen from what the loop has seen: the
-    bra side only when it holds fewer states than the ket side and also
-    fewer states times the growth of its previous expansion (states out per
-    state in; 1 before its first); otherwise the ket side.  Growth, not
-    moves per state: on the n = 10 staircase moves per state sent a third
-    layer to the bra side just as the ket side's map began to shrink.  The
-    bra side stops at the first step with a derivative, so a contraction
-    without a bra runs on the ket side alone.
+    Each round expands the side whose next map is predicted smaller: with
+    f(P) the number of states plan P takes the zero state to (`_fanout`),
+    a side's last round grew it by f(last) ** beta, and its next is
+    predicted to grow it by f(next) ** beta.  While a side holds one state,
+    or both hold fewer states than a plan has sites, a probe cannot pay and
+    the side with fewer states moves (the ket side on a tie).  The bra side
+    stops at the first step with a derivative, so a contraction without a
+    bra runs on the ket side alone.
 
     The round that closes the gap sweeps the side with fewer states (the
     bra side when it may), and only onto states the other side holds: the
@@ -656,12 +672,9 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
     the transposes from the bra side, swept together site by site in one
     `_sweep_map` (two layers, or two strips of any ells), so the map between
     the two, which the other side would mostly not meet, is never built.
-    With three such steps left, the round before expands the side with
-    fewer states, not the one the growth rule picks: on (6; 6,4,4,2,2,0)
-    that rule would take the ket side from 126 to 448 states before the
-    close, where the bra side goes from 32 to 126.  Anything else (a single
-    step, a derivative, a projection between the two) closes through the
-    last step alone.  Every round is one `_sweep_map` call.
+    Anything else (a single step, a derivative, a projection between the
+    two) closes through the last step alone.  Every round and every probe
+    is one `_sweep_map` call.
 
     A derivative of order k maps exponent e at its slot to e - k with the
     count times e (e-1) ... (e-k+1).  `projections` maps a gap g (between
@@ -709,19 +722,33 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
     cross = [not order for _, _, order in steps]
     crossable = 0 if bra is None else (cross + [False]).index(False)
 
+    zero = (0,) * len(plans[0][3]) if plans else ()
+
+    def predicted(side: Mapping, last: tuple, plan_of: Callable, reverse: bool) -> float:
+        # the last round grew the side by f(last) ** beta, the next by f(next) ** beta
+        growth, last_of = last
+        f_last = max(_fanout(last_of, reverse), 1)
+        beta = math.log(growth) / math.log(f_last) if f_last > 1 else 1.0
+        return len(side) * max(_fanout(plan_of, reverse), 1) ** beta
+
     kets: Dict[SiteState, Packed] = {ket: {0: 1}}
     bras: Dict[SiteState, Packed] = {bra: {0: 1}}
-    ket_growth = bra_growth = 1.0
+    # each side's last round: states out per state in, and its `plan_of`
+    ket_last = bra_last = (1.0, None)
     lo, hi = 0, len(steps)  # the bra side holds S_1 .. S_lo, the ket side the rest
     while lo < hi:
         # the last two steps close in one sweep when both can cross and no
-        # projection sits between them; with three such steps left, the
-        # round before expands the smaller side
-        pairable = bra is not None and hi - lo <= 3 and all(cross[lo:hi]) and not (
-            projections and any(g in projections for g in range(lo + 1, hi)))
-        on_bra = lo < crossable and len(bras) < len(kets) and (
-            hi - lo == 1 or pairable or len(bras) * bra_growth < len(kets) * ket_growth)
-        take = 2 if pairable and hi - lo == 2 else 1
+        # projection sits between them
+        pairable = bra is not None and hi - lo == 2 and all(cross[lo:hi]) and not (
+            projections and lo + 1 in projections)
+        # the closes, and rounds where a probe cannot pay, move the side with
+        # fewer states
+        by_size = hi - lo == 1 or pairable or min(len(kets), len(bras)) == 1 or max(
+            len(kets), len(bras)) < len(zero)
+        on_bra = lo < crossable and (len(bras) < len(kets) if by_size else (
+            predicted(bras, bra_last, steps[lo][0], True)
+            < predicted(kets, ket_last, steps[hi - 1][0], False)))
+        take = 2 if pairable else 1
         if on_bra:
             # the transpose's moves run from out-state to in-state, so its
             # per-index shifts are negated
@@ -747,7 +774,10 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
         # so the closing round costs about the states it sweeps
         onto = None if bra is None or lo < hi else kets if on_bra else bras
         out = _sweep_map(moves, side, cutoff, onto)
-        growth = len(out) / len(side)
+        # a one-plan sweep of the zero state alone is the probe of its fan-out
+        if len(side) == 1 and take == 1 and onto is None and zero in side:
+            _FANOUT[plan_of.func, plan_of.args, on_bra] = len(out)
+        last = len(out) / len(side), plan_of
         # a pair has no derivative, so `order` and `weigh` are the one step's
         if order:
             for state, coeff in out.items():
@@ -765,9 +795,9 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
         if not side:
             return alphabet, {}
         if on_bra:
-            bras, bra_growth = side, growth
+            bras, bra_last = side, last
         else:
-            kets, ket_growth = side, growth
+            kets, ket_last = side, last
     if bra is not None:
         joined: Packed = {}
         for state, coeff in bras.items():
@@ -816,10 +846,14 @@ class PartitionSpec:
         self.n = n
         self.layers: Tuple[LayerSpec, ...] = tuple(layers)
         for t, spec in enumerate(self.layers, start=1):
+            # a bool or a float is refused, as an occupancy is in `_contract`
+            if spec.label.__class__ is not int or spec.deriv.__class__ is not int:
+                raise ValueError("layer %d: label %r and derivative order %r must be ints"
+                                 % (t, spec.label, spec.deriv))
             if not 0 <= spec.label <= n:
                 raise InvalidLabels("label %d outside 0..%d" % (spec.label, n))
             if spec.deriv < 0:
-                raise ValueError("negative derivative order")
+                raise ValueError("layer %d: negative derivative order" % t)
             if isinstance(spec.binding, Var):
                 continue
             if not isinstance(spec.binding, Mapping):

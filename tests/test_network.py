@@ -23,6 +23,7 @@ from trivertex.network import (
     PartitionSpec,
     _column_plan,
     _contract,
+    _fanout,
     _layer_plan,
     _site_table,
     _sweep,
@@ -482,6 +483,20 @@ def test_invalid_labels():
         fixed_colors(3, -1, CONVENTION)
 
 
+def test_labels_and_derivative_orders_must_be_ints():
+    # a label's or an order's class must be int itself, as an occupancy's in
+    # `_contract`: a float order reached the alphabet as a bare
+    # AttributeError, and a bool or a float label was read as 1
+    for labels, derivs in (((1,), (1.0,)), ((1,), (True,)), ((True,), None), ((1.0,), None)):
+        with pytest.raises(ValueError, match="layer 1: label .* must be ints"):
+            scalar_spec(3, labels, derivs=derivs)
+    with pytest.raises(ValueError, match="layer 2: label 2.0 "):
+        PartitionSpec(3, [LayerSpec(1, Z[0]), LayerSpec(2.0, site_binding(3, 2))])
+    with pytest.raises(ValueError, match="layer 2: negative derivative order"):
+        scalar_spec(3, (1, 2), derivs=(0, -1))
+    assert vev(scalar_spec(3, (1,), derivs=(1,))) == LaurentPoly.one()
+
+
 def test_stack_argument_errors():
     with pytest.raises(ValueError, match="layer 1: derivative"):
         PartitionSpec(2, [LayerSpec(0, {(1, 1): Z[0]}, 1)])
@@ -770,12 +785,66 @@ def test_strips_cross_and_close_two_ells_in_one_sweep(monkeypatch):
     for ells, bra, rounds in (
             ((1, 3), vac, [[(3, False), (1, False)]]),
             ((1, 3, 5), vac, [[(5, False)], [(1, True), (3, True)]]),
-            ((3, 1, 5), (0, 1, 0, 0, 0), [[(5, False)], [(3, True), (1, True)]])):
+            ((3, 1, 5), (0, 1, 0, 0, 0), [[(5, False)], [(3, True), (1, True)]]),
+            # with the ket side at 6 states, the next round is predicted:
+            # the recorder also sees the two probes of the zero state, of
+            # Y_2's transpose (2 states) and of Y_4 (1 state), and the bra
+            # side, predicted at 4 states against 6, moves
+            ((1, 2, 3, 4, 5), vac, [[(5, False)], [(1, True)], [(2, True)], [(4, False)],
+                                    [(2, True)], [(3, True), (4, True)]])):
         layers = [(ell, row_vars(t, m)) for t, ell in enumerate(ells, start=1)]
+        # no fan-out is known before the product, so every probe runs
+        monkeypatch.setattr(network, "_FANOUT", {})
         calls.clear()
         got = strip_vev(layers, bra, vac)
         assert calls == rounds, ells
         assert got == one_sided_strip_vev(layers, bra, vac) != 0, ells
+
+
+def test_fanout_is_the_size_of_the_zero_states_image(monkeypatch):
+    # f, the number of states a plan takes the zero state to, against the
+    # engine without a bra: a plan's image of the zero state, and for the
+    # transpose the 0/1 kets whose image holds the zero state (one operator
+    # changes an occupancy by at most one)
+    monkeypatch.setattr(network, "_FANOUT", {})
+    for n in (2, 3, 4):
+        zero = vacuum_state(n)
+        kets = list(itertools.product((0, 1), repeat=len(zero)))
+        for conv in all_conventions():
+            for i in range(n + 1):
+                spec = scalar_spec(n, (i,))
+                plan_of = functools.partial(_layer_plan, n, i, conv)
+                assert _fanout(plan_of, False) == len(apply_stack(spec, conv, zero))
+                assert _fanout(plan_of, True) == sum(zero in apply_stack(spec, conv, ket)
+                                                     for ket in kets)
+    for m in range(1, 5):
+        zero = (0,) * m
+        kets = list(itertools.product((0, 1), repeat=m))
+        for ell in range(m + 1):
+            plan_of = functools.partial(_column_plan, ell, m)
+            assert _fanout(plan_of, False) == len(strip_image(ell, row_vars(1, m), zero))
+            assert _fanout(plan_of, True) == sum(zero in strip_image(ell, row_vars(1, m), ket)
+                                                 for ket in kets)
+
+
+def test_fanout_seeded_by_a_round_equals_the_probe(monkeypatch):
+    # the first round of each side of these products sweeps the zero state
+    # alone and fills in the fan-out of its plan; the next round closes, so
+    # nothing is probed.  A probe from an empty memo gives the same values
+    conv = MULTI
+    for run, seeded in (
+            (lambda: vev(inhomogeneous_spec(4, (4, 3, 0, 0)), conv),
+             {(_layer_plan, (4, 0, conv), False), (_layer_plan, (4, 4, conv), True)}),
+            (lambda: strip_vev([(ell, row_vars(t, 4)) for t, ell in enumerate((0, 2, 3, 4))],
+                               (0,) * 4, (0,) * 4),
+             {(_column_plan, (4, 4), False), (_column_plan, (0, 4), True)})):
+        memo = {}
+        monkeypatch.setattr(network, "_FANOUT", memo)
+        run()
+        assert set(memo) == seeded
+        for (func, args, reverse), f in memo.items():
+            monkeypatch.setattr(network, "_FANOUT", {})
+            assert _fanout(functools.partial(func, *args), reverse) == f
 
 
 # -- the site sweep against the term route ---------------------------------
@@ -1288,19 +1357,20 @@ def test_stack_vev_matches_term_route(spec, conv):
 
 @settings(max_examples=40, deadline=None)
 @given(small_stacks(max_n=6), st.sampled_from(all_conventions()))
-# Schur-rich and staircase stacks, where the bra side sweeps several layers,
-# closed by one sweep of the last two: from the ket side, after the
-# three-left round expanded the smaller bra side
+# Schur-rich and staircase stacks, where both sides sweep layers before one
+# sweep of the last two closes: from the ket side
 @example(scalar_spec(6, (5, 5, 3, 3)), RESOLVED)
 @example(scalar_spec(5, (4, 3, 2, 1)), RESOLVED)
 @example(scalar_spec(6, (6, 4, 4, 2, 2, 0)), RESOLVED)
+# from the bra side, on scalar layers after a predicted round and on per-site
+# layers
 @example(scalar_spec(5, (4, 4, 2, 2, 0)), RESOLVED)
-# from the bra side, on scalar and on per-site layers
 @example(scalar_spec(7, (6, 5, 3, 2, 1)), RESOLVED)
 @example(inhomogeneous_spec(4, (3, 3, 0, 0)), RESOLVED)
 # per-site layers from the ket side
 @example(inhomogeneous_spec(4, (4, 3, 0, 0)), RESOLVED)
-# a derivative in the last two steps: no pair, two one-layer rounds
+# a derivative, which the bra side cannot cross: the ket side sweeps it
+# alone before the last two close from the bra side
 @example(scalar_spec(5, (4, 4, 2, 2, 0), derivs=(0, 0, 0, 1, 0)), RESOLVED)
 def test_two_sided_vev_is_the_vacuum_entry_of_the_ket_side(spec, conv):
     # `vev` contracts from the ket and the bra at once; `apply_stack` has no
@@ -1308,3 +1378,28 @@ def test_two_sided_vev_is_the_vacuum_entry_of_the_ket_side(spec, conv):
     vac = vacuum_state(spec.n)
     image = apply_stack(spec, conv, vac)
     assert vev(spec, conv) == image.get(vac, LaurentPoly.zero())
+
+
+def test_rounds_are_chosen_by_predicted_map_size(monkeypatch):
+    # the paper's column-reduction stacks (labels n, n-1, ..., 2, 0, 0):
+    # chosen by growth alone, the ket side swept both label-0 layers and
+    # built maps of 462 states at n = 6 and 1716 at n = 7, of which 3 met
+    # the bra side.  Predicted from growth and fan-out, the bra side sweeps
+    # the decreasing labels instead, and no round, probes included, builds
+    # a map that large
+    sweep_map, sizes = network._sweep_map, []
+
+    def recording(layers, states, *args):
+        out = sweep_map(layers, states, *args)
+        sizes.append(len(out))
+        return out
+
+    for spec, growth_rule_built in ((inhomogeneous_spec(6, (6, 5, 4, 3, 2, 0, 0)), 462),
+                                    (scalar_spec(7, (7, 6, 5, 4, 3, 2, 0, 0)), 1716)):
+        vac = vacuum_state(spec.n)
+        monkeypatch.setattr(network, "_sweep_map", recording)
+        sizes.clear()
+        value = vev(spec)
+        assert max(sizes) < growth_rule_built, sizes
+        monkeypatch.setattr(network, "_sweep_map", sweep_map)
+        assert value == apply_stack(spec, CONVENTION, vac)[vac]
