@@ -7,8 +7,10 @@ tetrahedron equation, and a correspondence with Schur polynomials) against
 independent symmetric-function oracles.
 
 The identity battery (`trivertex.verify`, with the oracles of
-`trivertex.symfunc`) loads on first use: `import trivertex` does not compile
-it, and `CheckReport` and `run_battery` import it when first looked up.
+`trivertex.symfunc` and the local algebra's verifiers in `trivertex.lattice`)
+loads on first use: `import trivertex` compiles only the engine (`network`,
+with the operators and tensors of `fock` and the polynomials of `poly`), and
+`CheckReport` and `run_battery` import the battery when first looked up.
 """
 
 from .network import (

@@ -11,7 +11,6 @@ import argparse
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from .lattice import CutoffTooSmall
 from .network import enumerate_configurations, inhomogeneous_spec, scalar_spec, vev
 from .poly import LaurentPoly, Var, parse_var_name
 
@@ -201,10 +200,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the battery is imported here, so that compute and enumerate never load it
+    # the battery and the verifiers are imported here, so that compute and
+    # enumerate never load them
     import json
 
     from . import verify
+    from .lattice import CutoffTooSmall
 
     if args.group not in ("all",) + verify.GROUPS:
         raise UsageError("unknown group %r (choose from all, %s)"

@@ -1,4 +1,5 @@
-"""Boson occupation spaces and the two local operator families acting on them.
+"""Boson occupation spaces, the two local operator families acting on them,
+and the vertex tensors built from the operators.
 
 States are occupation numbers m = 0, 1, ..., cutoff-1; `cutoff` is the
 dimension of the truncated space.  Two families act:
@@ -13,18 +14,37 @@ dimension of the truncated space.  Two families act:
 Coefficients are exact Laurent polynomials in q.  Raising past the truncation
 raises CutoffOverflow rather than silently truncating, so callers must size
 the space to the operator content they apply.
+
+A local tensor is a 2x2x2x2 table: subscripts (i, j) are the two incoming
+edge colors, superscripts (a, b) the outgoing ones, and each nonzero entry is
+one of these operators dressed with a monomial prefactor.  Every nonzero
+entry conserves color: i + j = a + b.  Four kinds exist:
+
+* R0    — undeformed, no spectral variable (identities, raise, lower, project);
+* LZ    — same entries with spectral weights z / z^-1 on raise / lower;
+* LQZ   — the q-oscillator version (raise/lower/diagonal, plus a -q·k entry);
+* MQZ   — LQZ with the deformation parameter negated, q -> -q.
+
+The layer engine (`trivertex.network`) reads R0 and `apply_local` only; the
+checks of the operator relations and of the tetrahedron equation, and the
+MQZ negation (`apply_entry`), live in `trivertex.lattice`, which only the
+identity battery loads.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from .poly import LaurentPoly, Var
+from .poly import LaurentPoly, NegativeExponentSubstitution, Var
 
 
 class CutoffOverflow(Exception):
     """An operator tried to raise an occupation number past the truncation."""
+
+
+class MissingVariable(Exception):
+    """A tensor kind that needs a spectral variable was built without one."""
 
 
 class LocalOp(Enum):
@@ -42,6 +62,7 @@ class LocalOp(Enum):
 
 
 Q = Var.q()
+MINUS_Q = LaurentPoly.var(Q) * -1
 
 _ONE = LaurentPoly.one()
 
@@ -51,10 +72,11 @@ def apply_local(op: LocalOp, m: int, cutoff: int) -> List[Tuple[int, LaurentPoly
 
     Returns a list of (occupancy, coefficient) pairs; the empty list means the
     state is annihilated.  Raises CutoffOverflow if the image would leave the
-    truncated space, and ValueError for m outside 0..cutoff-1.
+    truncated space, and ValueError for m outside 0..cutoff-1 or not an int.
     """
-    if not 0 <= m < cutoff:
-        raise ValueError("occupancy %d outside truncation 0..%d" % (m, cutoff - 1))
+    # a bool or a float is refused, as an occupancy is in `network._contract`
+    if m.__class__ is not int or not 0 <= m < cutoff:
+        raise ValueError("occupancy %r is not an int in 0..%d" % (m, cutoff - 1))
     if op is LocalOp.ID_B or op is LocalOp.ID_R:
         return [(m, _ONE)]
     if op is LocalOp.B_PLUS:
@@ -96,87 +118,47 @@ def q_to_zero(op: LocalOp) -> LocalOp:
     return table[op]
 
 
-# -- matrices and relation checks -----------------------------------------
+# -- local tensors ---------------------------------------------------------
 
-Matrix = Dict[Tuple[int, int], LaurentPoly]
+class TensorKind(Enum):
+    R0 = "r0"
+    LZ = "lz"
+    LQZ = "lqz"
+    MQZ = "mqz"
 
 
-def op_matrix(ops: Sequence[LocalOp], cutoff: int, scalar: LaurentPoly = None) -> Matrix:
-    """Matrix of a product of operators (applied right to left) on inputs
-    0..cutoff-1.
+Entry = Tuple[LaurentPoly, LocalOp]
+EntryTable = Dict[Tuple[int, int, int, int], Entry]
 
-    One extra occupancy level is allowed for intermediate states, so
-    products like lowering∘raising can be evaluated at the top of the window
-    exactly as they act on the untruncated space.
+
+def local_tensor(kind: TensorKind, z: Optional[Union[Var, LaurentPoly]] = None) -> EntryTable:
+    """Entry table for one tensor kind.
+
+    `z` (a variable or an invertible Laurent monomial) is required for every
+    kind except R0, which ignores it; MissingVariable if it is None, and
+    ValueError for any other value or for a `kind` that is not a
+    `TensorKind`.  For MQZ the returned prefactors are written in the
+    un-negated deformation variable; `lattice.apply_entry` applies the
+    negation.
     """
-    mat: Matrix = {}
-    for m_in in range(cutoff):
-        states = {m_in: _ONE if scalar is None else scalar}
-        for op in reversed(list(ops)):
-            nxt: Dict[int, LaurentPoly] = {}
-            for m, coeff in states.items():
-                for m2, c2 in apply_local(op, m, cutoff + 1):
-                    acc = nxt.get(m2, LaurentPoly.zero()) + coeff * c2
-                    if acc.is_zero():
-                        nxt.pop(m2, None)
-                    else:
-                        nxt[m2] = acc
-            states = nxt
-        for m_out, coeff in states.items():
-            mat[(m_out, m_in)] = coeff
-    return mat
-
-
-def _combo(terms, cutoff: int) -> Matrix:
-    """Matrix of sum_i scalar_i * (product of ops_i)."""
-    out: Matrix = {}
-    for s, ops in terms:
-        for key, coeff in op_matrix(ops, cutoff, scalar=s).items():
-            acc = out.get(key, LaurentPoly.zero()) + coeff
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
-
-
-def _check_relations(cutoff: int, cases) -> dict:
-    """Each case, name -> (lhs, rhs) as `_combo` terms, compared as matrices
-    on occupancies 0..cutoff-1 (cutoff >= 2 required)."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    relations = {name: _combo(lhs, cutoff) == _combo(rhs, cutoff)
-                 for name, (lhs, rhs) in cases.items()}
-    return {"cutoff": cutoff, "relations": relations, "passed": all(relations.values())}
-
-
-def check_q0_relations(cutoff: int) -> dict:
-    """Verify the defining relations of the crystal-like family as matrices
-    on occupancies 0..cutoff-1 (cutoff >= 2 required).
-
-    Relations: proj∘raise = 0, lower∘proj = 0, raise∘lower = 1 - proj,
-    lower∘raise = 1.
-    """
-    t, bp, bm = LocalOp.T_PROJ, LocalOp.B_PLUS, LocalOp.B_MINUS
-    return _check_relations(cutoff, {
-        "proj_after_raise_is_zero": ([(_ONE, [t, bp])], []),
-        "lower_after_proj_is_zero": ([(_ONE, [bm, t])], []),
-        "raise_lower_is_one_minus_proj": ([(_ONE, [bp, bm])], [(_ONE, []), (-_ONE, [t])]),
-        "lower_raise_is_one": ([(_ONE, [bm, bp])], [(_ONE, [])]),
-    })
-
-
-def check_qosc_relations(cutoff: int) -> dict:
-    """Verify the defining relations of the q-oscillator family as matrices
-    on occupancies 0..cutoff-1 (cutoff >= 2 required).
-
-    Relations: k a+ = q a+ k, k a- = q^-1 a- k, a- a+ = 1 - q^2 k^2,
-    a+ a- = 1 - k^2.
-    """
-    ap, am, k = LocalOp.A_PLUS, LocalOp.A_MINUS, LocalOp.K
-    return _check_relations(cutoff, {
-        "k_raise_twist": ([(_ONE, [k, ap])], [(LaurentPoly.var(Q), [ap, k])]),
-        "k_lower_twist": ([(_ONE, [k, am])], [(LaurentPoly.var(Q, -1), [am, k])]),
-        "lower_raise": ([(_ONE, [am, ap])], [(_ONE, []), (-LaurentPoly.var(Q, 2), [k, k])]),
-        "raise_lower": ([(_ONE, [ap, am])], [(_ONE, []), (-_ONE, [k, k])]),
-    })
+    if not isinstance(kind, TensorKind):
+        raise ValueError("unknown tensor kind %r" % (kind,))
+    if kind is TensorKind.R0:
+        zp = zm = _ONE
+    elif z is None:
+        raise MissingVariable("tensor kind %s needs a spectral variable" % kind.value)
+    elif not isinstance(z, (Var, LaurentPoly)):
+        raise ValueError("spectral variable %r is neither a Var nor a LaurentPoly" % (z,))
+    else:
+        zp = LaurentPoly.var(z) if isinstance(z, Var) else z
+        try:
+            zm = zp ** -1
+        except NegativeExponentSubstitution:
+            raise ValueError("spectral weight %s is not an invertible monomial" % (z,)) from None
+    if kind is TensorKind.R0 or kind is TensorKind.LZ:
+        up, down, diag, extra = LocalOp.B_PLUS, LocalOp.B_MINUS, LocalOp.T_PROJ, {}
+    else:
+        up, down, diag = LocalOp.A_PLUS, LocalOp.A_MINUS, LocalOp.K
+        extra = {(1, 0, 1, 0): (MINUS_Q, LocalOp.K)}
+    return {(0, 0, 0, 0): (_ONE, LocalOp.ID_B), (1, 1, 1, 1): (_ONE, LocalOp.ID_R),
+            (1, 0, 0, 1): (zp, up), (0, 1, 1, 0): (zm, down), (0, 1, 0, 1): (_ONE, diag), **extra}

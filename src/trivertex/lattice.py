@@ -1,84 +1,130 @@
-"""Operator-valued vertex weights and the tetrahedron-equation verifier.
+"""The verifiers of the local algebra: the operator relations, the vertex
+tensors' q -> 0 limit, and the tetrahedron equation.
 
-A local tensor is a 2x2x2x2 table: subscripts (i, j) are the two incoming
-edge colors, superscripts (a, b) the outgoing ones, and each nonzero entry is
-a Fock-space operator dressed with a monomial prefactor.  Every nonzero entry
-conserves color: i + j = a + b.  Four kinds exist:
+The operators and the tensors built from them live in `trivertex.fock`;
+this module checks what they satisfy, and only the identity battery
+(`trivertex.verify`) and `trivertex verify` load it.
 
-* R0    — undeformed, no spectral variable (identities, raise, lower, project);
-* LZ    — same entries with spectral weights z / z^-1 on raise / lower;
-* LQZ   — the q-oscillator version (raise/lower/diagonal, plus a -q·k entry);
-* MQZ   — LQZ with the deformation parameter negated, q -> -q.
+* `check_q0_relations` and `check_qosc_relations` compare products of the
+  local operators as matrices on a truncated occupancy space (`op_matrix`).
+* `apply_entry` acts with one tensor entry.  The negation of MQZ lives here,
+  not in the stored table: `apply_entry` substitutes q -> -q into the
+  combined coefficient, which also negates the q's produced by the operator
+  action itself.  `q0_limit` takes a deformed tensor entrywise to q = 0.
+* The tetrahedron-equation check composes four tensors on four color lines
+  and two Fock lines, in both orders, and compares the resulting maps sector
+  by sector.  Each factor's action is tabled once per check, and
+  coefficients are packed polynomials over one `poly.Alphabet`, multiplied
+  by `poly.add_product` (`_tables`, `_apply`).
 
-The negation of MQZ lives in the application step, not the stored table:
-`apply_entry` substitutes q -> -q into the combined coefficient, which also
-negates the q's produced by the operator action itself.
-
-The tetrahedron-equation check composes four such tensors on four color lines
-and two Fock lines, in both orders, and compares the resulting maps sector by
-sector.  Each factor's action is tabled once per check, and coefficients are
-packed polynomials over one `poly.Alphabet`, multiplied by `poly.add_product`
-(`_tables`, `_apply`).
+The tensor names (`TensorKind`, `local_tensor`, `MissingVariable`, `Entry`,
+`EntryTable`) are imported from `fock` and stay reachable here.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import product
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .fock import CutoffOverflow, LocalOp, apply_local, q_to_zero
+from .fock import (MINUS_Q, Q, CutoffOverflow, Entry, EntryTable, LocalOp, MissingVariable,
+                   TensorKind, apply_local, local_tensor, q_to_zero)
 from .poly import Alphabet, LaurentPoly, Var, add_product
-
-
-class MissingVariable(Exception):
-    """A tensor kind that needs a spectral variable was built without one."""
 
 
 class CutoffTooSmall(Exception):
     """The requested check needs a larger truncation to be exact."""
 
 
-class TensorKind(Enum):
-    R0 = "r0"
-    LZ = "lz"
-    LQZ = "lqz"
-    MQZ = "mqz"
+_ONE = LaurentPoly.one()
 
 
-Entry = Tuple[LaurentPoly, LocalOp]
-EntryTable = Dict[Tuple[int, int, int, int], Entry]
+# -- operator relations ----------------------------------------------------
 
-_Q = Var.q()
-_MINUS_Q = LaurentPoly.var(_Q) * -1
+Matrix = Dict[Tuple[int, int], LaurentPoly]
 
 
-def local_tensor(kind: TensorKind, z: Optional[Union[Var, LaurentPoly]] = None) -> EntryTable:
-    """Entry table for one tensor kind.
+def op_matrix(ops: Sequence[LocalOp], cutoff: int, scalar: LaurentPoly = None) -> Matrix:
+    """Matrix of a product of operators (applied right to left) on inputs
+    0..cutoff-1.
 
-    `z` (a variable or an invertible Laurent monomial) is required for every
-    kind except R0; MissingVariable otherwise.  For MQZ the returned
-    prefactors are written in the un-negated deformation variable; the
-    negation is applied by `apply_entry`.
+    One extra occupancy level is allowed for intermediate states, so
+    products like lowering∘raising can be evaluated at the top of the window
+    exactly as they act on the untruncated space.
     """
-    one = LaurentPoly.one()
-    if kind is TensorKind.R0:
-        zp = zm = one
-    elif z is None:
-        raise MissingVariable("tensor kind %s needs a spectral variable" % kind.value)
-    else:
-        zp = LaurentPoly.var(z) if isinstance(z, Var) else z
-        zm = zp ** -1
-    if kind in (TensorKind.R0, TensorKind.LZ):
-        up, down, diag, extra = LocalOp.B_PLUS, LocalOp.B_MINUS, LocalOp.T_PROJ, {}
-    elif kind in (TensorKind.LQZ, TensorKind.MQZ):
-        up, down, diag = LocalOp.A_PLUS, LocalOp.A_MINUS, LocalOp.K
-        extra = {(1, 0, 1, 0): (_MINUS_Q, LocalOp.K)}
-    else:
-        raise ValueError("unknown tensor kind %r" % (kind,))
-    return {(0, 0, 0, 0): (one, LocalOp.ID_B), (1, 1, 1, 1): (one, LocalOp.ID_R),
-            (1, 0, 0, 1): (zp, up), (0, 1, 1, 0): (zm, down), (0, 1, 0, 1): (one, diag), **extra}
+    mat: Matrix = {}
+    for m_in in range(cutoff):
+        states = {m_in: _ONE if scalar is None else scalar}
+        for op in reversed(list(ops)):
+            nxt: Dict[int, LaurentPoly] = {}
+            for m, coeff in states.items():
+                for m2, c2 in apply_local(op, m, cutoff + 1):
+                    acc = nxt.get(m2, LaurentPoly.zero()) + coeff * c2
+                    if acc.is_zero():
+                        nxt.pop(m2, None)
+                    else:
+                        nxt[m2] = acc
+            states = nxt
+        for m_out, coeff in states.items():
+            mat[(m_out, m_in)] = coeff
+    return mat
 
+
+def _combo(terms, cutoff: int) -> Matrix:
+    """Matrix of sum_i scalar_i * (product of ops_i)."""
+    out: Matrix = {}
+    for s, ops in terms:
+        for key, coeff in op_matrix(ops, cutoff, scalar=s).items():
+            acc = out.get(key, LaurentPoly.zero()) + coeff
+            if acc.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = acc
+    return out
+
+
+def _check_relations(cutoff: int, cases) -> dict:
+    """Each case, name -> (lhs, rhs) as `_combo` terms, compared as matrices
+    on occupancies 0..cutoff-1 (cutoff >= 2 required)."""
+    if cutoff < 2:
+        raise ValueError("cutoff must be >= 2")
+    relations = {name: _combo(lhs, cutoff) == _combo(rhs, cutoff)
+                 for name, (lhs, rhs) in cases.items()}
+    return {"cutoff": cutoff, "relations": relations, "passed": all(relations.values())}
+
+
+def check_q0_relations(cutoff: int) -> dict:
+    """Verify the defining relations of the crystal-like family as matrices
+    on occupancies 0..cutoff-1 (cutoff >= 2 required).
+
+    Relations: proj∘raise = 0, lower∘proj = 0, raise∘lower = 1 - proj,
+    lower∘raise = 1.
+    """
+    t, bp, bm = LocalOp.T_PROJ, LocalOp.B_PLUS, LocalOp.B_MINUS
+    return _check_relations(cutoff, {
+        "proj_after_raise_is_zero": ([(_ONE, [t, bp])], []),
+        "lower_after_proj_is_zero": ([(_ONE, [bm, t])], []),
+        "raise_lower_is_one_minus_proj": ([(_ONE, [bp, bm])], [(_ONE, []), (-_ONE, [t])]),
+        "lower_raise_is_one": ([(_ONE, [bm, bp])], [(_ONE, [])]),
+    })
+
+
+def check_qosc_relations(cutoff: int) -> dict:
+    """Verify the defining relations of the q-oscillator family as matrices
+    on occupancies 0..cutoff-1 (cutoff >= 2 required).
+
+    Relations: k a+ = q a+ k, k a- = q^-1 a- k, a- a+ = 1 - q^2 k^2,
+    a+ a- = 1 - k^2.
+    """
+    ap, am, k = LocalOp.A_PLUS, LocalOp.A_MINUS, LocalOp.K
+    return _check_relations(cutoff, {
+        "k_raise_twist": ([(_ONE, [k, ap])], [(LaurentPoly.var(Q), [ap, k])]),
+        "k_lower_twist": ([(_ONE, [k, am])], [(LaurentPoly.var(Q, -1), [am, k])]),
+        "lower_raise": ([(_ONE, [am, ap])], [(_ONE, []), (-LaurentPoly.var(Q, 2), [k, k])]),
+        "raise_lower": ([(_ONE, [ap, am])], [(_ONE, []), (-_ONE, [k, k])]),
+    })
+
+
+# -- vertex tensors --------------------------------------------------------
 
 def apply_entry(kind: TensorKind, entry: Entry, m: int, cutoff: int) -> List[Tuple[int, LaurentPoly]]:
     """Act with one tensor entry on Fock occupancy m.
@@ -91,7 +137,7 @@ def apply_entry(kind: TensorKind, entry: Entry, m: int, cutoff: int) -> List[Tup
     for m2, c in apply_local(op, m, cutoff):
         coeff = prefactor * c
         if kind is TensorKind.MQZ:
-            coeff = coeff.substitute({_Q: _MINUS_Q})
+            coeff = coeff.substitute({Q: MINUS_Q})
         if not coeff.is_zero():
             out.append((m2, coeff))
     return out
@@ -108,8 +154,8 @@ def q0_limit(kind: TensorKind, z: Union[Var, LaurentPoly]) -> EntryTable:
     out: EntryTable = {}
     for key, (prefactor, op) in local_tensor(kind, z).items():
         if kind is TensorKind.MQZ:
-            prefactor = prefactor.substitute({_Q: _MINUS_Q})
-        at0 = prefactor.substitute({_Q: 0})
+            prefactor = prefactor.substitute({Q: MINUS_Q})
+        at0 = prefactor.substitute({Q: 0})
         if not at0.is_zero():
             out[key] = (at0, q_to_zero(op))
     return out

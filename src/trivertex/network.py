@@ -12,7 +12,7 @@ over the sites (`_sweep_map`): each site's local operator acts as soon as
 the site is reached, so a branch ends at the first site that kills the
 state or disagrees with a fixed output stub.  The site tables are read off
 `fock.apply_local` (`_site_table`), so the sweep runs on the operator action
-whose relations `fock.check_q0_relations` proves.  It branches over the
+whose relations `lattice.check_q0_relations` proves.  It branches over the
 colors of free input stubs and over the states, read as a trie, so states
 that agree on the sites swept so far share one branch.  Every plan comes
 from one builder: `_frame` lays out the steps over a set of sites and
@@ -71,8 +71,7 @@ import math
 from typing import (Callable, Collection, Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
-from .fock import CutoffOverflow, LocalOp, apply_local
-from .lattice import TensorKind, local_tensor
+from .fock import CutoffOverflow, LocalOp, TensorKind, apply_local, local_tensor
 from .poly import Alphabet, LaurentPoly, Packed, Var, add_product
 
 

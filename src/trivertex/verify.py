@@ -16,8 +16,8 @@ import time
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .fock import check_q0_relations, check_qosc_relations
-from .lattice import TensorKind, local_tensor, q0_limit, tetrahedron_check
+from .fock import TensorKind, local_tensor
+from .lattice import check_q0_relations, check_qosc_relations, q0_limit, tetrahedron_check
 from .network import (
     CONVENTION,
     Convention,

@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 
-from trivertex import cli, verify
+import pytest
+
+from trivertex import cli, fock, lattice, verify
 from trivertex.verify import CheckReport
 
 
@@ -252,3 +254,32 @@ def test_compute_and_enumerate_load_no_battery():
     lines = done.stdout.decode().splitlines()
     assert "cold: []" in lines, lines
     assert lines[-1] == "after verify: True"
+
+
+@pytest.mark.parametrize("args", [
+    ("-c", "import trivertex; trivertex.vev(trivertex.scalar_spec(4, (3, 3, 1)))"),
+    ("-m", "trivertex.cli", "compute", "--n", "4", "--labels", "3,3,1"),
+    ("-m", "trivertex.cli", "enumerate", "--n", "4", "--labels", "3,3,1"),
+])
+def test_engine_loads_no_verifier(args):
+    """A vev, a cold `compute` and a cold `enumerate` import neither the
+    algebra's verifiers (`trivertex.lattice`) nor the battery or its
+    oracles.  `-X importtime` lists every module a fresh interpreter
+    imports, on standard error."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-S", "-X", "importtime", *args], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.decode().splitlines()
+              if line.startswith("import time:")}
+    assert "trivertex.network" in loaded and "trivertex.fock" in loaded
+    assert not loaded & {"trivertex.lattice", "trivertex.verify", "trivertex.symfunc"}
+
+
+def test_lattice_keeps_the_tensor_names():
+    """The tensors live in `fock`; `lattice`, which checks them, holds the
+    same objects under the names it always had."""
+    assert lattice.local_tensor is fock.local_tensor
+    assert lattice.TensorKind is fock.TensorKind
+    assert callable(lattice.tetrahedron_check)

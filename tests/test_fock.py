@@ -3,15 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trivertex.fock import (
-    CutoffOverflow,
-    LocalOp,
-    apply_local,
-    check_q0_relations,
-    check_qosc_relations,
-    op_matrix,
-    q_to_zero,
-)
+from trivertex.fock import CutoffOverflow, LocalOp, apply_local, q_to_zero
+from trivertex.lattice import check_q0_relations, check_qosc_relations, op_matrix
 from trivertex.poly import LaurentPoly, Var
 
 Q = Var.q()
@@ -47,6 +40,13 @@ def test_cutoff_overflow():
         apply_local(LocalOp.A_PLUS, 2, 3)
     with pytest.raises(ValueError):
         apply_local(LocalOp.B_PLUS, 3, 3)
+
+
+@pytest.mark.parametrize("m", [1.5, 1.0, True, False, None])
+def test_occupancy_must_be_an_int(m):
+    # a float or a bool is refused rather than carried into the image
+    with pytest.raises(ValueError):
+        apply_local(LocalOp.B_PLUS, m, 5)
 
 
 def test_relations_cutoff_3():

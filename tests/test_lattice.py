@@ -58,6 +58,20 @@ def test_missing_variable():
         local_tensor(TensorKind.MQZ)
 
 
+@pytest.mark.parametrize("kind, z", [
+    ("r0", None),                                  # a value, not a TensorKind
+    (None, None),
+    (TensorKind.LZ, 3),                            # a number is no spectral variable
+    (TensorKind.LZ, 0),
+    (TensorKind.LQZ, True),
+    (TensorKind.MQZ, LaurentPoly.var(Z) + 1),      # not an invertible monomial
+    (TensorKind.LZ, LaurentPoly.var(Z) * 2),
+])
+def test_local_tensor_refuses_bad_input(kind, z):
+    with pytest.raises(ValueError):
+        local_tensor(kind, z)
+
+
 def test_color_conservation_all_kinds():
     tables = [
         local_tensor(TensorKind.R0),
