@@ -72,9 +72,12 @@ def apply_local(op: LocalOp, m: int, cutoff: int) -> List[Tuple[int, LaurentPoly
 
     Returns a list of (occupancy, coefficient) pairs; the empty list means the
     state is annihilated.  Raises CutoffOverflow if the image would leave the
-    truncated space, and ValueError for m outside 0..cutoff-1 or not an int.
+    truncated space, and ValueError for a cutoff that is not an int or for m
+    outside 0..cutoff-1 or not an int.
     """
     # a bool or a float is refused, as an occupancy is in `network._contract`
+    if cutoff.__class__ is not int:
+        raise ValueError("cutoff %r is not an int" % (cutoff,))
     if m.__class__ is not int or not 0 <= m < cutoff:
         raise ValueError("occupancy %r is not an int in 0..%d" % (m, cutoff - 1))
     if op is LocalOp.ID_B or op is LocalOp.ID_R:

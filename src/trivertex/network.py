@@ -67,12 +67,13 @@ battery's `convention` check and in the tests.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import (Callable, Collection, Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 from .fock import CutoffOverflow, LocalOp, TensorKind, apply_local, local_tensor
-from .poly import Alphabet, LaurentPoly, Packed, Var, add_product
+from .poly import Alphabet, Frozen, LaurentPoly, Packed, Var, add_product
 
 
 class NoConventionFound(Exception):
@@ -109,7 +110,16 @@ def vacuum_state(n: int) -> SiteState:
     return (0,) * (n * (n - 1) // 2)
 
 
-class Convention:
+# each field of a reading and its allowed values, in `all_conventions` order
+_CONVENTION_FIELDS = (
+    ("flow", ("we", "ew")),
+    ("boundary", ("staircase", "columns")),
+    ("residual", ("sum", "zero")),
+    ("weighted", ("north", "north_lateral", "all")),
+)
+
+
+class Convention(Frozen):
     """One reading of the boundary pictures.
 
     flow: which horizontal direction colors propagate ("we" or "ew").
@@ -128,22 +138,13 @@ class Convention:
     """
 
     def __init__(self, flow: str, boundary: str, residual: str, weighted: str):
-        if flow not in ("we", "ew"):
-            raise ValueError("flow must be 'we' or 'ew'")
-        if boundary not in ("staircase", "columns"):
-            raise ValueError("boundary must be 'staircase' or 'columns'")
-        if residual not in ("sum", "zero"):
-            raise ValueError("residual must be 'sum' or 'zero'")
-        if weighted not in ("north", "north_lateral", "all"):
-            raise ValueError("weighted must be 'north', 'north_lateral' or 'all'")
+        fields = (flow, boundary, residual, weighted)
+        for value, (name, allowed) in zip(fields, _CONVENTION_FIELDS):
+            if value not in allowed:
+                names = ["%r" % a for a in allowed]
+                raise ValueError("%s must be %s or %s" % (name, ", ".join(names[:-1]), names[-1]))
         self.__dict__.update(flow=flow, boundary=boundary, residual=residual,
-                             weighted=weighted, _hash=hash((flow, boundary, residual, weighted)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to Convention.%s" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete Convention.%s" % name)
+                             weighted=weighted, _hash=hash(fields))
 
     def _fields(self) -> Tuple[str, str, str, str]:
         return (self.flow, self.boundary, self.residual, self.weighted)
@@ -166,13 +167,8 @@ class Convention:
 
 
 def all_conventions() -> List[Convention]:
-    return [
-        Convention(f, b, r, w)
-        for f in ("we", "ew")
-        for b in ("staircase", "columns")
-        for r in ("sum", "zero")
-        for w in ("north", "north_lateral", "all")
-    ]
+    return [Convention(*fields)
+            for fields in itertools.product(*(allowed for _, allowed in _CONVENTION_FIELDS))]
 
 
 # the paper's reading; `resolve_convention()` re-derives it
@@ -656,11 +652,13 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
     Each round expands the side whose next map is predicted smaller: with
     f(P) the number of states plan P takes the zero state to (`_fanout`),
     a side's last round grew it by f(last) ** beta, and its next is
-    predicted to grow it by f(next) ** beta.  While a side holds one state,
-    or both hold fewer states than a plan has sites, a probe cannot pay and
-    the side with fewer states moves (the ket side on a tie).  The bra side
-    stops at the first step with a derivative, so a contraction without a
-    bra runs on the ket side alone.
+    predicted to grow it by f(next) ** beta.  The fan-outs are memoized: a
+    side's first round from the zero state records its plan's, and
+    otherwise a probe sweep of the zero state finds it.  While a side holds
+    one state, or both hold fewer states than a plan has sites, a probe
+    cannot pay and the side with fewer states moves (the ket side on a
+    tie).  The bra side stops at the first step with a derivative, so a
+    contraction without a bra runs on the ket side alone.
 
     The round that closes the gap sweeps the side with fewer states (the
     bra side when it may), and only onto states the other side holds: the
@@ -808,7 +806,7 @@ def _contract(steps: Sequence[ContractStep], ket: Sequence[int],
 
 # -- partition specifications ---------------------------------------------
 
-class LayerSpec:
+class LayerSpec(Frozen):
     """One layer X_label(binding), differentiated `deriv` times in its
     variable.  Its fields cannot be reassigned once a `PartitionSpec` has
     checked them, and a site map is copied, so the caller's dict can change
@@ -818,12 +816,6 @@ class LayerSpec:
         if isinstance(binding, Mapping):
             binding = dict(binding)
         self.__dict__.update(label=label, binding=binding, deriv=deriv)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to LayerSpec.%s" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete LayerSpec.%s" % name)
 
     def __eq__(self, other):
         if other.__class__ is LayerSpec:
@@ -836,14 +828,14 @@ class LayerSpec:
             self.label, self.binding, self.deriv)
 
 
-class PartitionSpec:
-    """A stack of layers on the triangle of size n, first layer first."""
+class PartitionSpec(Frozen):
+    """A stack of layers on the triangle of size n, first layer first.  Its
+    fields cannot be reassigned once it has checked them."""
 
     def __init__(self, n: int, layers: Iterable[LayerSpec]):
         if n < 2:
             raise ValueError("need n >= 2 for a nonempty triangle, got %d" % n)
-        self.n = n
-        self.layers: Tuple[LayerSpec, ...] = tuple(layers)
+        self.__dict__.update(n=n, layers=tuple(layers))
         for t, spec in enumerate(self.layers, start=1):
             # a bool or a float is refused, as an occupancy is in `_contract`
             if spec.label.__class__ is not int or spec.deriv.__class__ is not int:

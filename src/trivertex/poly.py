@@ -56,7 +56,21 @@ class InexactDivision(PolyError):
     coefficients."""
 
 
-class Var:
+class Frozen:
+    """Base of the immutable value classes: a subclass sets its fields in
+    `__init__`, through `object.__setattr__` or its `__dict__`, and refuses
+    to assign or delete them afterwards."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to %s.%s" % (self.__class__.__name__, name))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete %s.%s" % (self.__class__.__name__, name))
+
+
+class Var(Frozen):
     """A formal variable, identified by kind and integer indices.
 
     Immutable.  Its hash is that of (kind, index), computed once: variables
@@ -68,12 +82,6 @@ class Var:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "_hash", hash((kind, index)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to Var.%s" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete Var.%s" % name)
 
     def __reduce__(self):
         return Var, (self.kind, self.index)

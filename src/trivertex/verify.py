@@ -1,8 +1,9 @@
 """Identity battery: every expectation-value identity checked exactly
 against the independent symmetric-function oracles.
 
-All checks return a CheckReport; nothing is approximate, a report passes
-only on exact Laurent-polynomial (or exact rational) equality.
+All checks return a CheckReport, the Schur-stack check two from one
+contraction; nothing is approximate, a report passes only on exact
+Laurent-polynomial (or exact rational) equality.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .network import (
     _sweep,
     _vev_counts,
     apply_stack,
-    count_configurations,
     inhomogeneous_spec,
     resolve_convention,
     scalar_spec,
@@ -319,43 +319,46 @@ def _block_layout(blocks: Sequence[Tuple[int, int]]):
     return labels, var_groups, tuple(parts), prefactor
 
 
-def check_schur_correspondence(n: int, blocks: Sequence[Tuple[int, int]]) -> CheckReport:
-    """Strictly decreasing labels with multiplicities: the expectation value
-    factors as prod_k (block variables)^(m-k) times a Schur polynomial."""
+def check_schur_stack(n: int, blocks: Sequence[Tuple[int, int]]) -> List[CheckReport]:
+    """Strictly decreasing labels with multiplicities, on one contraction of
+    the stack: the expectation value factors as prod_k (block
+    variables)^(m-k) times a Schur polynomial (`schur_correspondence`), and
+    the configuration count, the vev's counts summed, equals that Schur
+    polynomial at all ones; for multiplicity-free labels also the pairwise
+    product prod (i_k - i_l)/(l - k) (`counting`)."""
     t0 = time.perf_counter()
-    _check_schur_blocks(n, blocks)
-    layout = _block_layout(blocks)
-    return _schur_report(n, blocks, layout, vev(scalar_spec(n, layout[0])), t0)
-
-
-def _check_schur_blocks(n: int, blocks: Sequence[Tuple[int, int]]):
     values = [b[0] for b in blocks]
     if any(values[k] <= values[k + 1] for k in range(len(values) - 1)):
         raise ValueError("block labels must be strictly decreasing")
     if values[0] > n or values[-1] < 0:
         raise ValueError("labels must sit in 0..n")
-
-
-def _schur_report(n: int, blocks: Sequence[Tuple[int, int]], layout: tuple,
-                  got: LaurentPoly, t0: float) -> CheckReport:
-    _, var_groups, parts, prefactor = layout
+    labels, var_groups, parts, prefactor = _block_layout(blocks)
+    alphabet, counts = _vev_counts(scalar_spec(n, labels), CONVENTION)
+    got = alphabet.poly(counts)
     expected = prefactor * schur_jacobi_trudi(parts, [v for g in var_groups for v in g])
     passed = got == expected
-    return _report("schur_correspondence",
-                   {"n": n, "blocks": [list(b) for b in blocks]},
-                   passed, None if passed else _mismatch(got, expected), t0)
+    schur = _report("schur_correspondence", {"n": n, "blocks": [list(b) for b in blocks]},
+                    passed, None if passed else _mismatch(got, expected), t0)
 
-
-def _schur_and_counting(n: int, blocks: Sequence[Tuple[int, int]]) -> List[CheckReport]:
-    """`check_schur_correspondence` and `check_counting` on one contraction
-    of the stack: the count is the vev's counts summed."""
     t0 = time.perf_counter()
-    _check_schur_blocks(n, blocks)
-    layout = _block_layout(blocks)
-    alphabet, counts = _vev_counts(scalar_spec(n, layout[0]), CONVENTION)
-    schur = _schur_report(n, blocks, layout, alphabet.poly(counts), t0)
-    return [schur, _counting_report(n, blocks, layout, sum(counts.values()),
-                                    time.perf_counter())]
+    count = sum(counts.values())
+    expected_count = schur_at_one(parts, len(labels))
+    passed = count == expected_count
+    detail = None
+    if passed and all(mult == 1 for _, mult in blocks):
+        num = den = 1
+        m = len(labels)
+        for k in range(m):
+            for l in range(k + 1, m):
+                num *= labels[k] - labels[l]
+                den *= l - k
+        passed = num == count * den
+        if not passed:
+            detail = {"count": count, "product": str(Fraction(num, den))}
+    elif not passed:
+        detail = {"count": count, "expected": expected_count}
+    return [schur, _report("counting", {"n": n, "blocks": [list(b) for b in blocks]},
+                           passed, detail, t0)]
 
 
 def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
@@ -405,7 +408,7 @@ def check_multiple_commutation(n: int, blocks: Sequence[Tuple[int, int]],
                    passed, detail, t0)
 
 
-# -- derivatives, counting, averages ---------------------------------------
+# -- derivatives and averages ----------------------------------------------
 
 def check_derivative_value(n: int, labels: Sequence[int]) -> CheckReport:
     """First derivative in the first layer variable against the symbolic
@@ -421,38 +424,6 @@ def check_derivative_value(n: int, labels: Sequence[int]) -> CheckReport:
     passed = got == expected
     return _report("derivative_value", {"n": n, "labels": list(labels)},
                    passed, None if passed else _mismatch(got, expected), t0)
-
-
-def check_counting(n: int, blocks: Sequence[Tuple[int, int]]) -> CheckReport:
-    """Configuration count at all-ones equals the specialized Schur value;
-    for multiplicity-free labels also the pairwise product
-    prod (i_k - i_l)/(l - k)."""
-    t0 = time.perf_counter()
-    layout = _block_layout(blocks)
-    count = count_configurations(scalar_spec(n, layout[0]))
-    return _counting_report(n, blocks, layout, count, t0)
-
-
-def _counting_report(n: int, blocks: Sequence[Tuple[int, int]], layout: tuple,
-                     count: int, t0: float) -> CheckReport:
-    labels, _, parts, _ = layout
-    expected = schur_at_one(parts, len(labels))
-    passed = count == expected
-    detail = None
-    if passed and all(mult == 1 for _, mult in blocks):
-        num = den = 1
-        m = len(labels)
-        for k in range(m):
-            for l in range(k + 1, m):
-                num *= labels[k] - labels[l]
-                den *= l - k
-        passed = num == count * den
-        if not passed:
-            detail = {"count": count, "product": str(Fraction(num, den))}
-    elif not passed:
-        detail = {"count": count, "expected": expected}
-    return _report("counting", {"n": n, "blocks": [list(b) for b in blocks]},
-                   passed, detail, t0)
 
 
 def check_average_ratio(n: int, ell: int) -> CheckReport:
@@ -818,12 +789,12 @@ def column_grid():
 
 # group -> (checker, instances) in report order: each instance is a tuple of
 # positional arguments.  A checker returns one report, or a list when checks
-# share their work (one vev per Schur instance)
+# share their work (one contraction per Schur instance)
 BATTERY = {
     "convention": [(check_convention, lambda: [()])],
     "tetrahedron": [(check_tetrahedron, lambda: [(4,)])],
     "zf": [(check_zf, zf_grid)],
-    "schur": [(_schur_and_counting, schur_grid),
+    "schur": [(check_schur_stack, schur_grid),
               (check_increasing_labels, increasing_grid),
               (check_multiple_commutation,
                lambda: [(4, ((3, 2), (1, 1))), (3, ((2, 1), (1, 1), (0, 1)))])],

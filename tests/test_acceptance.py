@@ -58,7 +58,7 @@ def test_criterion_03_exchange_relations(capsys):
 
 def test_criterion_04_schur_correspondence(capsys):
     def body():
-        return collect(V.check_schur_correspondence(n, blocks)
+        return collect(V.check_schur_stack(n, blocks)[0]
                        for n, blocks in V.schur_grid())
     run_criterion(capsys, 4, "Schur correspondence", 600, body,
                   note="235 block instances")
@@ -74,7 +74,7 @@ def test_criterion_05_increasing_labels(capsys):
 
 def test_criterion_06_counting_and_averages(capsys):
     def body():
-        reports = [V.check_counting(n, blocks) for n, blocks in V.schur_grid()]
+        reports = [V.check_schur_stack(n, blocks)[1] for n, blocks in V.schur_grid()]
         reports += [V.check_average_ratio(4, ell) for ell in (1, 2, 3)]
         return collect(reports)
     run_criterion(capsys, 6, "counting and averages", 600, body,

@@ -226,46 +226,20 @@ def test_verify_all_json_matches_fixture(capsys):
         assert json.dumps(reports, indent=2, sort_keys=True) + "\n" == fh.read()
 
 
-COLD_START = """
-import sys
-sys.path.insert(0, sys.argv[1])
-from trivertex import cli
-assert cli.main(["compute", "--n", "4", "--labels", "3,3,1"]) == 0
-assert cli.main(["enumerate", "--n", "4", "--labels", "3,3,1"]) == 0
-print("cold:", sorted(m for m in ("dataclasses", "fractions", "hashlib", "heapq", "json",
-                                  "trivertex.symfunc", "trivertex.verify")
-                     if m in sys.modules))
-assert cli.main(["verify", "hat"]) == 0
-print("after verify:", "trivertex.verify" in sys.modules)
-"""
-
-
-def test_compute_and_enumerate_load_no_battery():
-    """A cold `compute` or `enumerate` loads neither the identity battery nor
-    `dataclasses` (which pulls in `inspect`), nor `json`, `fractions` or
-    `heapq`, which only JSON output, numeric evaluation and exact division
-    use, nor `hashlib`; `verify` loads the battery.
-    `-S` keeps site-packages start-up hooks out of the module set."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", COLD_START, src],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
-    assert done.returncode == 0, done.stderr.decode()
-    lines = done.stdout.decode().splitlines()
-    assert "cold: []" in lines, lines
-    assert lines[-1] == "after verify: True"
-
-
 @pytest.mark.parametrize("args", [
     ("-c", "import trivertex; trivertex.vev(trivertex.scalar_spec(4, (3, 3, 1)))"),
     ("-m", "trivertex.cli", "compute", "--n", "4", "--labels", "3,3,1"),
     ("-m", "trivertex.cli", "enumerate", "--n", "4", "--labels", "3,3,1"),
+    ("-m", "trivertex.cli", "verify", "hat"),
 ])
 def test_engine_loads_no_verifier(args):
     """A vev, a cold `compute` and a cold `enumerate` import neither the
     algebra's verifiers (`trivertex.lattice`) nor the battery or its
-    oracles.  `-X importtime` lists every module a fresh interpreter
-    imports, on standard error."""
+    oracles, nor `dataclasses` (which pulls in `inspect`), nor `json`,
+    `fractions` or `heapq`, which only JSON output, numeric evaluation and
+    exact division use, nor `hashlib`; `verify` does import the battery.
+    `-X importtime` lists every module a fresh interpreter imports, on
+    standard error; `-S` keeps site-packages start-up hooks out of it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-S", "-X", "importtime", *args], env=env,
@@ -274,7 +248,11 @@ def test_engine_loads_no_verifier(args):
     loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.decode().splitlines()
               if line.startswith("import time:")}
     assert "trivertex.network" in loaded and "trivertex.fock" in loaded
-    assert not loaded & {"trivertex.lattice", "trivertex.verify", "trivertex.symfunc"}
+    if "verify" in args:
+        assert "trivertex.verify" in loaded
+    else:
+        assert not loaded & {"trivertex.lattice", "trivertex.verify", "trivertex.symfunc",
+                             "dataclasses", "fractions", "hashlib", "heapq", "json"}
 
 
 def test_lattice_keeps_the_tensor_names():

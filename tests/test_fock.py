@@ -49,6 +49,14 @@ def test_occupancy_must_be_an_int(m):
         apply_local(LocalOp.B_PLUS, m, 5)
 
 
+@pytest.mark.parametrize("cutoff", [2.5, 2.0, True, None])
+def test_cutoff_must_be_an_int(cutoff):
+    # a float cutoff would let an image past the truncation through: raising
+    # |1> at cutoff 2.5 would give |2>, outside 0..1
+    with pytest.raises(ValueError, match="cutoff"):
+        apply_local(LocalOp.B_PLUS, 1, cutoff)
+
+
 def test_relations_cutoff_3():
     rep = check_q0_relations(3)
     assert rep["passed"] and all(rep["relations"].values())

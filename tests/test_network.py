@@ -331,8 +331,16 @@ def test_convention_and_spec_value_semantics():
     for name in ("flow", "other"):
         with pytest.raises(AttributeError):
             setattr(conv, name, "ew")
-    with pytest.raises(ValueError):
-        Convention("we", "staircase", "sum", "south")
+    for fields, message in ((("up", "staircase", "sum", "north"), "flow must be 'we' or 'ew'"),
+                            (("we", "staircase", "sum", "south"),
+                             "weighted must be 'north', 'north_lateral' or 'all'")):
+        with pytest.raises(ValueError, match=message):
+            Convention(*fields)
+    # flow varies slowest and the weighted output stubs fastest
+    readings = [c._fields() for c in all_conventions()]
+    assert readings[:2] == [("we", "staircase", "sum", "north"),
+                            ("we", "staircase", "sum", "north_lateral")]
+    assert readings[-1] == ("ew", "columns", "zero", "all")
 
     spec = scalar_spec(3, (2, 1))
     assert spec == PartitionSpec(3, [LayerSpec(2, Z[0]), LayerSpec(label=1, binding=Z[1])])
@@ -530,7 +538,8 @@ def test_bindings_are_checked_when_the_spec_is_built():
 
 def test_checked_layers_cannot_be_reassigned():
     # a binding reassigned after PartitionSpec checked it would reach the
-    # contraction unchecked and fail there with a bare KeyError
+    # contraction unchecked and fail there with a bare KeyError; so would
+    # layers swapped into the spec, or carry a float label through
     spec = scalar_spec(3, (1,))
     layer = spec.layers[0]
     for name, value in (("binding", {(1, 1): Z[0]}), ("label", 5), ("deriv", -1), ("other", 0)):
@@ -538,7 +547,14 @@ def test_checked_layers_cannot_be_reassigned():
             setattr(layer, name, value)
     with pytest.raises(AttributeError, match="cannot delete LayerSpec"):
         del layer.deriv
-    assert layer == LayerSpec(1, Z[0]) and vev(spec) == zmono(1)
+    for name, value in (("layers", (LayerSpec(1.0, Z[0]),)),
+                        ("layers", (LayerSpec(1, {(1, 1): Z[0]}),)), ("n", 4), ("other", 0)):
+        with pytest.raises(AttributeError, match="cannot assign to PartitionSpec.%s" % name):
+            setattr(spec, name, value)
+    with pytest.raises(AttributeError, match="cannot delete PartitionSpec.layers"):
+        del spec.layers
+    assert layer == LayerSpec(1, Z[0]) and spec == scalar_spec(3, (1,))
+    assert vev(spec) == zmono(1)
 
 
 def test_checked_site_map_is_the_layers_own():

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trivertex import verify
+from trivertex import network, verify
 from trivertex.network import (CONVENTION, Convention, _layer_plan, _sweep, all_conventions,
                                scalar_spec, vev)
 from trivertex.poly import LaurentPoly, Var, packing
@@ -17,7 +17,6 @@ from trivertex.verify import (
     check_column_decomposition,
     check_column_reduction,
     check_convention,
-    check_counting,
     check_deformed_limit,
     check_derivative_value,
     check_increasing_labels,
@@ -25,8 +24,8 @@ from trivertex.verify import (
     check_loop_recursion,
     check_multiple_commutation,
     check_one_column,
-    check_schur_correspondence,
     check_schur_oracles,
+    check_schur_stack,
     check_tetrahedron,
     check_zf,
     increasing_grid,
@@ -61,14 +60,22 @@ def test_increasing_labels():
         check_increasing_labels(3, (2, 1))
 
 
+def assert_schur_stack(n, blocks):
+    reports = check_schur_stack(n, blocks)
+    assert [r.name for r in reports] == ["schur_correspondence", "counting"]
+    for r in reports:
+        assert_pass(r)
+        assert r.params == {"n": n, "blocks": [list(b) for b in blocks]}
+
+
 def test_schur_correspondence():
-    assert_pass(check_schur_correspondence(3, ((3, 2), (1, 1))))
-    assert_pass(check_schur_correspondence(4, ((4, 1), (2, 2))))
-    assert_pass(check_schur_correspondence(2, ((2, 1),)))
-    with pytest.raises(ValueError):
-        check_schur_correspondence(3, ((1, 1), (2, 1)))
-    with pytest.raises(ValueError):
-        check_schur_correspondence(3, ((4, 1),))
+    assert_schur_stack(3, ((3, 2), (1, 1)))
+    assert_schur_stack(4, ((4, 1), (2, 2)))
+    assert_schur_stack(2, ((2, 1),))
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        check_schur_stack(3, ((1, 1), (2, 1)))
+    with pytest.raises(ValueError, match="0..n"):
+        check_schur_stack(3, ((4, 1),))
 
 
 @st.composite
@@ -121,9 +128,9 @@ def test_derivative_value():
 
 
 def test_counting_examples():
-    assert_pass(check_counting(4, ((4, 1), (2, 1), (1, 1))))
-    assert_pass(check_counting(3, ((3, 2), (1, 1))))
-    assert_pass(check_counting(2, ((2, 1), (0, 1))))
+    assert_schur_stack(4, ((4, 1), (2, 1), (1, 1)))
+    assert_schur_stack(3, ((3, 2), (1, 1)))
+    assert_schur_stack(2, ((2, 1), (0, 1)))
 
 
 def test_average_ratio():
@@ -213,13 +220,13 @@ def test_battery_selection_and_json():
 def test_schur_battery_contracts_each_stack_once(monkeypatch):
     # the Schur comparison and the count share one contraction per instance
     calls = []
-    counts = verify._vev_counts
-    monkeypatch.setattr(verify, "_vev_counts",
-                        lambda spec, conv: calls.append(spec) or counts(spec, conv))
-    monkeypatch.setattr(verify, "count_configurations", None)
-    reports = [r for r in run_battery("schur")
-               if r.name in ("schur_correspondence", "counting")]
-    assert len(calls) == len(list(schur_grid())) == len(reports) // 2
+    contract = network._contract
+    monkeypatch.setattr(network, "_contract",
+                        lambda *args: calls.append(args) or contract(*args))
+    assert verify.BATTERY["schur"][0] == (check_schur_stack, schur_grid)
+    grid = list(schur_grid())
+    reports = [r for n, blocks in grid for r in check_schur_stack(n, blocks)]
+    assert len(calls) == len(grid) == len(reports) // 2
     assert all(r.passed for r in reports)
     assert [r.name for r in reports[:4]] == ["schur_correspondence", "counting"] * 2
 
@@ -261,7 +268,8 @@ def test_failing_report_carries_capped_diff(monkeypatch):
     oracle = verify.schur_jacobi_trudi
     monkeypatch.setattr(verify, "schur_jacobi_trudi",
                         lambda parts, zvars: oracle(parts, zvars) + extra)
-    r = check_schur_correspondence(3, ((3, 2), (1, 1)))
+    r, count = check_schur_stack(3, ((3, 2), (1, 1)))
+    assert_pass(count)
     assert not r.passed
     prefactor = LaurentPoly.monomial({Var.layer(1): 1, Var.layer(2): 1})
     diff = (-(prefactor * extra)).to_obj()
