@@ -55,6 +55,7 @@ def load_vars_file(path: str) -> Dict[Var, object]:
     """Key-value lines 'z1_k1l1 = value'; value is a variable name (symbolic
     rename) or a rational number.  '#' starts a comment."""
     bindings: Dict[Var, object] = {}
+    bound_on: Dict[Var, int] = {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -71,6 +72,10 @@ def load_vars_file(path: str) -> Dict[Var, object]:
             var = parse_var_name(key)
         except ValueError as exc:
             raise UsageError("%s:%d: %s" % (path, lineno, exc))
+        if var in bound_on:
+            raise UsageError("%s:%d: %s is already bound on line %d"
+                             % (path, lineno, key, bound_on[var]))
+        bound_on[var] = lineno
         try:
             bindings[var] = parse_var_name(value)
             continue

@@ -137,24 +137,27 @@ _Q_VAR = Var(_KIND_Q, ())
 
 
 def parse_var_name(name: str) -> Var:
-    """Inverse of Var.name.  Raises ValueError on anything unrecognized."""
-    if name == "q":
-        return Var.q()
+    """Inverse of Var.name.  Raises ValueError on any name that Var.name does
+    not render, such as "z01" or "z1_k1l01"."""
+    var = None
     try:
-        if name.startswith("w"):
-            return Var.aux(int(name[1:]))
-        if name.startswith("z"):
+        if name == "q":
+            var = Var.q()
+        elif name.startswith("w"):
+            var = Var.aux(int(name[1:]))
+        elif name.startswith("z"):
             body = name[1:]
             if "_" in body:
                 t_str, kl = body.split("_", 1)
                 k_str, l_str = kl[1:].split("l", 1)
-                if not kl.startswith("k"):
-                    raise ValueError
-                return Var.site(int(t_str), int(k_str), int(l_str))
-            return Var.layer(int(body))
-    except (ValueError, IndexError):
+                var = Var.site(int(t_str), int(k_str), int(l_str))
+            else:
+                var = Var.layer(int(body))
+    except ValueError:
         pass
-    raise ValueError("unrecognized variable name: %r" % name)
+    if var is None or var.name != name:
+        raise ValueError("unrecognized variable name: %r" % name)
+    return var
 
 
 # A monomial is a tuple of (Var, exp) pairs sorted by Var; exps are nonzero.

@@ -297,11 +297,15 @@ def check_increasing_labels(n: int, labels: Sequence[int]) -> CheckReport:
 
 def _block_layout(blocks: Sequence[Tuple[int, int]]):
     """Flattened labels, per-block variable groups, partition, prefactor."""
+    if not blocks:
+        raise ValueError("no blocks given")
     m = len(blocks)
     labels: List[int] = []
     var_groups: List[List[Var]] = []
     t = 1
     for label, mult in blocks:
+        if mult.__class__ is not int or mult < 1:
+            raise ValueError("block %r: multiplicity must be a positive int" % ((label, mult),))
         group = []
         for _ in range(mult):
             labels.append(label)
@@ -327,12 +331,12 @@ def check_schur_stack(n: int, blocks: Sequence[Tuple[int, int]]) -> List[CheckRe
     polynomial at all ones; for multiplicity-free labels also the pairwise
     product prod (i_k - i_l)/(l - k) (`counting`)."""
     t0 = time.perf_counter()
+    labels, var_groups, parts, prefactor = _block_layout(blocks)
     values = [b[0] for b in blocks]
     if any(values[k] <= values[k + 1] for k in range(len(values) - 1)):
         raise ValueError("block labels must be strictly decreasing")
     if values[0] > n or values[-1] < 0:
         raise ValueError("labels must sit in 0..n")
-    labels, var_groups, parts, prefactor = _block_layout(blocks)
     alphabet, counts = _vev_counts(scalar_spec(n, labels), CONVENTION)
     got = alphabet.poly(counts)
     expected = prefactor * schur_jacobi_trudi(parts, [v for g in var_groups for v in g])

@@ -176,6 +176,13 @@ def test_vars_file_rename_and_eval(capsys, tmp_path):
                        "--labels", "2,0", "--vars-file", str(table))
     assert code == 1 and "name = value" in err
 
+    # a second line for one variable is an error, not a silent override
+    table.write_text("z1_k2l1 = w1\n# w2 wins?\nz1_k2l1 = w2\n")
+    code, out, err = run(capsys, "compute", "--n", "3",
+                         "--labels", "2,0", "--vars-file", str(table))
+    assert (code, out) == (1, "")
+    assert err == "error: %s:3: z1_k2l1 is already bound on line 1\n" % table
+
 
 def test_commands_write_no_files(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path))

@@ -476,7 +476,8 @@ def test_obj_shape_has_int_coefficients():
 def test_parse_var_name_roundtrip():
     for v in [Q, X, Var.site(3, 1, 2), Var.aux(17)]:
         assert parse_var_name(v.name) == v
-    for bad in ["", "x1", "z", "zq", "z1_k2", "w", "q2"]:
+    # each name must render back as given: "z01" is not read as z1
+    for bad in ["", "x1", "z", "zq", "z1_k2", "w", "q2", "z01", "z 1", "z+1", "z1_k1l01"]:
         with pytest.raises(ValueError):
             parse_var_name(bad)
 

@@ -76,6 +76,12 @@ def test_schur_correspondence():
         check_schur_stack(3, ((1, 1), (2, 1)))
     with pytest.raises(ValueError, match="0..n"):
         check_schur_stack(3, ((4, 1),))
+    with pytest.raises(ValueError, match="no blocks"):
+        check_schur_stack(3, [])
+    # a multiplicity below 1 would leave an empty stack, which passes
+    for block in ((2, 0), (2, -1), (2, True), (2, 1.0)):
+        with pytest.raises(ValueError, match=r"block \(2, .*positive int"):
+            check_schur_stack(3, [block])
 
 
 @st.composite
@@ -117,6 +123,10 @@ def test_multiple_commutation():
     # away from the vacuum too
     assert_pass(check_multiple_commutation(
         3, ((2, 1), (0, 1)), kets=[(0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 0, 1)]))
+    with pytest.raises(ValueError, match="no blocks"):
+        check_multiple_commutation(3, [])
+    with pytest.raises(ValueError, match=r"block \(2, 0\).*positive int"):
+        check_multiple_commutation(3, [(2, 0)])
 
 
 def test_derivative_value():
